@@ -410,114 +410,64 @@ func BenchmarkLinkBestParallel(b *testing.B) {
 	}
 }
 
-// --- live-service benchmarks: incremental index maintenance and
-// streaming candidate scoring. ---
+// --- live-service benchmarks: incremental index maintenance. ---
 
-// BenchmarkUpsert is the cost of keeping a live engine current: one item
-// changes in the graph and gets re-indexed in place. Compare with
-// BenchmarkUpsertFullRebuild, the cost the pre-incremental engine paid
-// for the same mutation (the acceptance bar is >= 10x).
+// upsertCatalog is the catalog size of the upsert benchmarks, the size
+// of the paper-scale corpus, so a shard copy costs what it costs there.
+const upsertCatalog = 30000
+
+// changeLocalPN rewrites the part number of catalog item i in sl and
+// returns the item.
+func changeLocalPN(sl *rdf.Graph, i int) rdf.Term {
+	pnProp := rdf.NewIRI("http://ex.org/pn")
+	item := rdf.NewIRI(fmt.Sprintf("http://ex.org/l/%d", i%upsertCatalog))
+	for _, o := range sl.Objects(item, pnProp) {
+		sl.Remove(rdf.T(item, pnProp, o))
+	}
+	sl.Add(rdf.T(item, pnProp, rdf.NewLiteral(fmt.Sprintf("CRCW%04d-UP", i))))
+	return item
+}
+
+// BenchmarkUpsert is the cost of keeping the writer's engine current on
+// a catalog change, as the service pays it: one local item changes in
+// the graph, is re-indexed in place, and a snapshot of the graph and the
+// engine is published, so every iteration also pays the copy-on-write
+// copy of the index shard it touches. Compare with
+// BenchmarkUpsertFullRebuild, the cost of the same mutation without
+// incremental maintenance.
 func BenchmarkUpsert(b *testing.B) {
-	se, sl, _, cfg := linkageBenchFixture(2000, 2000, 1)
+	se, sl, _, cfg := linkageBenchFixture(1, upsertCatalog, 1)
 	eng, err := linkage.New(cfg, se, sl)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pnProp := rdf.NewIRI("http://ex.org/pn")
+	eng.Snapshot()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		item := rdf.NewIRI(fmt.Sprintf("http://ex.org/e/%d", i%2000))
-		for _, o := range se.Objects(item, pnProp) {
-			se.Remove(rdf.T(item, pnProp, o))
-		}
-		se.Add(rdf.T(item, pnProp, rdf.NewLiteral(fmt.Sprintf("CRCW%04d-UP", i))))
-		eng.Upsert(linkage.ExternalSide, item)
-	}
-	if !eng.Fresh() {
-		b.Fatal("engine stale after upserts")
+		item := changeLocalPN(sl, i)
+		eng.ApplyPatches([]linkage.IndexPatch{{Side: linkage.LocalSide, Items: []rdf.Term{item}}})
+		sl.Snapshot()
+		eng.Snapshot()
 	}
 }
 
 // BenchmarkUpsertFullRebuild applies the same single-item mutation but
-// rebuilds the whole value index with linkage.New, the only option
-// before incremental maintenance existed.
+// rebuilds the whole value index with linkage.New before publishing,
+// the only option without incremental maintenance.
 func BenchmarkUpsertFullRebuild(b *testing.B) {
-	se, sl, _, cfg := linkageBenchFixture(2000, 2000, 1)
-	pnProp := rdf.NewIRI("http://ex.org/pn")
+	se, sl, _, cfg := linkageBenchFixture(1, upsertCatalog, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		item := rdf.NewIRI(fmt.Sprintf("http://ex.org/e/%d", i%2000))
-		for _, o := range se.Objects(item, pnProp) {
-			se.Remove(rdf.T(item, pnProp, o))
-		}
-		se.Add(rdf.T(item, pnProp, rdf.NewLiteral(fmt.Sprintf("CRCW%04d-UP", i))))
-		if _, err := linkage.New(cfg, se, sl); err != nil {
+		changeLocalPN(sl, i)
+		sl.Snapshot()
+		eng, err := linkage.New(cfg, se, sl)
+		if err != nil {
 			b.Fatal(err)
 		}
+		eng.Snapshot()
 	}
-}
-
-// BenchmarkStreamPairs compares scoring a cross-product candidate space
-// that is materialized as a [][2]Term up front against streaming it
-// through the engine pair by pair. The allocs/op column is the point:
-// the streaming path never holds the candidate space.
-func BenchmarkStreamPairs(b *testing.B) {
-	se, sl, _, cfg := linkageBenchFixture(200, 200, 1)
-	cfg.Workers = 1
-	eng, err := linkage.New(cfg, se, sl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	exts := make([]rdf.Term, 200)
-	locs := make([]rdf.Term, 200)
-	for i := range exts {
-		exts[i] = rdf.NewIRI(fmt.Sprintf("http://ex.org/e/%d", i))
-		locs[i] = rdf.NewIRI(fmt.Sprintf("http://ex.org/l/%d", i))
-	}
-	nPairs := int64(len(exts) * len(locs))
-
-	b.Run("materialized", func(b *testing.B) {
-		b.SetBytes(nPairs)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			pairs := make([][2]rdf.Term, 0, nPairs)
-			for _, e := range exts {
-				for _, l := range locs {
-					pairs = append(pairs, [2]rdf.Term{e, l})
-				}
-			}
-			if len(eng.ScorePairs(pairs)) == 0 {
-				b.Fatal("no matches")
-			}
-		}
-	})
-	b.Run("stream", func(b *testing.B) {
-		b.SetBytes(nPairs)
-		b.ReportAllocs()
-		src := func(yield func([2]rdf.Term) bool) {
-			for _, e := range exts {
-				for _, l := range locs {
-					if !yield([2]rdf.Term{e, l}) {
-						return
-					}
-				}
-			}
-		}
-		for i := 0; i < b.N; i++ {
-			n := 0
-			if err := eng.StreamPairs(context.Background(), src, func(linkage.Match) bool {
-				n++
-				return true
-			}); err != nil {
-				b.Fatal(err)
-			}
-			if n == 0 {
-				b.Fatal("no matches")
-			}
-		}
-	})
 }
 
 // --- snapshot-isolation benchmarks: the cost of publishing a frozen

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -62,5 +64,33 @@ func TestCLIBenchSmoke(t *testing.T) {
 		if _, ok := m[key]; !ok {
 			t.Errorf("report lacks top-level key %q", key)
 		}
+	}
+}
+
+// TestCLIBenchDefaultsToStdout runs bench without -out from an empty
+// working directory: the report must go to stdout, not to a file, so a
+// bare run from the repository root never overwrites a committed report.
+func TestCLIBenchDefaultsToStdout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration in -short mode")
+	}
+	bin := binary(t)
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "bench", "-smoke")
+	cmd.Dir = dir
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("linkrules bench -smoke: %v\n%s", err, stderr.Bytes())
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("bench without -out wrote into its working directory: %v %v", entries, err)
+	}
+	var rep benchReport
+	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+		t.Fatalf("stdout is not the report: %v\n%s", err, stdout.Bytes())
+	}
+	if rep.Schema != "linkrules-bench/1" || !rep.Smoke {
+		t.Errorf("report schema %q smoke %v, want linkrules-bench/1 in smoke mode", rep.Schema, rep.Smoke)
 	}
 }

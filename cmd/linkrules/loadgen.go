@@ -52,7 +52,7 @@ func cmdLoadgen(args []string) error {
 	topK := fs.Int("top", 3, "matches requested per item in link queries")
 	perQuery := fs.Int("items-per-query", 4, "external items per link query")
 	sloP99 := fs.Float64("slo-p99", 0, "fail (exit non-zero) unless link p99 latency <= this many ms (0: report only)")
-	out := fs.String("out", "BENCH_8.json", "report file (- writes to stdout)")
+	out := fs.String("out", "-", "report file (- writes to stdout)")
 	smoke := fs.Bool("smoke", false, "tiny corpus and short window, for CI smoke runs")
 	apiKey := fs.String("api-key", "", "X-API-Key header sent with every request")
 	fsyncMode := fs.String("fsync", "interval", "WAL fsync policy for the in-process store: never, interval or always")

@@ -29,7 +29,8 @@
 //   - the synthetic corpus generator standing in for the proprietary
 //     Thales catalog (see DESIGN.md for the substitution argument)
 //
-// Start with Pipeline for the end-to-end flow, or see examples/.
+// Start with Pipeline for the end-to-end flow (learn, then query a
+// Snapshot of it), or see examples/.
 package datalink
 
 import (

@@ -2,6 +2,7 @@ package datalink
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -52,7 +53,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	// Classify a new provider item through the public surface.
 	newItem := NewIRI("http://ex.org/ext/new")
 	se.Add(T(newItem, pn, NewLiteral("XX/ohm/33")))
-	preds := p.Classify(newItem)
+	view := p.Snapshot()
+	preds := view.Classify(newItem)
 	if len(preds) == 0 {
 		t.Fatal("no predictions for ohm item")
 	}
@@ -60,7 +62,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("predicted %v, want Resistor", got)
 	}
 
-	sr := p.ReducedSpace(newItem)
+	sr := view.ReducedSpace(newItem)
 	if sr.UnionSize != 4 || sr.CatalogSize != 7 {
 		t.Errorf("space = %d of %d, want 4 of 7", sr.UnionSize, sr.CatalogSize)
 	}
@@ -69,7 +71,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Link inside the reduced space.
-	matches, err := p.LinkWithin([]Term{newItem}, LinkerConfig{
+	matches, err := view.LinkWithinCtx(context.Background(), []Term{newItem}, LinkerConfig{
 		Comparators: []Comparator{{
 			ExternalProperty: pn, LocalProperty: pn,
 			Measure: JaroWinkler, Weight: 1,
@@ -77,7 +79,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		Threshold: 0.3,
 	})
 	if err != nil {
-		t.Fatalf("LinkWithin: %v", err)
+		t.Fatalf("LinkWithinCtx: %v", err)
 	}
 	if len(matches) != 1 {
 		t.Fatalf("matches = %v", matches)
@@ -197,11 +199,11 @@ func TestPublicAPIToponyms(t *testing.T) {
 	}
 }
 
-// TestLinkWithinCacheInvalidation pins the engine cache in Pipeline to
-// the pre-cache semantics: items added to the graphs after a LinkWithin
-// call must be visible to the next call (the incremental-linking flow of
+// TestLinkWithinCacheInvalidation pins the pipeline's engine to the
+// pre-cache semantics: items added to the external graph after a query
+// must be visible to the next view (the incremental-linking flow of
 // examples/fusion), and a caller mutating its comparator slice in place
-// must not be served the stale engine.
+// must not be served the engine built for the old comparators.
 func TestLinkWithinCacheInvalidation(t *testing.T) {
 	ts, se, sl, ol, pn := buildTinyWorld(t)
 	p, err := NewPipeline(LearnerConfig{SupportThreshold: 0.1}, ts, se, sl, ol)
@@ -213,46 +215,42 @@ func TestLinkWithinCacheInvalidation(t *testing.T) {
 		Measure: JaroWinkler, Weight: 1,
 	}}
 	cfg := LinkerConfig{Comparators: cmps, Threshold: 0.3}
+	if err := p.EnsureLinker(cfg); err != nil {
+		t.Fatal(err)
+	}
+	link := func(item Term) []Match {
+		t.Helper()
+		ms, err := p.Snapshot().LinkWithinCtx(context.Background(), []Term{item}, cfg)
+		if err != nil {
+			t.Fatalf("LinkWithinCtx: %v", err)
+		}
+		return ms
+	}
 
 	item1 := NewIRI("http://ex.org/ext/inc1")
 	se.Add(T(item1, pn, NewLiteral("XX/ohm/100")))
-	m1, err := p.LinkWithin([]Term{item1}, cfg)
-	if err != nil {
-		t.Fatalf("first LinkWithin: %v", err)
-	}
-	if len(m1) != 1 {
+	if m1 := link(item1); len(m1) != 1 {
 		t.Fatalf("first call matches = %v", m1)
 	}
 
-	// Second arriving item: added after the engine cache was built.
+	// Second arriving item: added after the engine was built.
 	item2 := NewIRI("http://ex.org/ext/inc2")
 	se.Add(T(item2, pn, NewLiteral("YY/ohm/220")))
-	m2, err := p.LinkWithin([]Term{item2}, cfg)
-	if err != nil {
-		t.Fatalf("second LinkWithin: %v", err)
-	}
+	m2 := link(item2)
 	if len(m2) != 1 {
-		t.Fatalf("stale value index: second item not linked, matches = %v", m2)
+		t.Fatalf("stale engine: second item not linked, matches = %v", m2)
 	}
 
-	// Unchanged graphs + config: the cache must serve identical output.
-	m2b, err := p.LinkWithin([]Term{item2}, cfg)
-	if err != nil {
-		t.Fatalf("cached LinkWithin: %v", err)
-	}
-	if len(m2b) != len(m2) || m2b[0] != m2[0] {
-		t.Errorf("cached call diverges: %v vs %v", m2b, m2)
+	// Unchanged graphs + config: the engine must serve identical output.
+	if m2b := link(item2); len(m2b) != len(m2) || m2b[0] != m2[0] {
+		t.Errorf("repeated call diverges: %v vs %v", m2b, m2)
 	}
 
 	// In-place mutation of the caller's comparator slice must not be
-	// aliased into the cache's change detection.
+	// aliased into the pipeline's comparator match.
 	cmps[0].Measure = Levenshtein
 	cmps[0].Weight = 3
-	m3, err := p.LinkWithin([]Term{item2}, cfg)
-	if err != nil {
-		t.Fatalf("post-mutation LinkWithin: %v", err)
-	}
-	if len(m3) != 1 || m3[0].Score == m2[0].Score {
+	if m3 := link(item2); len(m3) != 1 || m3[0].Score == m2[0].Score {
 		t.Errorf("stale engine after comparator mutation: %v vs %v", m3, m2)
 	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -60,7 +61,8 @@ func main() {
 	se.Add(datalink.T(newItem, pn, datalink.NewLiteral("RN55.ohm.77")))
 	se.Add(datalink.T(newItem, label, datalink.NewLiteral("RN55 precision metal film resistor, 1% tolerance")))
 
-	matches, err := pipeline.LinkWithin([]datalink.Term{newItem}, datalink.LinkerConfig{
+	// Queries run on a snapshot of the pipeline, taken after the arrival.
+	matches, err := pipeline.Snapshot().LinkWithinCtx(context.Background(), []datalink.Term{newItem}, datalink.LinkerConfig{
 		Comparators: []datalink.Comparator{{
 			ExternalProperty: pn, LocalProperty: pn,
 			Measure: datalink.JaroWinkler, Weight: 1,

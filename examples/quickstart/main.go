@@ -63,15 +63,17 @@ func main() {
 	newItem := datalink.NewIRI("http://provider.example/item/new-1")
 	se.Add(datalink.T(newItem, pn, datalink.NewLiteral("ZZ-473-ohm-0805")))
 
+	// Queries run on a snapshot of the pipeline, taken after the arrival.
+	view := pipeline.Snapshot()
 	fmt.Printf("\nclassifying %s\n", newItem.Value)
-	for _, p := range pipeline.Classify(newItem) {
+	for _, p := range view.Classify(newItem) {
 		fmt.Printf("  -> %s  (confidence %.2f, lift %.1f, segment %q)\n",
 			p.Class.Value, p.Rule.Confidence(), p.Rule.Lift(), p.Rule.Segment)
 	}
 
 	// The reduced linking space: the item is only compared against
 	// instances of the predicted class instead of the whole catalog.
-	sr := pipeline.ReducedSpace(newItem)
+	sr := view.ReducedSpace(newItem)
 	fmt.Printf("\nlinking space: %d of %d catalog items (%.1fx reduction)\n",
 		sr.UnionSize, sr.CatalogSize, sr.ReductionFactor())
 }

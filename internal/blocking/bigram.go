@@ -128,21 +128,22 @@ func (bg Bigram) allIndexKeys(ctx context.Context, records []Record) ([]recordKe
 // O(|external|).
 const probeBatch = 4096
 
-// probe indexes the local records and streams each external record's
-// candidates through yield, each (external, local) pair exactly once (a
-// per-record set collapses multi-key collisions), in input order. It is
-// the shared engine behind PairsCtx and Stream.
-func (bg Bigram) probe(ctx context.Context, external, local []Record, yield func(Pair) bool) error {
+// PairsCtx is Pairs with cooperative cancellation: a cancelled ctx stops
+// the key expansion between chunks and returns ctx.Err() with no pairs.
+// The local records are indexed by key, then the external records probe
+// the index one batch at a time.
+func (bg Bigram) PairsCtx(ctx context.Context, external, local []Record) ([]Pair, error) {
 	index := map[string][]string{}
 	locKeys, err := bg.allIndexKeys(ctx, local)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, rk := range locKeys {
 		for _, k := range rk.keys {
 			index[k] = append(index[k], rk.id)
 		}
 	}
+	ps := pairSet{}
 	for lo := 0; lo < len(external); lo += probeBatch {
 		hi := lo + probeBatch
 		if hi > len(external) {
@@ -150,35 +151,15 @@ func (bg Bigram) probe(ctx context.Context, external, local []Record, yield func
 		}
 		extKeys, err := bg.allIndexKeys(ctx, external[lo:hi])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, rk := range extKeys {
-			seen := map[string]struct{}{}
 			for _, k := range rk.keys {
 				for _, lid := range index[k] {
-					if _, dup := seen[lid]; dup {
-						continue
-					}
-					seen[lid] = struct{}{}
-					if !yield(Pair{A: rk.id, B: lid}) {
-						return nil
-					}
+					ps.add(rk.id, lid)
 				}
 			}
 		}
-	}
-	return nil
-}
-
-// PairsCtx is Pairs with cooperative cancellation: a cancelled ctx stops
-// the key expansion between chunks and returns ctx.Err() with no pairs.
-func (bg Bigram) PairsCtx(ctx context.Context, external, local []Record) ([]Pair, error) {
-	ps := pairSet{}
-	if err := bg.probe(ctx, external, local, func(p Pair) bool {
-		ps[p] = struct{}{}
-		return true
-	}); err != nil {
-		return nil, err
 	}
 	return ps.slice(), nil
 }
@@ -189,18 +170,8 @@ func (bg Bigram) Pairs(external, local []Record) []Pair {
 	return out
 }
 
-// Stream implements Streamer: candidates flow through yield as each
-// external record is probed against the local sub-list index, without
-// the sorted pair set ever materializing. Memory is O(local index +
-// one probe batch).
-func (bg Bigram) Stream(external, local []Record, yield func(Pair) bool) {
-	_ = bg.probe(context.Background(), external, local, yield)
-}
-
 // Name implements Method.
 func (bg Bigram) Name() string {
 	threshold, _, q := bg.params()
 	return fmt.Sprintf("bigram(q=%d,t=%.2f)", q, threshold)
 }
-
-var _ Streamer = Bigram{}

@@ -54,12 +54,10 @@ type canopyEntry struct {
 	grams    map[string]struct{}
 }
 
-// scan runs the canopy algorithm and calls yield for every cross-source
-// pair, globally deduplicated (overlapping canopies revisit pairs), in a
-// deterministic order. It is the shared engine behind PairsCtx and
-// Stream. A cancelled ctx stops between centers with ctx.Err(); yield
-// returning false stops cleanly.
-func (c Canopy) scan(ctx context.Context, external, local []Record, yield func(Pair) bool) error {
+// PairsCtx is Pairs with cooperative cancellation: a cancelled ctx stops
+// the gram-set fan-out and the center scan, returning ctx.Err() with no
+// pairs.
+func (c Canopy) PairsCtx(ctx context.Context, external, local []Record) ([]Pair, error) {
 	loose, tight, q := c.params()
 
 	entryFor := func(ext bool) func(Record) (canopyEntry, bool) {
@@ -69,11 +67,11 @@ func (c Canopy) scan(ctx context.Context, external, local []Record, yield func(P
 	}
 	extEntries, err := par.MapChunks(ctx, c.Workers, 0, external, entryFor(true))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	locEntries, err := par.MapChunks(ctx, c.Workers, 0, local, entryFor(false))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	entries := make([]canopyEntry, 0, len(external)+len(local))
 	entries = append(entries, extEntries...)
@@ -98,13 +96,14 @@ func (c Canopy) scan(ctx context.Context, external, local []Record, yield func(P
 	for i := range active {
 		active[i] = true
 	}
-	emitted := pairSet{}
+	// Overlapping canopies revisit pairs; the set deduplicates them.
+	ps := pairSet{}
 	for i, center := range entries {
 		if !active[i] || len(center.grams) == 0 {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		// Collect candidates sharing grams with the center.
 		seen := map[int]struct{}{}
@@ -125,37 +124,14 @@ func (c Canopy) scan(ctx context.Context, external, local []Record, yield func(P
 			}
 		}
 		active[i] = false
-		// Emit cross-source pairs within the canopy (center included).
+		// Cross-source pairs within the canopy (center included).
 		for _, a := range canopy {
 			for _, b := range canopy {
-				ea, eb := entries[a], entries[b]
-				if !ea.external || eb.external {
-					continue
-				}
-				p := Pair{A: ea.id, B: eb.id}
-				if _, dup := emitted[p]; dup {
-					continue
-				}
-				emitted[p] = struct{}{}
-				if !yield(p) {
-					return nil
+				if ea, eb := entries[a], entries[b]; ea.external && !eb.external {
+					ps.add(ea.id, eb.id)
 				}
 			}
 		}
-	}
-	return nil
-}
-
-// PairsCtx is Pairs with cooperative cancellation: a cancelled ctx stops
-// the gram-set fan-out and the center scan, returning ctx.Err() with no
-// pairs.
-func (c Canopy) PairsCtx(ctx context.Context, external, local []Record) ([]Pair, error) {
-	ps := pairSet{}
-	if err := c.scan(ctx, external, local, func(p Pair) bool {
-		ps[p] = struct{}{}
-		return true
-	}); err != nil {
-		return nil, err
 	}
 	return ps.slice(), nil
 }
@@ -164,13 +140,6 @@ func (c Canopy) PairsCtx(ctx context.Context, external, local []Record) ([]Pair,
 func (c Canopy) Pairs(external, local []Record) []Pair {
 	out, _ := c.PairsCtx(context.Background(), external, local)
 	return out
-}
-
-// Stream implements Streamer: pairs flow through yield as canopies form.
-// Canopies overlap, so a dedup set of emitted pairs is retained — the
-// sorted pair slice is what Stream avoids materializing, not the set.
-func (c Canopy) Stream(external, local []Record, yield func(Pair) bool) {
-	_ = c.scan(context.Background(), external, local, yield)
 }
 
 // Name implements Method.
@@ -207,5 +176,3 @@ func diceOverlap(a, b map[string]struct{}) float64 {
 	}
 	return 2 * float64(inter) / float64(len(a)+len(b))
 }
-
-var _ Streamer = Canopy{}

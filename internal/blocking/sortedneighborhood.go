@@ -74,29 +74,15 @@ func crossPair(a, b sortedEntry) (Pair, bool) {
 	}
 }
 
-// Pairs implements Method, by draining Stream into the deduplicated
-// sorted pair set — one implementation, two consumption modes, matching
-// Standard.
+// Pairs implements Method: the window slides over the merged sorted
+// list, and every cross-source pair of window-mates is a candidate.
 func (sn SortedNeighborhood) Pairs(external, local []Record) []Pair {
-	ps := pairSet{}
-	sn.Stream(external, local, func(p Pair) bool {
-		ps[p] = struct{}{}
-		return true
-	})
-	return ps.slice()
-}
-
-// Stream implements Streamer: the window slides over the merged sorted
-// list and cross-source pairs flow through yield without the pair set
-// materializing. Each unordered entry pair co-resides in exactly one
-// window start, so every pair is emitted exactly once (records with
-// distinct IDs), in sorted-list order.
-func (sn SortedNeighborhood) Stream(external, local []Record, yield func(Pair) bool) {
 	w := sn.Window
 	if w < 2 {
 		w = 2
 	}
 	entries := mergedSorted(external, local, sn.Key, sn.Workers)
+	ps := pairSet{}
 	for i := range entries {
 		hi := i + w
 		if hi > len(entries) {
@@ -104,12 +90,11 @@ func (sn SortedNeighborhood) Stream(external, local []Record, yield func(Pair) b
 		}
 		for j := i + 1; j < hi; j++ {
 			if p, ok := crossPair(entries[i], entries[j]); ok {
-				if !yield(p) {
-					return
-				}
+				ps[p] = struct{}{}
 			}
 		}
 	}
+	return ps.slice()
 }
 
 // Name implements Method.
@@ -141,19 +126,9 @@ type AdaptiveSortedNeighborhood struct {
 	Workers int
 }
 
-// Pairs implements Method, by draining Stream like SortedNeighborhood.
+// Pairs implements Method: blocks are disjoint spans of the sorted
+// list, and every cross-source pair inside a block is a candidate.
 func (asn AdaptiveSortedNeighborhood) Pairs(external, local []Record) []Pair {
-	ps := pairSet{}
-	asn.Stream(external, local, func(p Pair) bool {
-		ps[p] = struct{}{}
-		return true
-	})
-	return ps.slice()
-}
-
-// Stream implements Streamer: blocks are disjoint spans of the sorted
-// list, so each cross-source pair flows through yield exactly once.
-func (asn AdaptiveSortedNeighborhood) Stream(external, local []Record, yield func(Pair) bool) {
 	threshold := asn.Threshold
 	if threshold == 0 {
 		threshold = 0.8
@@ -167,17 +142,15 @@ func (asn AdaptiveSortedNeighborhood) Stream(external, local []Record, yield fun
 		sim = similarity.JaroWinkler{}
 	}
 	entries := mergedSorted(external, local, asn.Key, asn.Workers)
-	emit := func(block []sortedEntry) bool {
+	ps := pairSet{}
+	emit := func(block []sortedEntry) {
 		for i := range block {
 			for j := i + 1; j < len(block); j++ {
 				if p, ok := crossPair(block[i], block[j]); ok {
-					if !yield(p) {
-						return false
-					}
+					ps[p] = struct{}{}
 				}
 			}
 		}
-		return true
 	}
 	var block []sortedEntry
 	for i, e := range entries {
@@ -186,14 +159,13 @@ func (asn AdaptiveSortedNeighborhood) Stream(external, local []Record, yield fun
 			continue
 		}
 		if len(block) >= maxBlock || sim.Similarity(entries[i-1].key, e.key) < threshold {
-			if !emit(block) {
-				return
-			}
+			emit(block)
 			block = block[:0]
 		}
 		block = append(block, e)
 	}
 	emit(block)
+	return ps.slice()
 }
 
 // Name implements Method.
@@ -204,8 +176,3 @@ func (asn AdaptiveSortedNeighborhood) Name() string {
 	}
 	return fmt.Sprintf("adaptive-sn(t=%.2f)", threshold)
 }
-
-var (
-	_ Streamer = SortedNeighborhood{}
-	_ Streamer = AdaptiveSortedNeighborhood{}
-)

@@ -402,13 +402,13 @@ func (ix *InstanceIndex) Contains(c, inst rdf.Term) bool {
 }
 
 // Freeze precomputes the instance sets of the given classes so later
-// concurrent reads hit only the memo. A no-op on frozen snapshots, which
-// never write their memo.
+// concurrent reads hit only the memo. Classes already memoized cost one
+// lookup each, so a writer may call it before every Snapshot. A no-op
+// on frozen snapshots, which never write their memo.
 func (ix *InstanceIndex) Freeze(classes []rdf.Term) {
 	if ix.frozen {
 		return
 	}
-	ix.mutableMaps()
 	for _, c := range classes {
 		ix.Instances(c)
 	}

@@ -6,26 +6,12 @@ import (
 	"repro/internal/similarity"
 )
 
-// valueCache is the engine's shared per-value derivation cache: one
-// Tokenize, one token set and one prepared pattern per distinct value
-// string, shared across every comparator column and both sides of the
-// engine. Before it existed each comparator column re-derived its own
-// tokens and token sets in buildValueIndex, so a value appearing under
-// three comparators (or on both sides) paid for its derivations three
-// times; now the first reference pays and the rest share.
-//
-// Entries are reference-counted by the indexedValues that point at
-// them, so the incremental paths (Upsert, Remove, ApplyPatches) keep
-// the cache exactly as large as the live index: a value's entry is
-// dropped when its last referencing item leaves the index. All access
-// happens under the engine's state lock — construction and writers hold
-// it exclusively, and the read paths never mutate the cache (prepared
-// patterns are built eagerly at acquire time, not lazily under read
-// locks).
-type valueCache struct {
-	// tokenize and sets record whether any comparator's measure consumes
-	// token lists / token sets; derivations are built once per value for
-	// the union of needs rather than per column.
+// derivations records what the hot comparison loop needs precomputed
+// for a value, as the union over the engine's comparators: token lists
+// and token sets when any measure consumes them, and per comparator
+// slot the measure to precompile values with. It is fixed at New and
+// shared by the writer's index and every snapshot.
+type derivations struct {
 	tokenize bool
 	sets     bool
 	// prep holds, per comparator slot, the measure to precompile values
@@ -33,7 +19,72 @@ type valueCache struct {
 	// Prepared patterns are per-slot because a measure's preparation may
 	// depend on instance state (a fitted TF-IDF), so two comparators
 	// never share one pattern even when their measures look alike.
-	prep    []similarity.PreparedMeasure
+	prep []similarity.PreparedMeasure
+}
+
+// newDerivations derives the union of derivation needs from the
+// compiled comparators.
+func newDerivations(comps []compiledComparator) *derivations {
+	d := &derivations{prep: make([]similarity.PreparedMeasure, len(comps))}
+	for i := range comps {
+		if comps[i].tokens != nil {
+			d.tokenize = true
+		}
+		if comps[i].tokenSets != nil {
+			d.sets = true
+		}
+		d.prep[i] = comps[i].prepared
+	}
+	return d
+}
+
+// entry derives a fresh entry for value: rune length and, when any
+// comparator needs them, tokens and token set. Prepared patterns are
+// added per slot by prepare.
+func (d *derivations) entry(value string) *cacheEntry {
+	e := &cacheEntry{runeLen: utf8.RuneCountInString(value)}
+	if d.tokenize {
+		e.tokens = similarity.Tokenize(value)
+		if d.sets {
+			e.tokenSet = make(map[string]struct{}, len(e.tokens))
+			for _, tok := range e.tokens {
+				e.tokenSet[tok] = struct{}{}
+			}
+		}
+	}
+	return e
+}
+
+// prepare fills e's prepared pattern for slot, if that slot's measure
+// has one and it is not built yet.
+func (d *derivations) prepare(e *cacheEntry, value string, slot int) {
+	pm := d.prep[slot]
+	if pm == nil {
+		return
+	}
+	if e.prepared == nil {
+		e.prepared = make([]similarity.Prepared, len(d.prep))
+	}
+	if e.prepared[slot] == nil {
+		e.prepared[slot] = pm.Prepare(value)
+	}
+}
+
+// valueCache is the writer's per-value derivation cache for the local
+// index: one Tokenize, one token set and one prepared pattern per
+// distinct value string, shared across every comparator column, so a
+// value appearing under three comparators pays for its derivations once.
+//
+// Entries are reference-counted by the indexed values that point at
+// them, so ApplyPatches keeps the cache exactly as large as the live
+// index: a value's entry is dropped when its last referencing item
+// leaves the index. Only the writer touches the cache. Snapshots hold
+// entries, never the cache, and read only fields the writer no longer
+// writes once the entry is indexed under their comparator: the rune
+// length and tokens are set at creation, and a prepared pattern is
+// filled only in a slot that was still empty, which no snapshot reads.
+type valueCache struct {
+	d       *derivations
 	entries map[string]*cacheEntry
 }
 
@@ -48,52 +99,17 @@ type cacheEntry struct {
 	prepared []similarity.Prepared
 }
 
-// newValueCache derives the union of derivation needs from the compiled
-// comparators.
-func newValueCache(comps []compiledComparator) *valueCache {
-	vc := &valueCache{
-		prep:    make([]similarity.PreparedMeasure, len(comps)),
-		entries: map[string]*cacheEntry{},
-	}
-	for i := range comps {
-		if comps[i].tokens != nil {
-			vc.tokenize = true
-		}
-		if comps[i].tokenSets != nil {
-			vc.sets = true
-		}
-		vc.prep[i] = comps[i].prepared
-	}
-	return vc
-}
-
-// acquire returns the entry for value, creating it (and any derivations
-// the cache's comparators need) on first reference, and takes one
-// reference. slot identifies the comparator column the value is being
-// indexed under, so measure-specific preparation lands in that slot.
+// acquire returns the entry for value, creating it on first reference,
+// and takes one reference. slot identifies the comparator column the
+// value is being indexed under, so measure-specific preparation lands in
+// that slot.
 func (vc *valueCache) acquire(value string, slot int) *cacheEntry {
 	e := vc.entries[value]
 	if e == nil {
-		e = &cacheEntry{runeLen: utf8.RuneCountInString(value)}
-		if vc.tokenize {
-			e.tokens = similarity.Tokenize(value)
-			if vc.sets {
-				e.tokenSet = make(map[string]struct{}, len(e.tokens))
-				for _, tok := range e.tokens {
-					e.tokenSet[tok] = struct{}{}
-				}
-			}
-		}
+		e = vc.d.entry(value)
 		vc.entries[value] = e
 	}
-	if pm := vc.prep[slot]; pm != nil {
-		if e.prepared == nil {
-			e.prepared = make([]similarity.Prepared, len(vc.prep))
-		}
-		if e.prepared[slot] == nil {
-			e.prepared[slot] = pm.Prepare(value)
-		}
-	}
+	vc.d.prepare(e, value, slot)
 	e.refs++
 	return e
 }
@@ -103,9 +119,6 @@ func (vc *valueCache) acquire(value string, slot int) *cacheEntry {
 func (vc *valueCache) release(vals []indexedValue) {
 	for i := range vals {
 		v := &vals[i]
-		if v.entry == nil {
-			continue
-		}
 		v.entry.refs--
 		if v.entry.refs <= 0 {
 			delete(vc.entries, v.value)

@@ -9,7 +9,7 @@ import (
 )
 
 // cacheOf digs out an engine's value cache for white-box assertions.
-func cacheOf(e *Engine) *valueCache { return e.st.cache }
+func cacheOf(e *Engine) *valueCache { return e.ix.cache }
 
 // refTotal sums the live reference counts, for leak checks.
 func refTotal(vc *valueCache) int {
@@ -22,8 +22,9 @@ func refTotal(vc *valueCache) int {
 
 // TestValueCacheSharesAcrossComparators pins the cache's reason to
 // exist: two comparators over the same property (different measures)
-// and the same value on both sides produce ONE cache entry per distinct
-// value string, not one per (comparator, side, item) as before.
+// and the same value on many local items produce ONE cache entry per
+// distinct value string, not one per (comparator, item). External values
+// never enter the cache: they are derived per query.
 func TestValueCacheSharesAcrossComparators(t *testing.T) {
 	se, sl := rdf.NewGraph(), rdf.NewGraph()
 	// Three external and three local items all carrying the same two
@@ -52,9 +53,9 @@ func TestValueCacheSharesAcrossComparators(t *testing.T) {
 	if got, want := vc.Size(), 2; got != want {
 		t.Fatalf("cache holds %d entries, want %d (one per distinct value)", got, want)
 	}
-	// pn is indexed by two comparators over 6 items, label by one over 6
-	// items: 12 + 6 references.
-	if got, want := refTotal(vc), 18; got != want {
+	// pn is indexed by two comparators over 3 local items, label by one
+	// over 3: 6 + 3 references.
+	if got, want := refTotal(vc), 9; got != want {
 		t.Fatalf("cache holds %d references, want %d", got, want)
 	}
 	// The shared entry carries every derivation any comparator needs:
@@ -70,10 +71,10 @@ func TestValueCacheSharesAcrossComparators(t *testing.T) {
 }
 
 // TestValueCacheRefcountChurn drives add/change/remove churn through
-// Upsert, Remove and ApplyPatches and asserts the cache never leaks:
-// after every step the entry count equals the number of distinct live
-// values, and references match the indexed values exactly; after
-// removing everything the cache is empty.
+// ApplyPatches, with snapshots taken in between, and asserts the cache
+// never leaks: after every step the entry count equals the number of
+// distinct indexed values, and references match the indexed values
+// exactly; after removing everything the cache is empty.
 func TestValueCacheRefcountChurn(t *testing.T) {
 	se, sl, pairs, _ := seededGraphs(97, 40, 30)
 	eng, err := New(incrementalConfig(), se, sl)
@@ -84,14 +85,13 @@ func TestValueCacheRefcountChurn(t *testing.T) {
 
 	verify := func(step string) {
 		t.Helper()
-		// Distinct live values and total references, recounted from the
-		// index itself.
+		// Distinct indexed values and total references, recounted from
+		// the index itself.
 		want := map[string]int{}
 		refs := 0
-		for ci := range eng.st.comps {
-			c := &eng.st.comps[ci]
-			for _, m := range []map[rdf.Term][]indexedValue{c.ext, c.loc} {
-				for _, vals := range m {
+		for _, li := range eng.ix.loc {
+			for _, s := range li {
+				for _, vals := range s.m {
 					for _, v := range vals {
 						want[v.value]++
 						refs++
@@ -109,14 +109,17 @@ func TestValueCacheRefcountChurn(t *testing.T) {
 	}
 	verify("fresh")
 
-	// Change values in place.
+	// Change values in place, one patch per item.
 	for i := 0; i < 10; i++ {
-		item := rdf.NewIRI(fmt.Sprintf("http://ex.org/e/%d", i))
-		for _, o := range se.Objects(item, pn) {
-			se.Remove(rdf.T(item, pn, o))
+		item := rdf.NewIRI(fmt.Sprintf("http://ex.org/l/%d", i))
+		for _, o := range sl.Objects(item, pn) {
+			sl.Remove(rdf.T(item, pn, o))
 		}
-		se.Add(rdf.T(item, pn, rdf.NewLiteral(fmt.Sprintf("CHURN-%d", i%3))))
-		eng.Upsert(ExternalSide, item)
+		sl.Add(rdf.T(item, pn, rdf.NewLiteral(fmt.Sprintf("CHURN-%d", i%3))))
+		upsertLocal(eng, item)
+		if i%4 == 0 {
+			eng.Snapshot()
+		}
 	}
 	verify("after upsert churn")
 
@@ -136,16 +139,13 @@ func TestValueCacheRefcountChurn(t *testing.T) {
 	})
 	verify("after patches")
 
-	// Remove every item from both sides: the cache must drain to zero.
-	var ext, loc []rdf.Term
-	for i := 0; i < 40; i++ {
-		ext = append(ext, rdf.NewIRI(fmt.Sprintf("http://ex.org/e/%d", i)))
-	}
+	// Remove every local item: the cache must drain to zero.
+	eng.Snapshot()
+	var loc []rdf.Term
 	for i := 0; i < 30; i++ {
 		loc = append(loc, rdf.NewIRI(fmt.Sprintf("http://ex.org/l/%d", i)))
 	}
-	eng.Remove(ExternalSide, ext...)
-	eng.Remove(LocalSide, loc...)
+	eng.ApplyPatches([]IndexPatch{{Side: LocalSide, Remove: true, Items: loc}})
 	if got := vc.Size(); got != 0 {
 		t.Fatalf("cache holds %d entries after removing every item, want 0", got)
 	}

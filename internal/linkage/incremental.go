@@ -20,66 +20,6 @@ func (s Side) String() string {
 	return "local"
 }
 
-// Upsert re-reads each item's comparator property values from the
-// engine's graph on the given side and updates the value index in place,
-// so a live graph never forces a full New rebuild. Call it after adding,
-// changing or deleting an item's triples; an item with no remaining
-// comparator values is dropped from the index (making Upsert subsume
-// Remove for deleted items).
-//
-// The index's recorded graph version advances to the graph's current
-// Version, so the caller's contract is: mutate the graph, then Upsert
-// every item touched since the last Upsert. Safe to call concurrently
-// with queries — readers block for the duration of the update and then
-// observe all of it.
-func (e *Engine) Upsert(side Side, items ...rdf.Term) {
-	st := e.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	g := st.graph(side)
-	for ci := range st.comps {
-		c := &st.comps[ci]
-		m, prop := c.sideIndex(side)
-		for _, item := range items {
-			// Acquire the new values before releasing the old ones, so a
-			// value present in both keeps its cache entry warm instead of
-			// being dropped and rebuilt.
-			vals := itemValues(g, item, prop, st.cache, c.slot)
-			old := m[item]
-			if len(vals) == 0 {
-				delete(m, item)
-			} else {
-				m[item] = vals
-			}
-			st.cache.release(old)
-		}
-	}
-	st.syncVersion(side)
-}
-
-// Remove drops the items from the value index on the given side without
-// consulting the graph. Equivalent to Upsert after the items' triples
-// were removed, but never re-reads, so it also works when the graph still
-// holds the triples (soft-deleting an item from linking only). A soft
-// delete lives only as long as this index: anything that rebuilds the
-// engine from the graphs (linkage.New, e.g. via a Pipeline cache miss on
-// a comparator change) re-indexes the item. To delete durably, remove
-// the triples from the graph before calling Remove or Upsert.
-func (e *Engine) Remove(side Side, items ...rdf.Term) {
-	st := e.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for ci := range st.comps {
-		c := &st.comps[ci]
-		m, _ := c.sideIndex(side)
-		for _, item := range items {
-			st.cache.release(m[item])
-			delete(m, item)
-		}
-	}
-	st.syncVersion(side)
-}
-
 // IndexPatch is one batched value-index mutation: re-index (or with
 // Remove, drop) Items on Side. A slice of patches expresses an ordered
 // mixed upsert/remove batch for ApplyPatches.
@@ -89,78 +29,66 @@ type IndexPatch struct {
 	Items  []rdf.Term
 }
 
-// ApplyPatches applies an ordered sequence of upsert/remove patches
-// under ONE acquisition of the index lock, so a 10k-item bulk load
-// blocks readers once instead of once per sub-op. Semantics per patch
-// match Upsert (Remove=false: re-read from the graph, dropping items
-// with no remaining values) and Remove (Remove=true: drop without
-// consulting the graph); each touched side's recorded graph version
-// advances once at the end.
+// ApplyPatches applies an ordered sequence of upsert/remove patches to
+// the writer's local index. An upsert re-reads each item's values from
+// the local graph, dropping items with no remaining values; a remove
+// drops the items without consulting the graph. External-side patches
+// need no work: external items are resolved from the graph at query
+// time, so the caller's contract is only to mutate the external graph
+// before the next Snapshot. Panics on a snapshot.
 func (e *Engine) ApplyPatches(patches []IndexPatch) {
-	st := e.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var touched [2]bool
+	ix := e.ix
+	if ix.mut == nil {
+		panic("linkage: patching a frozen engine snapshot")
+	}
 	for _, p := range patches {
-		g := st.graph(p.Side)
-		for ci := range st.comps {
-			c := &st.comps[ci]
-			m, prop := c.sideIndex(p.Side)
-			for _, item := range p.Items {
-				if p.Remove {
-					st.cache.release(m[item])
-					delete(m, item)
-					continue
+		if p.Side != LocalSide {
+			continue
+		}
+		for _, item := range p.Items {
+			sh := shardOf(item)
+			for ci := range ix.comps {
+				c, li := &ix.comps[ci], ix.loc[ci]
+				var vals []indexedValue
+				if !p.Remove {
+					// Acquire the new values before releasing the old ones,
+					// so a value present in both keeps its cache entry warm.
+					if objs := literals(ix.sl, item, c.locProp); len(objs) > 0 {
+						vals = acquireValues(objs, ix.cache, c.slot)
+					}
 				}
-				vals := itemValues(g, item, prop, st.cache, c.slot)
-				old := m[item]
-				if len(vals) == 0 {
-					delete(m, item)
-				} else {
-					m[item] = vals
+				if vals == nil && li[sh].m[item] == nil {
+					continue // nothing indexed, nothing to drop
 				}
-				st.cache.release(old)
+				ix.cache.release(li.set(ix.mut, sh, item, vals))
 			}
 		}
-		touched[p.Side] = true
-	}
-	if touched[ExternalSide] {
-		st.syncVersion(ExternalSide)
-	}
-	if touched[LocalSide] {
-		st.syncVersion(LocalSide)
 	}
 }
 
-// Versions returns the external and local graph versions the value index
-// currently reflects: the Version() observed at New, advanced by each
-// Upsert/Remove on the respective side.
-func (e *Engine) Versions() (ext, loc uint64) {
-	e.st.mu.RLock()
-	defer e.st.mu.RUnlock()
-	return e.st.extVer, e.st.locVer
-}
-
-// Fresh reports whether the index reflects the current versions of both
-// underlying graphs, i.e. no graph mutation since the last Upsert/Remove
-// (or New) is still unindexed.
-func (e *Engine) Fresh() bool {
-	e.st.mu.RLock()
-	defer e.st.mu.RUnlock()
-	return e.st.extVer == graphVersion(e.st.se) && e.st.locVer == graphVersion(e.st.sl)
-}
-
-func (st *engineState) graph(side Side) *rdf.Graph {
-	if side == ExternalSide {
-		return st.se
+// Snapshot returns a frozen engine over the current state in O(1): it
+// resolves external items from a snapshot of the external graph
+// (rdf.Graph.Snapshot, so the same one a caller snapshotting that graph
+// at the same moment gets) and shares the local indexes, which the
+// writer copies shard by shard before writing again. The snapshot is
+// safe for any number of concurrent readers while the writer keeps
+// patching; Snapshot itself must be serialized with ApplyPatches and
+// with mutations of the graphs. The snapshot of a snapshot is itself.
+func (e *Engine) Snapshot() *Engine {
+	ix := e.ix
+	if ix.mut == nil {
+		return e
 	}
-	return st.sl
-}
-
-func (st *engineState) syncVersion(side Side) {
-	if side == ExternalSide {
-		st.extVer = graphVersion(st.se)
-	} else {
-		st.locVer = graphVersion(st.sl)
+	snap := &index{comps: ix.comps, totalWeight: ix.totalWeight, derive: ix.derive, se: ix.se}
+	if snap.se != nil {
+		snap.se = snap.se.Snapshot()
 	}
+	snap.loc = make([]*localIndex, len(ix.loc))
+	for i, li := range ix.loc {
+		frozen := *li
+		snap.loc[i] = &frozen
+	}
+	// Disown every shard: the next write copies before it writes.
+	ix.mut = &mutToken{}
+	return &Engine{cfg: e.cfg, ix: snap}
 }

@@ -1,6 +1,7 @@
 package linkage
 
 import (
+	"hash/maphash"
 	"sort"
 
 	"repro/internal/rdf"
@@ -8,61 +9,42 @@ import (
 )
 
 // indexedValue is one literal value of an item under a comparator
-// property: the lexical form plus a pointer into the engine's shared
-// value cache, where everything the hot comparison loop needs (rune
-// length, token list, token set, prepared pattern) is derived once per
-// distinct value string and shared across comparators and sides.
+// property: the lexical form plus its derivations (rune length, token
+// list, token set, prepared pattern).
 type indexedValue struct {
 	value string
 	entry *cacheEntry
 }
 
 // compiledComparator is one configured comparator with its measure
-// capabilities resolved and both sides' values materialized, so scoring a
-// pair is pure in-memory slice work — no graph access, no re-tokenizing.
-// The property terms are retained so Upsert can re-read a single item's
-// values from a live graph.
+// capabilities resolved, so scoring a pair is pure in-memory slice work:
+// no graph access, no re-tokenizing.
 type compiledComparator struct {
 	weight  float64
 	measure similarity.Measure
 	// slot is this comparator's index in the engine's comparator list,
-	// addressing its prepared patterns in the shared value cache.
-	slot int
-	// extProp and locProp are the configured property terms, kept for
-	// incremental re-indexing.
+	// addressing its local index, its values in a resolved external item
+	// and its prepared patterns in an entry.
+	slot    int
 	extProp rdf.Term
 	locProp rdf.Term
 	// bounded is non-nil when the measure can bound its score from value
 	// lengths alone; the engine then skips value pairs whose bound cannot
 	// beat the current best.
 	bounded similarity.LengthBounded
-	// tokens is non-nil when the measure scores pre-tokenized values; the
-	// engine then tokenizes each value once at build time.
+	// tokens is non-nil when the measure scores pre-tokenized values.
 	tokens similarity.Tokenized
 	// tokenSets is non-nil when the measure scores prebuilt token sets;
 	// preferred over tokens in the hot loop.
 	tokenSets similarity.TokenSetScored
 	// prepared is non-nil when the measure can precompile one side of a
-	// comparison (Myers pattern bitmaps, TF-IDF vectors); the engine then
-	// prepares each distinct value once and the hot loop scores prepared
-	// against prepared — the fastest path of all.
+	// comparison (Myers pattern bitmaps, TF-IDF vectors); the hot loop
+	// then scores prepared against prepared, the fastest path of all.
 	prepared similarity.PreparedMeasure
-	ext      map[rdf.Term][]indexedValue
-	loc      map[rdf.Term][]indexedValue
 }
 
-// sideIndex returns the comparator's value map and property for one side.
-func (cc *compiledComparator) sideIndex(side Side) (map[rdf.Term][]indexedValue, rdf.Term) {
-	if side == ExternalSide {
-		return cc.ext, cc.extProp
-	}
-	return cc.loc, cc.locProp
-}
-
-// compileComparators resolves every comparator's measure capabilities,
-// builds the shared value cache from their union, and materializes the
-// per-comparator value indexes through it.
-func compileComparators(cfg Config, se, sl *rdf.Graph) ([]compiledComparator, *valueCache) {
+// compileComparators resolves every comparator's measure capabilities.
+func compileComparators(cfg Config) []compiledComparator {
 	comps := make([]compiledComparator, len(cfg.Comparators))
 	for i, cmp := range cfg.Comparators {
 		cc := compiledComparator{
@@ -82,61 +64,135 @@ func compileComparators(cfg Config, se, sl *rdf.Graph) ([]compiledComparator, *v
 		cc.prepared, _ = cmp.Measure.(similarity.PreparedMeasure)
 		comps[i] = cc
 	}
-	cache := newValueCache(comps)
-	for i := range comps {
-		comps[i].ext = buildValueIndex(se, comps[i].extProp, cache, i)
-		comps[i].loc = buildValueIndex(sl, comps[i].locProp, cache, i)
-	}
-	return comps, cache
+	return comps
 }
 
-// buildValueIndex collects every item's literal values under prop in one
-// pass over the graph's predicate index. Values are ordered by
-// rdf.Term.Compare, matching what Graph.Objects used to return, so the
-// indexed engine is observationally identical to the graph-walking one.
-func buildValueIndex(g *rdf.Graph, prop rdf.Term, cache *valueCache, slot int) map[rdf.Term][]indexedValue {
+// mutToken is an ownership marker compared by pointer identity, as in
+// rdf.Graph: a shard may be written in place only while it is owned by
+// the writer's current token. It must not be zero-sized, or distinct
+// tokens could share an address.
+type mutToken struct{ _ byte }
+
+// localShards splits each comparator's local value index so that the
+// one map copy a write pays after a snapshot covers a small slice of the
+// catalog: about 120 items of a 30,000-item catalog. Must be a power of
+// two.
+const localShards = 256
+
+// localShard is one slice of a local value index: item -> its values,
+// owned by the token that may write it.
+type localShard struct {
+	owner *mutToken
+	m     map[rdf.Term][]indexedValue
+}
+
+// localIndex is the copy-on-write index of one comparator's local
+// values. A snapshot copies the shard headers; the writer then copies a
+// shard's map before its first write to it, so a snapshot's shards are
+// never written again. Every comparator's index shards items alike, so
+// a pair hashes its local item once.
+type localIndex [localShards]localShard
+
+var shardSeed = maphash.MakeSeed()
+
+func shardOf(item rdf.Term) int {
+	return int(maphash.String(shardSeed, item.Value) & (localShards - 1))
+}
+
+// set installs item's values in shard sh (nil drops the item) and
+// returns the values it replaced, copying the shard first if tok does
+// not own it.
+func (li *localIndex) set(tok *mutToken, sh int, item rdf.Term, vals []indexedValue) []indexedValue {
+	s := &li[sh]
+	if s.owner != tok {
+		m := make(map[rdf.Term][]indexedValue, len(s.m)+1)
+		for k, v := range s.m {
+			m[k] = v
+		}
+		s.m, s.owner = m, tok
+	}
+	old := s.m[item]
+	if vals == nil {
+		delete(s.m, item)
+	} else {
+		s.m[item] = vals
+	}
+	return old
+}
+
+// buildLocalIndex indexes every local item's literal values under one
+// comparator's local property, in one pass over the graph's predicate
+// index.
+func buildLocalIndex(c *compiledComparator, sl *rdf.Graph, cache *valueCache, tok *mutToken) *localIndex {
 	byItem := map[rdf.Term][]rdf.Term{}
-	if g != nil {
-		g.Match(rdf.Term{}, prop, rdf.Term{}, func(t rdf.Triple) bool {
+	if sl != nil {
+		sl.Match(rdf.Term{}, c.locProp, rdf.Term{}, func(t rdf.Triple) bool {
 			if t.O.IsLiteral() {
 				byItem[t.S] = append(byItem[t.S], t.O)
 			}
 			return true
 		})
 	}
-	out := make(map[rdf.Term][]indexedValue, len(byItem))
+	li := new(localIndex)
+	for i := range li {
+		li[i] = localShard{owner: tok, m: make(map[rdf.Term][]indexedValue, len(byItem)/localShards)}
+	}
 	for item, objs := range byItem {
-		out[item] = compileValues(objs, cache, slot)
+		sortTerms(objs)
+		li[shardOf(item)].m[item] = acquireValues(objs, cache, c.slot)
 	}
-	return out
+	return li
 }
 
-// itemValues re-reads one item's literal values under prop, producing the
-// same indexed representation buildValueIndex would — the unit of work of
-// an incremental Upsert.
-func itemValues(g *rdf.Graph, item, prop rdf.Term, cache *valueCache, slot int) []indexedValue {
-	var objs []rdf.Term
-	if g != nil {
-		g.Match(item, prop, rdf.Term{}, func(t rdf.Triple) bool {
-			if t.O.IsLiteral() {
-				objs = append(objs, t.O)
-			}
-			return true
-		})
-	}
-	if len(objs) == 0 {
-		return nil
-	}
-	return compileValues(objs, cache, slot)
-}
-
-// compileValues sorts the raw value terms and resolves each against the
-// shared cache, taking one reference per indexed value.
-func compileValues(objs []rdf.Term, cache *valueCache, slot int) []indexedValue {
-	sort.Slice(objs, func(i, j int) bool { return objs[i].Compare(objs[j]) < 0 })
+// acquireValues resolves sorted value terms against the writer's cache,
+// taking one reference per value.
+func acquireValues(objs []rdf.Term, cache *valueCache, slot int) []indexedValue {
 	vals := make([]indexedValue, len(objs))
 	for i, o := range objs {
 		vals[i] = indexedValue{value: o.Value, entry: cache.acquire(o.Value, slot)}
+	}
+	return vals
+}
+
+// literals returns item's literal values under prop in g, ordered by
+// rdf.Term.Compare.
+func literals(g *rdf.Graph, item, prop rdf.Term) []rdf.Term {
+	if g == nil {
+		return nil
+	}
+	var objs []rdf.Term
+	g.Match(item, prop, rdf.Term{}, func(t rdf.Triple) bool {
+		if t.O.IsLiteral() {
+			objs = append(objs, t.O)
+		}
+		return true
+	})
+	sortTerms(objs)
+	return objs
+}
+
+func sortTerms(ts []rdf.Term) {
+	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+}
+
+// resolve derives an external item's values per comparator slot from the
+// index's external graph. The derivations are built per call and never
+// enter the writer's cache, so readers of a snapshot write nothing they
+// share.
+func (ix *index) resolve(ext rdf.Term) [][]indexedValue {
+	vals := make([][]indexedValue, len(ix.comps))
+	for slot := range ix.comps {
+		objs := literals(ix.se, ext, ix.comps[slot].extProp)
+		if len(objs) == 0 {
+			continue
+		}
+		col := make([]indexedValue, len(objs))
+		for i, o := range objs {
+			e := ix.derive.entry(o.Value)
+			ix.derive.prepare(e, o.Value, slot)
+			col[i] = indexedValue{value: o.Value, entry: e}
+		}
+		vals[slot] = col
 	}
 	return vals
 }

@@ -13,21 +13,21 @@
 // Pair comparison is the dominant cost of linking, so the engine is built
 // around two ideas:
 //
-//   - Value index. New snapshots each comparator's property values out of
-//     the RDF graphs into flat per-item slices (internal/linkage/index.go).
-//     Per-value derivations — rune lengths, token lists and token sets for
-//     token-based measures, precompiled patterns for PreparedMeasures
-//     (Myers bitmaps for the edit distances, TF-IDF weight vectors) — live
-//     in a shared per-engine cache (internal/linkage/cache.go) keyed by the
-//     distinct value string, so a value appearing under several comparators
-//     or on both sides is derived once. Score therefore never touches
-//     rdf.Graph: a pair costs two map lookups plus the measure calls,
-//     length-bounded measures (the edit distances and the Jaro family) skip
-//     value pairs whose length difference already rules out beating the
-//     current best, and prepared measures score precompiled pattern against
-//     precompiled pattern. The index is a snapshot: graph mutations after
-//     New are not observed, and the incremental paths keep the cache
-//     reference-counted so it stays exactly as large as the live index.
+//   - Value index. New copies each comparator's local property values
+//     out of the catalog graph into per-item slices
+//     (internal/linkage/index.go). Per-value derivations — rune lengths,
+//     token lists and token sets for token-based measures, precompiled
+//     patterns for PreparedMeasures (Myers bitmaps for the edit
+//     distances, TF-IDF weight vectors) — live in a per-engine cache
+//     (internal/linkage/cache.go) keyed by the distinct value string, so
+//     a value appearing under several comparators is derived once. The
+//     external item of a query is resolved once per call from the
+//     engine's external graph, with its derivations built for that call
+//     only. Scoring a pair therefore costs one index lookup plus the
+//     measure calls: length-bounded measures (the edit distances and the
+//     Jaro family) skip value pairs whose length difference already rules
+//     out beating the current best, and prepared measures score
+//     precompiled pattern against precompiled pattern.
 //
 //   - Parallel scoring. ScorePairs and LinkBest fan work out across
 //     Config.Workers goroutines (default: all cores) using the chunked
@@ -40,19 +40,19 @@
 //     between chunks, so a dropped service request stops in-flight
 //     scoring.
 //
-// # Live engines
+// # Live engines and snapshots
 //
-// The value index is mutable after construction: Upsert and Remove
-// (internal/linkage/incremental.go) re-index single items in place,
-// guarded by an RWMutex so concurrent ScorePairs/LinkBest readers always
-// observe a consistent snapshot — each read operation holds the read
-// lock end-to-end (the streaming variants per scoring batch), and
-// writers are excluded for its duration. The index
-// records the rdf.Graph.Version counters it reflects, letting callers
-// that cache engines (Pipeline) detect staleness without rebuilding.
-// StreamPairs and LinkBestStream (internal/linkage/stream.go) score
-// candidate pairs produced by an iterator in bounded memory, so huge
-// candidate spaces never materialize [][2]Term.
+// An engine follows the concurrency model of rdf.Graph and
+// core.InstanceIndex. The engine New returns belongs to one writer:
+// ApplyPatches (internal/linkage/incremental.go) re-indexes local items
+// in place and nothing is locked, so it may be queried only while
+// neither ApplyPatches nor a mutation of its graphs runs. Snapshot
+// returns, in O(1), a frozen engine that resolves external items from a
+// frozen snapshot of the external graph and reads a frozen local index:
+// the local index is copy-on-write, so a write after a snapshot copies
+// only the hash shard it touches, and nothing a snapshot reads is ever
+// written again. Any number of goroutines may query a snapshot while
+// the writer keeps patching.
 package linkage
 
 import (
@@ -60,7 +60,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -122,71 +121,68 @@ func (c Config) Validate() error {
 }
 
 // Engine scores and links pairs between two graphs. Construction
-// snapshots every comparator property's values into the engine's value
-// index; the graphs are consulted again only by Upsert, which re-indexes
-// individual items from them. Safe for concurrent use, including queries
-// running concurrently with Upsert/Remove.
+// indexes every comparator's local property values; external items are
+// resolved from the external graph on each query. The engine New
+// returns is the writer's: see the package comment for its contract
+// and for Snapshot, the form concurrent readers query.
 type Engine struct {
 	cfg Config
-	// st is the mutable value index, shared with every engine derived via
-	// WithOptions so incremental updates reach all of them.
-	st *engineState
+	ix  *index
 }
 
-// engineState is the shared, mutable half of an engine: the compiled
-// value index, the live graph references Upsert re-reads from, and the
-// graph versions the index currently reflects. mu serializes writers
-// (Upsert, Remove) against the read paths, each of which holds the read
-// lock for the duration of one query so it sees a consistent snapshot.
-type engineState struct {
-	mu    sync.RWMutex
+// index is an engine's compiled state. The writer's index (mut non-nil)
+// is patched in place by ApplyPatches; a snapshot's index (mut nil) is
+// frozen, and engines derived via WithOptions share it.
+type index struct {
 	comps []compiledComparator
-	// cache is the shared per-value derivation cache the comparator
-	// indexes point into; writers keep it reference-counted through the
-	// same lock that guards the indexes.
-	cache *valueCache
 	// totalWeight is the constant score denominator: every comparator
 	// keeps its weight whether or not values are present.
 	totalWeight float64
-	se, sl      *rdf.Graph
-	extVer      uint64
-	locVer      uint64
+	derive      *derivations
+	// se is the graph external items are resolved from: the writer's
+	// live graph, or the frozen snapshot a snapshot was taken with.
+	se *rdf.Graph
+	// loc holds each comparator's local value index, by slot.
+	loc []*localIndex
+
+	// The writer-only half, nil on a snapshot: the live local graph
+	// patches re-read from, the refcounted value cache, and the token
+	// that owns the local shards the writer may write in place.
+	sl    *rdf.Graph
+	cache *valueCache
+	mut   *mutToken
 }
 
-// New builds an engine over the external and local graphs, materializing
-// the value index (see the package comment). Mutations to the graphs
-// after New are not observed by the engine until the mutated items are
-// passed to Upsert or Remove.
+// New builds an engine over the external and local graphs, indexing the
+// local values (see the package comment). Later mutations of the local
+// graph are observed only once the mutated items are passed to
+// ApplyPatches; external items are read from se at query time.
 func New(cfg Config, se, sl *rdf.Graph) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	comps, cache := compileComparators(cfg, se, sl)
-	st := &engineState{
+	comps := compileComparators(cfg)
+	d := newDerivations(comps)
+	ix := &index{
 		comps:  comps,
-		cache:  cache,
+		derive: d,
 		se:     se,
 		sl:     sl,
-		extVer: graphVersion(se),
-		locVer: graphVersion(sl),
+		cache:  &valueCache{d: d, entries: map[string]*cacheEntry{}},
+		mut:    &mutToken{},
 	}
-	for _, c := range st.comps {
-		st.totalWeight += c.weight
+	ix.loc = make([]*localIndex, len(comps))
+	for i := range comps {
+		ix.loc[i] = buildLocalIndex(&comps[i], sl, ix.cache, ix.mut)
+		ix.totalWeight += comps[i].weight
 	}
-	return &Engine{cfg: cfg, st: st}, nil
+	return &Engine{cfg: cfg, ix: ix}, nil
 }
 
-func graphVersion(g *rdf.Graph) uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.Version()
-}
-
-// WithOptions returns an engine sharing this engine's value index under
-// a different threshold and worker count, skipping the index rebuild.
-// The comparators are unchanged, and incremental updates through either
-// engine are visible to both.
+// WithOptions returns an engine under a different threshold and worker
+// count that shares the frozen index of this engine's Snapshot, skipping
+// the index rebuild. On a writer's engine it takes that snapshot, so it
+// must be serialized with ApplyPatches like Snapshot.
 func (e *Engine) WithOptions(threshold float64, workers int) (*Engine, error) {
 	cfg := e.cfg
 	cfg.Threshold = threshold
@@ -194,7 +190,7 @@ func (e *Engine) WithOptions(threshold float64, workers int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg, st: e.st}, nil
+	return &Engine{cfg: cfg, ix: e.Snapshot().ix}, nil
 }
 
 // workers resolves Config.Workers: 0 means all cores.
@@ -208,21 +204,21 @@ const chunkSize = par.DefaultChunk
 // whose properties are absent on either side score 0 but keep their
 // weight in the denominator, penalizing missing information.
 func (e *Engine) Score(ext, loc rdf.Term) float64 {
-	e.st.mu.RLock()
-	defer e.st.mu.RUnlock()
-	return e.st.score(ext, loc)
+	return e.ix.score(e.ix.resolve(ext), loc)
 }
 
-// score is the hot path; callers must hold st.mu (read or write).
-func (st *engineState) score(ext, loc rdf.Term) float64 {
-	if st.totalWeight == 0 {
-		return 0
-	}
+// score is the hot path: ext is an external item's resolved values.
+func (ix *index) score(ext [][]indexedValue, loc rdf.Term) float64 {
+	sh := shardOf(loc)
 	num := 0.0
-	for i := range st.comps {
-		c := &st.comps[i]
-		evs, lvs := c.ext[ext], c.loc[loc]
-		if len(evs) == 0 || len(lvs) == 0 {
+	for i := range ix.comps {
+		c := &ix.comps[i]
+		evs := ext[i]
+		if len(evs) == 0 {
+			continue
+		}
+		lvs := ix.loc[i][sh].m[loc]
+		if len(lvs) == 0 {
 			continue
 		}
 		best := 0.0
@@ -238,8 +234,9 @@ func (st *engineState) score(ext, loc rdf.Term) float64 {
 				var s float64
 				switch {
 				case c.prepared != nil:
-					// Every value indexed under this comparator was acquired
-					// with its slot, so both sides' patterns exist.
+					// Both sides' values were prepared in this comparator's
+					// slot: the local ones when indexed, the external ones
+					// when resolved.
 					s = ev.prepared[c.slot].SimilarityPrepared(lv.prepared[c.slot])
 				case c.tokenSets != nil:
 					s = c.tokenSets.SimilarityTokenSets(ev.tokenSet, lv.tokenSet)
@@ -255,7 +252,7 @@ func (st *engineState) score(ext, loc rdf.Term) float64 {
 		}
 		num += c.weight * best
 	}
-	return num / st.totalWeight
+	return num / ix.totalWeight
 }
 
 // Match is a declared same-as link with its score.
@@ -276,13 +273,18 @@ func (e *Engine) ScorePairs(pairs [][2]rdf.Term) []Match {
 
 // ScorePairsCtx is ScorePairs with cooperative cancellation: when ctx is
 // cancelled mid-run, in-flight chunks finish, the rest are skipped, and
-// ctx.Err() is returned with a nil slice.
+// ctx.Err() is returned with a nil slice. Each distinct external item is
+// resolved once before the pairs fan out.
 func (e *Engine) ScorePairsCtx(ctx context.Context, pairs [][2]rdf.Term) ([]Match, error) {
-	st := e.st
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+	ix := e.ix
+	exts := map[rdf.Term][][]indexedValue{}
+	for _, p := range pairs {
+		if _, ok := exts[p[0]]; !ok {
+			exts[p[0]] = ix.resolve(p[0])
+		}
+	}
 	out, err := par.MapChunks(ctx, e.workers(), chunkSize, pairs, func(p [2]rdf.Term) (Match, bool) {
-		s := st.score(p[0], p[1])
+		s := ix.score(exts[p[0]], p[1])
 		return Match{External: p[0], Local: p[1], Score: s}, s >= e.cfg.Threshold
 	})
 	if err != nil {
@@ -309,11 +311,8 @@ func (e *Engine) LinkBestCtx(ctx context.Context, candidates map[rdf.Term][]rdf.
 	for ext := range candidates {
 		exts = append(exts, ext)
 	}
-	st := e.st
-	st.mu.RLock()
-	defer st.mu.RUnlock()
 	out, err := par.MapChunks(ctx, e.workers(), chunkSize, exts, func(ext rdf.Term) (Match, bool) {
-		return st.bestFor(ext, candidates[ext], e.cfg.Threshold)
+		return e.ix.bestFor(ext, candidates[ext], e.cfg.Threshold)
 	})
 	if err != nil {
 		return nil, err
@@ -323,11 +322,12 @@ func (e *Engine) LinkBestCtx(ctx context.Context, candidates map[rdf.Term][]rdf.
 }
 
 // bestFor returns ext's best-scoring candidate among locs and whether it
-// clears the threshold; callers must hold st.mu.
-func (st *engineState) bestFor(ext rdf.Term, locs []rdf.Term, threshold float64) (Match, bool) {
+// clears the threshold.
+func (ix *index) bestFor(ext rdf.Term, locs []rdf.Term, threshold float64) (Match, bool) {
+	q := ix.resolve(ext)
 	best := Match{Score: -1}
 	for _, loc := range locs {
-		s := st.score(ext, loc)
+		s := ix.score(q, loc)
 		if s > best.Score || (s == best.Score && loc.Compare(best.Local) < 0) {
 			best = Match{External: ext, Local: loc, Score: s}
 		}
@@ -339,12 +339,11 @@ func (st *engineState) bestFor(ext rdf.Term, locs []rdf.Term, threshold float64)
 // matches at or above the threshold, best first under the same total
 // order ScorePairs sorts by. k <= 0 means no limit.
 func (e *Engine) TopK(ext rdf.Term, locs []rdf.Term, k int) []Match {
-	st := e.st
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+	ix := e.ix
+	q := ix.resolve(ext)
 	var out []Match
 	for _, loc := range locs {
-		if s := st.score(ext, loc); s >= e.cfg.Threshold {
+		if s := ix.score(q, loc); s >= e.cfg.Threshold {
 			out = append(out, Match{External: ext, Local: loc, Score: s})
 		}
 	}

@@ -2,6 +2,8 @@ package linkage
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -197,5 +199,38 @@ func TestEndToEndReducedSpaceLinking(t *testing.T) {
 	}
 	if res.Precision() != 1 {
 		t.Errorf("precision = %v, want 1", res.Precision())
+	}
+}
+
+// TestTopK pins ordering, threshold filtering and the k cut.
+func TestTopK(t *testing.T) {
+	se, sl := rdf.NewGraph(), rdf.NewGraph()
+	ext := rdf.NewIRI("http://ex.org/e/x")
+	se.Add(rdf.T(ext, pn, rdf.NewLiteral("ABCDEF")))
+	locs := []rdf.Term{}
+	for i, v := range []string{"ABCDEF", "ABCDEX", "ABCXYZ", "QQQQQQ"} {
+		l := rdf.NewIRI("http://ex.org/l/" + string(rune('a'+i)))
+		sl.Add(rdf.T(l, pn, rdf.NewLiteral(v)))
+		locs = append(locs, l)
+	}
+	eng, err := New(Config{
+		Comparators: []Comparator{{ExternalProperty: pn, LocalProperty: pn, Measure: similarity.Levenshtein{}, Weight: 1}},
+		Threshold:   0.4,
+	}, se, sl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := eng.TopK(ext, locs, 0)
+	if len(all) != 3 { // QQQQQQ is below threshold
+		t.Fatalf("TopK(0) kept %d, want 3: %v", len(all), all)
+	}
+	if all[0].Score != 1 || all[0].Local != locs[0] {
+		t.Fatalf("best match wrong: %v", all[0])
+	}
+	if !sort.SliceIsSorted(all, func(i, j int) bool { return all[i].Score > all[j].Score }) {
+		t.Fatal("TopK not sorted by descending score")
+	}
+	if two := eng.TopK(ext, locs, 2); len(two) != 2 || !reflect.DeepEqual(two, all[:2]) {
+		t.Fatalf("TopK(2) = %v", two)
 	}
 }

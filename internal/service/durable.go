@@ -245,16 +245,14 @@ func (s *Service) applyLocked(ctx context.Context, rec *store.Record) (applyResu
 // applyEntriesLocked applies an ordered slice of upsert/remove sub-ops:
 // graph mutations and training-link purges happen per entry in order,
 // then the value index and instance index are patched for ALL entries
-// under one pipeline lock acquisition, the instance snapshot is frozen
-// once, and the caller publishes the COW bundle once. That collapsing
-// is what makes a 10k-item batch cost one index lock round trip and one
-// publish instead of 10k — and it is order-safe because index upserts
-// re-read the (final) graph state and the last patch for an item always
-// agrees with the graphs.
+// in one pipeline call, and the caller publishes the COW bundle once.
+// That collapsing is what makes a 10k-item batch cost one publish
+// instead of 10k — and it is order-safe because index upserts re-read
+// the (final) graph state and the last patch for an item always agrees
+// with the graphs.
 func (s *Service) applyEntriesLocked(entries []store.BatchEntry) applyResult {
 	var res applyResult
 	patches := make([]datalink.Patch, 0, len(entries))
-	localTouched := false
 	for _, e := range entries {
 		switch {
 		case e.Upsert != nil:
@@ -266,7 +264,6 @@ func (s *Service) applyEntriesLocked(entries []store.BatchEntry) applyResult {
 				s.replaceItemLocked(side, terms[i], it.Props, it.Classes)
 			}
 			patches = append(patches, datalink.Patch{Side: side, Items: terms})
-			localTouched = localTouched || side == datalink.LocalSide
 			res.upserted += len(op.Items)
 			res.version = s.graphLocked(side).Version()
 		case e.Remove != nil:
@@ -289,15 +286,11 @@ func (s *Service) applyEntriesLocked(entries []store.BatchEntry) applyResult {
 			}
 			res.purged += s.purgeLinksLocked(side, gone)
 			patches = append(patches, datalink.Patch{Side: side, Remove: true, Items: terms})
-			localTouched = localTouched || side == datalink.LocalSide
 			res.version = g.Version()
 		}
 	}
-	if s.pipe != nil && len(patches) > 0 {
+	if s.pipe != nil {
 		s.pipe.ApplyPatches(patches)
-		if localTouched {
-			s.freezeInstancesLocked()
-		}
 	}
 	return res
 }

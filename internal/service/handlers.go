@@ -160,11 +160,11 @@ func (s *Service) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		ExternalVersion: qs.se.Version(),
 		LocalVersion:    qs.sl.Version(),
 		TrainingLinks:   qs.links,
-		Learned:         qs.pipe != nil,
+		Learned:         qs.view != nil,
 		Measures:        MeasureNames(),
 	}
-	if qs.pipe != nil {
-		resp.Rules = qs.pipe.Model.Rules.Len()
+	if qs.view != nil {
+		resp.Rules = qs.view.Model().Rules.Len()
 	}
 	if s.st != nil {
 		resp.Durability = &durabilityJSON{
@@ -377,11 +377,11 @@ type ruleJSON struct {
 
 func (s *Service) handleRules(w http.ResponseWriter, _ *http.Request) {
 	qs := s.state.Load()
-	if qs.pipe == nil {
+	if qs.view == nil {
 		writeErr(w, http.StatusConflict, "no model learned yet; POST /v1/learn first")
 		return
 	}
-	rules := qs.pipe.Model.Rules.Rules
+	rules := qs.view.Model().Rules.Rules
 	out := make([]ruleJSON, 0, len(rules))
 	for _, rl := range rules {
 		out = append(out, ruleJSON{

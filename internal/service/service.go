@@ -9,23 +9,19 @@
 // The service owns the external graph (SE), the local catalog (SL) and
 // the ontology, but queries never touch them. Every mutation (item
 // upsert/remove, learn) briefly takes the service's write mutex, applies
-// the change, pushes it into the cached linkage engine and the instance
+// the change, patches the pipeline's catalog value index and instance
 // index incrementally (per item — no full re-scan of either), and then
 // publishes an immutable query state: copy-on-write snapshots of both
-// graphs plus a frozen instance index, swapped in through one atomic
-// pointer. Link, status and rules requests load that pointer and run
-// entirely against the frozen state, so no service-level lock is held
-// while scoring runs — a slow link query can never delay a concurrent
-// upsert. Writes stay bounded-latency under any query load: they wait on
-// the engine's internal lock for at most one in-flight scoring batch.
+// graphs, the instance index and the linkage engine, swapped in through
+// one atomic pointer. Link, status and rules requests load that pointer
+// and run entirely against the frozen state, and nothing they read is
+// ever written again, so no lock is held while scoring runs: a slow
+// link query never delays a concurrent upsert, and an upsert never
+// waits for a query.
 //
-// The isolation contract: classification, candidate expansion and every
-// graph read observe the pre-mutation snapshot end to end. Scoring
-// prefers the shared live value index (kept current incrementally), so a
-// mutation landing mid-query may be reflected in scores computed after
-// it — but each pair's score is atomic under the engine's lock: it never
-// mixes an item's old and new property values, which is what the
-// race-mode torn-read test pins down.
+// The isolation contract: classification, candidate expansion and
+// scoring of one link request all observe the one published state the
+// request loaded, end to end; the next request sees the new state.
 //
 // Link queries run under the request's context, so a dropped connection
 // cancels in-flight scoring.
@@ -168,12 +164,11 @@ type Service struct {
 }
 
 // queryState is one published point-in-time view: frozen copy-on-write
-// graph snapshots, the pipeline (for its immutable model) and a frozen
-// QueryView, all safe for unsynchronized concurrent reads. pipe and view
-// are nil until a model has been learned.
+// graph snapshots and the pipeline's frozen QueryView, all safe for
+// unsynchronized concurrent reads. view is nil until a model has been
+// learned.
 type queryState struct {
 	se, sl *datalink.Graph
-	pipe   *datalink.Pipeline
 	view   *datalink.QueryView
 	links  int
 }
@@ -232,9 +227,9 @@ func (s *Service) timeStage(ctx context.Context, name string) func() {
 }
 
 // publishLocked snapshots the live state into a fresh queryState and
-// swaps it in for queries. O(1): graph and instance-index snapshots are
-// copy-on-write, and unchanged graphs reuse their cached snapshot.
-// Callers must hold the write lock (or be the constructor).
+// swaps it in for queries. O(1): graph, instance-index and engine
+// snapshots are copy-on-write, and unchanged graphs reuse their cached
+// snapshot. Callers must hold the write lock (or be the constructor).
 func (s *Service) publishLocked(ctx context.Context) {
 	done := s.timeStage(ctx, "publish")
 	qs := &queryState{
@@ -243,7 +238,6 @@ func (s *Service) publishLocked(ctx context.Context) {
 		links: len(s.links),
 	}
 	if s.pipe != nil {
-		qs.pipe = s.pipe
 		qs.view = s.pipe.Snapshot()
 	}
 	s.state.Store(qs)
@@ -273,10 +267,9 @@ type learnBasis struct {
 	links  []datalink.Link
 }
 
-// Learn (re)learns the model from the accumulated links, swaps in a
-// fresh pipeline, and warms its caches so queries against the next
-// published state never read live data. Callers must hold the write
-// lock and publish afterwards.
+// learnLocked (re)learns the model from the accumulated links and swaps
+// in a fresh pipeline. Callers must hold the write lock and publish
+// afterwards.
 func (s *Service) learnLocked(ctx context.Context) error {
 	return s.learnBasisLocked(ctx, &learnBasis{se: s.se.Snapshot(), sl: s.sl.Snapshot(), links: s.links})
 }
@@ -297,31 +290,15 @@ func (s *Service) learnBasisLocked(ctx context.Context, b *learnBasis) error {
 	done()
 	s.pipe = datalink.NewPipelineWithModel(m, s.se, s.sl, s.ol)
 	s.basis = b
-	s.freezeInstancesLocked()
-	// Warm the engine cache for the default comparators on the write
-	// path, so default-config queries hit CachedLinker instead of
-	// compiling a value index per request. An invalid default config is
-	// surfaced on the first query that relies on it, not here.
+	// Build the engine for the default comparators on the write path,
+	// so every published view scores default-config queries with its
+	// snapshot instead of compiling a value index per request. An
+	// invalid default config is surfaced on the first query that relies
+	// on it, not here.
 	if len(s.opts.DefaultLinker.Comparators) > 0 {
 		_ = s.pipe.EnsureLinker(s.opts.DefaultLinker)
 	}
 	return nil
-}
-
-// freezeInstancesLocked warms the instance index memo for every rule
-// class, so the frozen snapshots published to queries answer from the
-// memo instead of recomputing instance unions per request. Incremental
-// upserts invalidate only the entries they affect, so re-warming after a
-// mutation touches just those.
-func (s *Service) freezeInstancesLocked() {
-	if s.pipe == nil {
-		return
-	}
-	classes := make([]datalink.Term, 0, s.pipe.Model.Rules.Len())
-	for _, r := range s.pipe.Model.Rules.Rules {
-		classes = append(classes, r.Class)
-	}
-	s.pipe.Instances.Freeze(classes)
 }
 
 // validateItem rejects malformed item descriptions. Run before any graph

@@ -213,9 +213,10 @@ func TestSlowQueryDoesNotBlockUpsert(t *testing.T) {
 	if queryDone.Load() {
 		t.Fatal("slow query finished before the upsert; the overlap was not exercised")
 	}
-	// The upsert may wait on the engine's internal lock for at most one
-	// in-flight scoring item (~80ms here), never for the whole query
-	// (~800ms). 400ms leaves slack for loaded CI machines.
+	// The upsert takes no lock a query holds: it patches the writer's
+	// engine while the query scores a published snapshot, so it never
+	// waits for the query (~800ms). 400ms leaves slack for loaded CI
+	// machines.
 	if elapsed > 400*time.Millisecond {
 		t.Fatalf("upsert took %v while a slow query ran; the write path is blocked on queries", elapsed)
 	}

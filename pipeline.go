@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/linkage"
@@ -38,16 +37,6 @@ const (
 	LocalSide = linkage.LocalSide
 )
 
-// PairSource streams candidate pairs into a matcher without
-// materializing them.
-type PairSource = linkage.PairSource
-
-// CandidateGroup is one external item's streamable candidate list.
-type CandidateGroup = linkage.CandidateGroup
-
-// GroupSource streams per-item candidate groups into a matcher.
-type GroupSource = linkage.GroupSource
-
 // LinkResult is the confusion summary of declared links vs ground truth.
 type LinkResult = linkage.Result
 
@@ -77,15 +66,16 @@ var ErrLinkerConfig = linkage.ErrConfig
 // for each new external item predict classes, build the reduced linking
 // space, and (optionally) run a matcher inside it.
 //
-// Concurrency: the Pipeline's own query methods (Classify, ReducedSpace,
-// LinkWithin, LinkTopK) read the live graphs and instance index, so they
-// must be serialized against the mutation methods (Upsert, RemoveItems,
-// RefreshInstances) by the caller. For lock-free queries under a live
-// write path, take a Snapshot: the returned QueryView reads frozen
-// copy-on-write state and may run concurrently with any later mutation —
-// internal/service publishes one per mutation via an atomic pointer.
-// Only the linkage engine underneath is safe for unsynchronized
-// query-under-update on its own.
+// A Pipeline is the writer's half of that flow and has no query
+// methods. It owns the live graphs, the instance index and, once
+// EnsureLinker ran, a linkage engine that indexes the local catalog; the
+// caller mutates the graphs and reports each mutation through
+// ApplyPatches, serialized like any writer. Queries run on a QueryView:
+// Snapshot publishes, in O(1), frozen copy-on-write snapshots of the
+// graphs, the instance index and the engine together, and a view answers
+// every query from exactly that one published state while the pipeline
+// keeps mutating — internal/service publishes one per mutation via an
+// atomic pointer.
 type Pipeline struct {
 	Model      *Model
 	Classifier *Classifier
@@ -93,14 +83,13 @@ type Pipeline struct {
 
 	se *Graph
 	sl *Graph
-	ol *Ontology
+	// classes are the model's rule classes, whose instance sets Snapshot
+	// warms before it freezes the instance index: frozen indexes never
+	// write their memo.
+	classes []Term
 
-	// linker caches the value-indexed engine of the last LinkWithin
-	// config: repeated calls (incremental per-item linking) reuse the
-	// index instead of re-snapshotting both graphs. The engine itself
-	// tracks the graph versions its index reflects; Upsert keeps it
-	// current item-by-item, so a live graph never forces a rebuild.
-	linkerMu  sync.Mutex
+	// linker is the writer's engine for linkerCfg's comparators, kept
+	// current by ApplyPatches; Snapshot publishes its frozen snapshot.
 	linker    *linkage.Engine
 	linkerCfg LinkerConfig
 }
@@ -122,203 +111,42 @@ func NewPipeline(cfg LearnerConfig, ts TrainingSet, se, sl *Graph, ol *Ontology)
 // (possibly later-mutated) current graphs — matching a live service
 // whose items changed after its last learn.
 func NewPipelineWithModel(m *Model, se, sl *Graph, ol *Ontology) *Pipeline {
+	classes := make([]Term, 0, m.Rules.Len())
+	for _, r := range m.Rules.Rules {
+		classes = append(classes, r.Class)
+	}
 	return &Pipeline{
 		Model:      m,
 		Classifier: NewClassifier(&m.Rules, m.Config.Splitter),
 		Instances:  NewInstanceIndex(sl, ol),
 		se:         se,
 		sl:         sl,
-		ol:         ol,
+		classes:    classes,
 	}
 }
 
 // External returns the pipeline's live external graph. Mutate it only
-// under the same serialization as the pipeline's mutation methods, and
-// tell the pipeline via Upsert/RemoveItems afterwards.
+// under the same serialization as ApplyPatches.
 func (p *Pipeline) External() *Graph { return p.se }
 
 // Local returns the pipeline's live local catalog graph, under the same
-// contract as External.
+// contract as External; report each mutation through ApplyPatches.
 func (p *Pipeline) Local() *Graph { return p.sl }
-
-// Classify predicts the classes of an external item described in the
-// pipeline's external graph.
-func (p *Pipeline) Classify(item Term) []Prediction {
-	return p.Classifier.Classify(item, p.se)
-}
-
-// ReducedSpace computes the item's linking subspaces from its
-// predictions.
-func (p *Pipeline) ReducedSpace(item Term) SpaceReport {
-	return Space(item, p.Classify(item), p.Instances)
-}
-
-// LinkWithin runs the matcher over each item's reduced space and returns
-// the best match per item at or above the configured threshold. The
-// engine value-indexes both graphs up front and scores candidates across
-// cfg.Workers goroutines (0 = all cores); results are deterministic for
-// every worker count.
-func (p *Pipeline) LinkWithin(items []Term, cfg LinkerConfig) ([]Match, error) {
-	return p.LinkWithinCtx(context.Background(), items, cfg)
-}
-
-// LinkWithinCtx is LinkWithin with cooperative cancellation: a cancelled
-// ctx stops in-flight scoring (within one work chunk per worker) and
-// returns ctx.Err() — the path a dropped service request takes.
-func (p *Pipeline) LinkWithinCtx(ctx context.Context, items []Term, cfg LinkerConfig) ([]Match, error) {
-	eng, err := p.linkerFor(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("datalink: building linker: %w", err)
-	}
-	cands := map[Term][]Term{}
-	for _, item := range items {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cands[item] = p.candidatesOf(item)
-	}
-	return eng.LinkBestCtx(ctx, cands)
-}
-
-// LinkTopK returns, for every item, its k best-scoring candidates at or
-// above cfg.Threshold inside the item's reduced linking space (k <= 0
-// means all). The per-item slices follow the engine's match order.
-// Candidate expansion (classification) runs serially; the scoring stage
-// fans out across cfg.Workers goroutines.
-func (p *Pipeline) LinkTopK(ctx context.Context, items []Term, cfg LinkerConfig, k int) (map[Term][]Match, error) {
-	sp := obs.StartSpan(ctx, "engine")
-	eng, err := p.linkerFor(cfg)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("datalink: building linker: %w", err)
-	}
-	sp = obs.StartSpan(ctx, "blocking")
-	cands, err := expandCandidates(ctx, p.Classifier, p.se, p.Instances, items)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	sp = obs.StartSpan(ctx, "scoring")
-	defer sp.End()
-	return topKOver(ctx, eng, cfg.Workers, cands, k)
-}
-
-// itemCands pairs an external item with its expanded local candidates.
-type itemCands struct {
-	item Term
-	locs []Term
-}
-
-// expandCandidates computes every item's reduced-space candidates on the
-// calling goroutine: a live classifier/instance index is not safe for
-// concurrent first-touch, and a frozen one doesn't need the parallelism.
-func expandCandidates(ctx context.Context, cls *Classifier, se *Graph, ix *InstanceIndex, items []Term) ([]itemCands, error) {
-	cands := make([]itemCands, 0, len(items))
-	for _, item := range items {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cands = append(cands, itemCands{item: item, locs: candidatesIn(cls, se, ix, item)})
-	}
-	return cands, nil
-}
-
-// topKOver fans the per-item top-k searches out across workers.
-func topKOver(ctx context.Context, eng *linkage.Engine, workers int, cands []itemCands, k int) (map[Term][]Match, error) {
-	type itemMatches struct {
-		item Term
-		ms   []Match
-	}
-	scored, err := par.MapChunks(ctx, par.Workers(workers), 0, cands, func(c itemCands) (itemMatches, bool) {
-		return itemMatches{item: c.item, ms: eng.TopK(c.item, c.locs, k)}, true
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[Term][]Match, len(scored))
-	for _, im := range scored {
-		out[im.item] = im.ms
-	}
-	return out, nil
-}
-
-// candidatesOf expands one item's reduced space into its local
-// candidates.
-func (p *Pipeline) candidatesOf(item Term) []Term {
-	return candidatesIn(p.Classifier, p.se, p.Instances, item)
-}
-
-// candidatesIn is the shared candidate expansion: classify item against
-// se, build its reduced space over ix, and return the local candidates.
-func candidatesIn(cls *Classifier, se *Graph, ix *InstanceIndex, item Term) []Term {
-	sr := core.Space(item, cls.Classify(item, se), ix)
-	pairs := core.CandidatePairs(sr, ix)
-	locs := make([]Term, 0, len(pairs))
-	for _, pr := range pairs {
-		locs = append(locs, pr[1])
-	}
-	return locs
-}
-
-// Upsert re-indexes the given items in the cached linker after the
-// caller mutated the pipeline's graphs, so the next LinkWithin reuses
-// the value index instead of rebuilding it. Local-side changes also
-// update the instance index incrementally, item by item (a class's
-// instance set may have changed) — no full pass over the type triples.
-// A no-op for sides the cached linker does not exist for yet — the first
-// LinkWithin then builds a current index anyway.
-//
-// The contract is all-or-nothing per mutation span: one Upsert call must
-// list every item whose triples changed since the last Upsert, because
-// the linker marks itself current with the graph's version counter —
-// items mutated but not listed would stay stale without triggering a
-// rebuild, silently.
-func (p *Pipeline) Upsert(side Side, items ...Term) {
-	p.linkerMu.Lock()
-	if p.linker != nil {
-		p.linker.Upsert(side, items...)
-	}
-	p.linkerMu.Unlock()
-	if side == LocalSide {
-		for _, item := range items {
-			p.Instances.UpsertInstance(item, p.sl.Objects(item, RDFType))
-		}
-	}
-}
-
-// RemoveItems drops the items from the cached linker's index on the
-// given side (and removes local-side items from the instance index,
-// per item). Unlike Upsert it never re-reads the graphs, so it also
-// soft-deletes items whose triples are still present.
-func (p *Pipeline) RemoveItems(side Side, items ...Term) {
-	p.linkerMu.Lock()
-	if p.linker != nil {
-		p.linker.Remove(side, items...)
-	}
-	p.linkerMu.Unlock()
-	if side == LocalSide {
-		for _, item := range items {
-			p.Instances.RemoveInstance(item)
-		}
-	}
-}
 
 // Patch is one batched index mutation: re-index (or with Remove, drop)
 // Items on Side. See ApplyPatches.
 type Patch = linkage.IndexPatch
 
-// ApplyPatches applies an ordered mixed upsert/remove batch to the
-// cached linker under ONE lock acquisition (the single-op path takes it
-// per call), then patches the instance index for every local-side
-// entry. This is the pipeline half of the service's batched commit: N
-// items cost one writer-lock round trip and — because the caller
-// publishes once after — one snapshot publish.
+// ApplyPatches reports an ordered mixed upsert/remove batch of item
+// mutations the caller already made to the graphs: local-side entries
+// re-index the engine's catalog values and the instance index, item by
+// item. External items need no patch — they are read from the graph
+// snapshot at query time — so their entries are no-ops. The caller
+// publishes once after the batch, so N items cost one Snapshot.
 func (p *Pipeline) ApplyPatches(patches []Patch) {
-	p.linkerMu.Lock()
 	if p.linker != nil {
 		p.linker.ApplyPatches(patches)
 	}
-	p.linkerMu.Unlock()
 	for _, pt := range patches {
 		if pt.Side != LocalSide {
 			continue
@@ -333,93 +161,66 @@ func (p *Pipeline) ApplyPatches(patches []Patch) {
 	}
 }
 
-// UpsertBatch re-indexes items on side as one patch — Upsert's
-// slice-native form for bulk loads.
-func (p *Pipeline) UpsertBatch(side Side, items []Term) {
-	p.ApplyPatches([]Patch{{Side: side, Items: items}})
-}
-
-// RemoveBatch drops items from the index on side as one patch —
-// RemoveItems' slice-native form for bulk loads.
-func (p *Pipeline) RemoveBatch(side Side, items []Term) {
-	p.ApplyPatches([]Patch{{Side: side, Remove: true, Items: items}})
-}
-
-// RefreshInstances rebuilds the instance index from the current local
-// graph with a full pass over the type triples — the heavyweight
-// fallback when the caller cannot enumerate which items changed
-// (Upsert/RemoveItems maintain the index incrementally and are preferred
-// on known mutations).
-func (p *Pipeline) RefreshInstances() {
-	p.Instances = NewInstanceIndex(p.sl, p.ol)
-}
-
-// EnsureLinker builds (or reuses) the cached engine for cfg, reading the
-// live graphs. It exists for writers that publish QueryViews: warming
-// the cache on the write path guarantees the view's queries never touch
-// live graphs, because CachedLinker hits. Must be serialized with
-// mutations like every other Pipeline mutator.
+// EnsureLinker builds the writer's engine for cfg's comparators unless
+// it already exists, so the views Snapshot publishes score with it
+// instead of compiling a value index per query. Queries with other
+// comparators still work: the view builds a request-scoped engine from
+// its own frozen graphs. Must be serialized with ApplyPatches.
 func (p *Pipeline) EnsureLinker(cfg LinkerConfig) error {
-	_, err := p.linkerFor(cfg)
-	return err
-}
-
-// cachedEngine returns the cached engine when cfg's comparators match
-// the cache (adapting threshold/workers via WithOptions, which shares
-// the index), or nil on any mismatch. It never reads the graphs and
-// never rebuilds, so it is safe on a lock-free query path; freshness is
-// the caller's concern (QueryView checks the engine's versions against
-// its snapshots).
-func (p *Pipeline) cachedEngine(cfg LinkerConfig) *linkage.Engine {
-	p.linkerMu.Lock()
-	defer p.linkerMu.Unlock()
-	if p.linker == nil || !reflect.DeepEqual(cfg.Comparators, p.linkerCfg.Comparators) {
+	if p.linker != nil && reflect.DeepEqual(cfg.Comparators, p.linkerCfg.Comparators) {
 		return nil
 	}
-	if cfg.Threshold == p.linkerCfg.Threshold && cfg.Workers == p.linkerCfg.Workers {
-		return p.linker
-	}
-	eng, err := p.linker.WithOptions(cfg.Threshold, cfg.Workers)
+	eng, err := linkage.New(cfg, p.se, p.sl)
 	if err != nil {
-		return nil
+		return err
 	}
-	return eng
+	// Copy the comparator slice, so a caller mutating its own slice in
+	// place cannot alias the views' comparator match.
+	cfg.Comparators = append([]Comparator(nil), cfg.Comparators...)
+	p.linker, p.linkerCfg = eng, cfg
+	return nil
 }
 
-// QueryView is an immutable point-in-time view of a pipeline for
-// lock-free queries: classification and candidate expansion read frozen
-// copy-on-write snapshots of the graphs and the instance index, so those
-// reads never tear while the live pipeline keeps mutating. Scoring
-// prefers the pipeline's shared live engine (internally synchronized and
-// kept fresh by Upsert/RemoveItems): a mutation landing mid-query may be
-// reflected in scores computed after it, but each pair's score is atomic
-// under the engine's lock and never mixes an item's old and new values.
-// When the requested comparators don't match the cached engine — or the
-// cache lags the snapshot — the view builds a request-scoped engine from
-// its own frozen graphs instead, trading one index build for fully
-// snapshot-pinned scoring.
-type QueryView struct {
-	p  *Pipeline
-	se *Graph
-	sl *Graph
-	ix *InstanceIndex
-}
-
-// Snapshot captures a QueryView of the pipeline's current state in O(1)
-// (graph and instance-index snapshots are copy-on-write). Like every
-// mutator it must be called serialized with mutations; the returned view
-// itself is safe for unsynchronized concurrent use from then on.
+// Snapshot publishes a QueryView of the pipeline's current state in
+// O(1): graph, instance-index and engine snapshots are copy-on-write,
+// and the engine's snapshot resolves external items from the same
+// external graph snapshot the view holds. It first warms the instance
+// sets of the model's rule classes, so the frozen index answers from
+// its memo. Like every writer it must be serialized with mutations; the
+// returned view is safe for unsynchronized concurrent use from then on.
 func (p *Pipeline) Snapshot() *QueryView {
-	return &QueryView{
-		p:  p,
-		se: p.se.Snapshot(),
-		sl: p.sl.Snapshot(),
-		ix: p.Instances.Snapshot(),
+	p.Instances.Freeze(p.classes)
+	v := &QueryView{
+		model:      p.Model,
+		classifier: p.Classifier,
+		se:         p.se.Snapshot(),
+		sl:         p.sl.Snapshot(),
+		ix:         p.Instances.Snapshot(),
 	}
+	if p.linker != nil {
+		v.eng, v.engCfg = p.linker.Snapshot(), p.linkerCfg
+	}
+	return v
+}
+
+// QueryView is an immutable point-in-time view of a pipeline:
+// classification, candidate expansion and scoring all read the frozen
+// state one Snapshot published, so a query never mixes pre- and
+// post-mutation data while the live pipeline keeps mutating. Scoring
+// uses the published engine snapshot when the requested comparators are
+// the pipeline's linker comparators, and otherwise a request-scoped
+// engine compiled from the view's own frozen graphs.
+type QueryView struct {
+	model      *Model
+	classifier *Classifier
+	se, sl     *Graph
+	ix         *InstanceIndex
+	eng        *linkage.Engine
+	engCfg     LinkerConfig
 }
 
 // Model returns the learned model backing this view (immutable).
-func (v *QueryView) Model() *Model { return v.p.Model }
+func (v *QueryView) Model() *Model { return v.model }
 
 // External returns the view's frozen external graph snapshot.
 func (v *QueryView) External() *Graph { return v.se }
@@ -433,7 +234,7 @@ func (v *QueryView) Instances() *InstanceIndex { return v.ix }
 // Classify predicts the classes of an external item as described at
 // snapshot time.
 func (v *QueryView) Classify(item Term) []Prediction {
-	return v.p.Classifier.Classify(item, v.se)
+	return v.classifier.Classify(item, v.se)
 }
 
 // ReducedSpace computes the item's linking subspaces from its
@@ -442,27 +243,42 @@ func (v *QueryView) ReducedSpace(item Term) SpaceReport {
 	return core.Space(item, v.Classify(item), v.ix)
 }
 
-// engineFor resolves the scoring engine for cfg: the pipeline's shared
-// live engine when the comparators match the cache and its index is at
-// least as new as this view's snapshots, else a request-scoped engine
-// compiled from the frozen snapshots (never the live graphs, which may
-// be mutating concurrently).
+// engineFor resolves the scoring engine for cfg: the published engine
+// snapshot under cfg's threshold and workers when the comparators match,
+// else a request-scoped engine compiled from the frozen snapshots.
+// Comparators are compared with reflect.DeepEqual, which is always false
+// for measures carrying function values (similarity.Func closures):
+// those configs still work but compile an engine per query.
 func (v *QueryView) engineFor(cfg LinkerConfig) (*linkage.Engine, error) {
-	if eng := v.p.cachedEngine(cfg); eng != nil {
-		ext, loc := eng.Versions()
-		if ext >= v.se.Version() && loc >= v.sl.Version() {
-			return eng, nil
-		}
+	if v.eng != nil && reflect.DeepEqual(cfg.Comparators, v.engCfg.Comparators) {
+		return v.eng.WithOptions(cfg.Threshold, cfg.Workers)
 	}
 	return linkage.New(cfg, v.se, v.sl)
 }
 
-// LinkTopK is Pipeline.LinkTopK against the view's frozen state: every
-// candidate expansion reads the snapshots, and no lock beyond the
-// engine's internal per-batch read lock is held while scoring runs.
-// When the context carries an obs.Trace, the engine-resolution,
-// blocking and scoring stages are timed into it; without one the spans
-// are free.
+// candidates expands one item's reduced space into its local candidates.
+func (v *QueryView) candidates(item Term) []Term {
+	pairs := core.CandidatePairs(v.ReducedSpace(item), v.ix)
+	locs := make([]Term, 0, len(pairs))
+	for _, pr := range pairs {
+		locs = append(locs, pr[1])
+	}
+	return locs
+}
+
+// itemCands pairs an external item with its expanded local candidates.
+type itemCands struct {
+	item Term
+	locs []Term
+}
+
+// LinkTopK returns, for every item, its k best-scoring candidates at or
+// above cfg.Threshold inside the item's reduced linking space (k <= 0
+// means all). The per-item slices follow the engine's match order.
+// Candidate expansion runs serially; the scoring stage fans out across
+// cfg.Workers goroutines. When the context carries an obs.Trace, the
+// engine-resolution, blocking and scoring stages are timed into it;
+// without one the spans are free.
 func (v *QueryView) LinkTopK(ctx context.Context, items []Term, cfg LinkerConfig, k int) (map[Term][]Match, error) {
 	sp := obs.StartSpan(ctx, "engine")
 	eng, err := v.engineFor(cfg)
@@ -471,18 +287,39 @@ func (v *QueryView) LinkTopK(ctx context.Context, items []Term, cfg LinkerConfig
 		return nil, fmt.Errorf("datalink: building linker: %w", err)
 	}
 	sp = obs.StartSpan(ctx, "blocking")
-	cands, err := expandCandidates(ctx, v.p.Classifier, v.se, v.ix, items)
+	cands := make([]itemCands, 0, len(items))
+	for _, item := range items {
+		if err := ctx.Err(); err != nil {
+			sp.End()
+			return nil, err
+		}
+		cands = append(cands, itemCands{item: item, locs: v.candidates(item)})
+	}
 	sp.End()
+	sp = obs.StartSpan(ctx, "scoring")
+	defer sp.End()
+	type itemMatches struct {
+		item Term
+		ms   []Match
+	}
+	scored, err := par.MapChunks(ctx, par.Workers(cfg.Workers), 0, cands, func(c itemCands) (itemMatches, bool) {
+		return itemMatches{item: c.item, ms: eng.TopK(c.item, c.locs, k)}, true
+	})
 	if err != nil {
 		return nil, err
 	}
-	sp = obs.StartSpan(ctx, "scoring")
-	defer sp.End()
-	return topKOver(ctx, eng, cfg.Workers, cands, k)
+	out := make(map[Term][]Match, len(scored))
+	for _, im := range scored {
+		out[im.item] = im.ms
+	}
+	return out, nil
 }
 
-// LinkWithinCtx is Pipeline.LinkWithinCtx against the view's frozen
-// state.
+// LinkWithinCtx runs the matcher over each item's reduced space and
+// returns the best match per item at or above cfg.Threshold, scoring
+// across cfg.Workers goroutines (0 = all cores); results are
+// deterministic for every worker count. A cancelled ctx stops in-flight
+// scoring (within one work chunk per worker) and returns ctx.Err().
 func (v *QueryView) LinkWithinCtx(ctx context.Context, items []Term, cfg LinkerConfig) ([]Match, error) {
 	eng, err := v.engineFor(cfg)
 	if err != nil {
@@ -493,51 +330,9 @@ func (v *QueryView) LinkWithinCtx(ctx context.Context, items []Term, cfg LinkerC
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cands[item] = candidatesIn(v.p.Classifier, v.se, v.ix, item)
+		cands[item] = v.candidates(item)
 	}
 	return eng.LinkBestCtx(ctx, cands)
-}
-
-// linkerFor returns the engine for cfg, reusing the cached value index
-// when possible: unchanged config hits the cache outright, and a config
-// differing only in threshold or worker count shares the cached index
-// via WithOptions. A comparator change forces a rebuild, as does a graph
-// mutation the engine was not told about via Upsert/RemoveItems (the
-// engine tracks the graph versions its index reflects). Comparators are
-// compared with reflect.DeepEqual, which is always false for measures
-// carrying function values (similarity.Func closures): those configs
-// still work but rebuild the index every call, like the pre-cache engine
-// did.
-func (p *Pipeline) linkerFor(cfg LinkerConfig) (*linkage.Engine, error) {
-	p.linkerMu.Lock()
-	defer p.linkerMu.Unlock()
-	if p.linker != nil && p.linker.Fresh() && reflect.DeepEqual(cfg.Comparators, p.linkerCfg.Comparators) {
-		if cfg.Threshold == p.linkerCfg.Threshold && cfg.Workers == p.linkerCfg.Workers {
-			return p.linker, nil
-		}
-		eng, err := p.linker.WithOptions(cfg.Threshold, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		p.linker = eng
-		p.storeLinkerCfg(cfg)
-		return eng, nil
-	}
-	eng, err := linkage.New(cfg, p.se, p.sl)
-	if err != nil {
-		return nil, err
-	}
-	p.linker = eng
-	p.storeLinkerCfg(cfg)
-	return eng, nil
-}
-
-// storeLinkerCfg records the cached engine's config with the comparator
-// slice defensively copied, so a caller mutating its own slice in place
-// cannot alias the cache's change detection.
-func (p *Pipeline) storeLinkerCfg(cfg LinkerConfig) {
-	cfg.Comparators = append([]Comparator(nil), cfg.Comparators...)
-	p.linkerCfg = cfg
 }
 
 // Generalize applies the subsumption extension to the pipeline's model

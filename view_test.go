@@ -5,7 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/linkage"
 )
 
 // viewFixture builds a pipeline over a small typed corpus.
@@ -62,7 +66,7 @@ func TestQueryViewFrozen(t *testing.T) {
 	newLoc := NewIRI("http://ex.org/l/new")
 	p.Local().Add(T(newLoc, pn, NewLiteral("RES-0003-X")))
 	p.Local().Add(T(newLoc, RDFType, cls))
-	p.Upsert(LocalSide, newLoc)
+	p.ApplyPatches([]Patch{{Side: LocalSide, Items: []Term{newLoc}}})
 
 	// The old view must not see it.
 	got, err := view.LinkTopK(context.Background(), []Term{item}, cfg, 2)
@@ -92,34 +96,159 @@ func TestQueryViewFrozen(t *testing.T) {
 	}
 }
 
-// TestQueryViewMatchesPipeline: with no interleaved mutation, the view's
-// results equal the pipeline's own.
+// TestQueryViewMatchesPipeline: with no interleaved mutation, a view
+// scoring with the pipeline's published engine answers exactly like a
+// view that compiles a request-scoped engine from its frozen graphs.
 func TestQueryViewMatchesPipeline(t *testing.T) {
 	p, cfg := viewFixture(t)
 	items := p.External().AllSubjects()
-	want, err := p.LinkTopK(context.Background(), items, cfg, 3)
+	scoped := p.Snapshot()
+	if err := p.EnsureLinker(cfg); err != nil {
+		t.Fatal(err)
+	}
+	published := p.Snapshot()
+	if published.eng == nil || scoped.eng != nil {
+		t.Fatal("fixture does not exercise both scoring paths")
+	}
+	want, err := scoped.LinkTopK(context.Background(), items, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Snapshot().LinkTopK(context.Background(), items, cfg, 3)
+	got, err := published.LinkTopK(context.Background(), items, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("view results differ from pipeline results")
+		t.Fatalf("published engine's results differ from a request-scoped engine's")
 	}
-	// LinkWithinCtx parity too.
-	wantBest, err := p.LinkWithinCtx(context.Background(), items, cfg)
+	wantBest, err := scoped.LinkWithinCtx(context.Background(), items, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBest, err := p.Snapshot().LinkWithinCtx(context.Background(), items, cfg)
+	gotBest, err := published.LinkWithinCtx(context.Background(), items, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotBest, wantBest) {
-		t.Fatalf("view LinkWithinCtx differs from pipeline")
+		t.Fatalf("LinkWithinCtx differs between the two scoring paths")
 	}
+}
+
+// TestQueryViewPinsScores pins every link answer to the one state its
+// view published: changing a local item's part number and patching it
+// on the live pipeline must not change the scores an earlier view
+// returns, even though the pipeline's engine is patched in place. A
+// fresh view sees the change.
+func TestQueryViewPinsScores(t *testing.T) {
+	p, cfg := viewFixture(t)
+	if err := p.EnsureLinker(cfg); err != nil {
+		t.Fatal(err)
+	}
+	item := NewIRI("http://ex.org/e/3")
+	l3 := NewIRI("http://ex.org/l/3")
+	pn := NewIRI("http://ex.org/pn")
+	view := p.Snapshot()
+	want, err := view.LinkTopK(context.Background(), []Term{item}, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want[item]) == 0 || want[item][0].Local != l3 || want[item][0].Score != 1 {
+		t.Fatalf("fixture: want l/3 at score 1 first, got %+v", want[item])
+	}
+
+	for _, o := range p.Local().Objects(l3, pn) {
+		p.Local().Remove(T(l3, pn, o))
+	}
+	p.Local().Add(T(l3, pn, NewLiteral("ZZZ-9999-Q")))
+	p.ApplyPatches([]Patch{{Side: LocalSide, Items: []Term{l3}}})
+
+	got, err := view.LinkTopK(context.Background(), []Term{item}, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("view's scores drifted after a live patch:\n got %+v\nwant %+v", got, want)
+	}
+	fresh, err := p.Snapshot().LinkTopK(context.Background(), []Term{item}, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range fresh[item] {
+		if m.Local == l3 && m.Score == 1 {
+			t.Fatalf("fresh view still scores the old part number: %+v", fresh[item])
+		}
+	}
+}
+
+// TestQueryViewsUnderUpdate runs readers against published views while
+// the writer keeps changing, adding and deleting local items, changing
+// external items, and patching them. Each answer must equal the answer
+// of a linkage.New engine built on that view's own frozen graphs, over
+// the view's own candidates. Run under -race it is also the proof that
+// nothing a view reads is written after it was published.
+func TestQueryViewsUnderUpdate(t *testing.T) {
+	p, cfg := viewFixture(t)
+	if err := p.EnsureLinker(cfg); err != nil {
+		t.Fatal(err)
+	}
+	pn := NewIRI("http://ex.org/pn")
+	cls := NewIRI("http://ex.org/onto#Resistor")
+	items := p.External().AllSubjects()
+	var cur atomic.Pointer[QueryView]
+	cur.Store(p.Snapshot())
+
+	const rounds = 30
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			loc := NewIRI(fmt.Sprintf("http://ex.org/l/%d", r%20))
+			for _, tr := range p.Local().Find(loc, Term{}, Term{}) {
+				p.Local().Remove(tr)
+			}
+			if r%5 != 2 { // else the item is deleted
+				p.Local().Add(T(loc, pn, NewLiteral(fmt.Sprintf("RES-%04d-X", (r*7)%15))))
+				p.Local().Add(T(loc, RDFType, cls))
+			}
+			ext := NewIRI(fmt.Sprintf("http://ex.org/e/%d", (r*3)%15))
+			for _, o := range p.External().Objects(ext, pn) {
+				p.External().Remove(T(ext, pn, o))
+			}
+			p.External().Add(T(ext, pn, NewLiteral(fmt.Sprintf("RES-%04d-X", (r*11)%15))))
+			p.ApplyPatches([]Patch{
+				{Side: LocalSide, Items: []Term{loc}},
+				{Side: ExternalSide, Items: []Term{ext}},
+			})
+			cur.Store(p.Snapshot())
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				v := cur.Load()
+				got, err := v.LinkTopK(context.Background(), items, cfg, 3)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ref, err := linkage.New(cfg, v.External(), v.Local())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, item := range items {
+					if want := ref.TopK(item, v.candidates(item), 3); !reflect.DeepEqual(got[item], want) {
+						t.Errorf("%s: view answered %+v, a rebuild on its graphs %+v", item.Value, got[item], want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestQueryViewConfigError: invalid configs surface as ErrLinkerConfig,
