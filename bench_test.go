@@ -410,6 +410,38 @@ func BenchmarkLinkBestParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkLinkTopK is the serving path of /v1/link below HTTP: each op
+// is one held-out item through QueryView.LinkTopK with top 3, on the
+// paper-scale corpus (a 30,000-item catalog), the default linker and a
+// model learned from 70% of the expert links. The items are the other
+// 30%, taken in turn.
+func BenchmarkLinkTopK(b *testing.B) {
+	ds, err := GenerateCorpus(PaperCorpusConfig(42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	links := append([]Link(nil), ds.Training.Links...)
+	rand.New(rand.NewSource(42)).Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+	cut := len(links) * 7 / 10
+	p, err := NewPipeline(LearnerConfig{}, TrainingSet{Links: links[:cut]}, ds.External, ds.Local, ds.Ontology)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultLinkingConfig()
+	if err := p.EnsureLinker(cfg); err != nil {
+		b.Fatal(err)
+	}
+	view, held := p.Snapshot(), links[cut:]
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := view.LinkTopK(ctx, []Term{held[i%len(held)].External}, cfg, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- live-service benchmarks: incremental index maintenance. ---
 
 // upsertCatalog is the catalog size of the upsert benchmarks, the size

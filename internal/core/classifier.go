@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ontology"
@@ -171,28 +172,42 @@ func (c *Classifier) FiredRules(segments map[rdf.Term][]string) []Rule {
 // instances of all subclasses, with memoization. It also knows the total
 // number of typed instances, the denominator of space-reduction factors.
 //
+// The index holds catalog items as dense IDs from the IDTable it owns
+// (IDs): each class's direct instances as a sorted ID slice, and each
+// memoized class set, descendants included, as an IDSet bitset over the
+// ID space — 3.75 KB per class at 30,000 items. Space ORs the predicted
+// classes' bitsets into the item's reduced space, and a pipeline's
+// linkage engine scores those IDs against value columns keyed by the
+// same table, so the serving path never hashes, sorts or allocates a
+// catalog term. Instances, Contains and CandidatePairs keep their
+// term-level contracts as adapters over the table.
+//
 // The index is incrementally maintainable: UpsertInstance and
-// RemoveInstance update the sorted per-class slices in place and
-// invalidate only the memo entries of the affected classes and their
-// ancestors, so a catalog mutation costs O(classes of the item) instead
-// of the full NewInstanceIndex pass over every rdf:type triple.
+// RemoveInstance update the sorted per-class slices and invalidate only
+// the memo entries of the affected classes and their ancestors, so a
+// catalog mutation costs O(classes of the item) instead of the full
+// NewInstanceIndex pass over every rdf:type triple. A removed instance
+// keeps its ID.
 //
 // Concurrency: a live index must be confined to one goroutine (or the
 // caller's write lock). Snapshot returns a frozen view that is safe for
 // unsynchronized concurrent readers while the live index keeps mutating
 // — the sharing contract mirrors rdf.Graph.Snapshot.
 type InstanceIndex struct {
-	// direct maps a class to its sorted direct instances. Slices are
-	// treated as immutable values: updates install a fresh slice, so a
-	// snapshot sharing the old one never tears.
-	direct map[rdf.Term][]rdf.Term
+	ids *IDTable
+	// direct maps a class to the sorted IDs of its direct instances.
+	// Slices are treated as immutable values: updates install a fresh
+	// slice, so a snapshot sharing the old one never tears.
+	direct map[rdf.Term][]uint32
 	// types is the reverse map (instance -> its direct classes), the
 	// state that makes diff-based upserts possible. Only the live index
 	// reads it, so snapshots share it without copying.
 	types map[rdf.Term][]rdf.Term
 	ont   *ontology.Ontology
 	total int
-	memo  map[rdf.Term][]rdf.Term
+	// memo maps a class to its instance set, descendants included; nil
+	// for a class without instances. Sets are never written once stored.
+	memo map[rdf.Term]IDSet
 	// frozen marks a snapshot: mutations panic and memo misses compute
 	// without writing, keeping concurrent reads safe.
 	frozen bool
@@ -202,31 +217,49 @@ type InstanceIndex struct {
 	sharedMemo   bool
 }
 
-// NewInstanceIndex scans the rdf:type triples of sl.
+// NewInstanceIndex scans the rdf:type triples of sl into an index with
+// a private IDTable. Instances get IDs in rdf.Term order, so the IDs of
+// a freshly built index sort like their items.
 func NewInstanceIndex(sl *rdf.Graph, ol *ontology.Ontology) *InstanceIndex {
 	ix := &InstanceIndex{
-		direct: map[rdf.Term][]rdf.Term{},
+		ids:    NewIDTable(),
+		direct: map[rdf.Term][]uint32{},
 		types:  map[rdf.Term][]rdf.Term{},
 		ont:    ol,
-		memo:   map[rdf.Term][]rdf.Term{},
+		memo:   map[rdf.Term]IDSet{},
 	}
 	sl.Match(rdf.Term{}, rdf.TypeTerm, rdf.Term{}, func(t rdf.Triple) bool {
 		if t.O == rdf.ClassTerm {
 			return true // class declarations are not instances
 		}
-		ix.direct[t.O] = append(ix.direct[t.O], t.S)
 		ix.types[t.S] = append(ix.types[t.S], t.O)
 		return true
 	})
-	for c := range ix.direct {
-		sortTermSlice(ix.direct[c])
+	type typed struct {
+		inst    rdf.Term
+		classes []rdf.Term
 	}
-	for i := range ix.types {
-		sortTermSlice(ix.types[i])
+	insts := make([]typed, 0, len(ix.types))
+	for inst, cs := range ix.types {
+		sortTermSlice(cs)
+		insts = append(insts, typed{inst, cs})
+	}
+	slices.SortFunc(insts, func(a, b typed) int { return a.inst.Compare(b.inst) })
+	ix.ids.reserve(len(insts))
+	for _, t := range insts {
+		id := ix.ids.Assign(t.inst)
+		for _, c := range t.classes {
+			ix.direct[c] = append(ix.direct[c], id) // ascending IDs
+		}
 	}
 	ix.total = len(ix.types)
 	return ix
 }
+
+// IDs returns the index's ID table: the writer's on a live index, a
+// frozen snapshot on a snapshot. Every ID in the index's sets is below
+// its Len.
+func (ix *InstanceIndex) IDs() *IDTable { return ix.ids }
 
 // Total returns the number of distinct typed instances in the catalog.
 func (ix *InstanceIndex) Total() int { return ix.total }
@@ -236,10 +269,11 @@ func (ix *InstanceIndex) Frozen() bool { return ix.frozen }
 
 // Snapshot returns a frozen view of the index in O(1): it shares the
 // per-class slices and memo with the live index, which copy-on-writes
-// whatever a later mutation touches. Reads on the snapshot are safe
-// concurrently with live mutations; reads that miss the memo compute
-// their result without storing it. Snapshot must be serialized with
-// mutations. The snapshot of a snapshot is the snapshot itself.
+// whatever a later mutation touches, and holds a snapshot of the ID
+// table. Reads on the snapshot are safe concurrently with live
+// mutations; reads that miss the memo compute their result without
+// storing it. Snapshot must be serialized with mutations. The snapshot
+// of a snapshot is the snapshot itself.
 func (ix *InstanceIndex) Snapshot() *InstanceIndex {
 	if ix.frozen {
 		return ix
@@ -252,6 +286,7 @@ func (ix *InstanceIndex) Snapshot() *InstanceIndex {
 		ix.ont.Finalize()
 	}
 	snap := &InstanceIndex{
+		ids:    ix.ids.Snapshot(),
 		direct: ix.direct,
 		ont:    ix.ont,
 		total:  ix.total,
@@ -270,14 +305,14 @@ func (ix *InstanceIndex) mutableMaps() {
 		panic("core: mutating a frozen InstanceIndex snapshot")
 	}
 	if ix.sharedDirect {
-		m := make(map[rdf.Term][]rdf.Term, len(ix.direct))
+		m := make(map[rdf.Term][]uint32, len(ix.direct))
 		for k, v := range ix.direct {
 			m[k] = v
 		}
 		ix.direct, ix.sharedDirect = m, false
 	}
 	if ix.sharedMemo {
-		m := make(map[rdf.Term][]rdf.Term, len(ix.memo))
+		m := make(map[rdf.Term]IDSet, len(ix.memo))
 		for k, v := range ix.memo {
 			m[k] = v
 		}
@@ -309,15 +344,18 @@ func (ix *InstanceIndex) UpsertInstance(inst rdf.Term, classes []rdf.Term) bool 
 		return false
 	}
 	ix.mutableMaps()
+	// An instance that had or gains a class has an ID; Assign returns
+	// the one it already has.
+	id := ix.ids.Assign(inst)
 	for _, c := range removed {
-		if s := removeSorted(ix.direct[c], inst); len(s) == 0 {
+		if s := removeSorted(ix.direct[c], id); len(s) == 0 {
 			delete(ix.direct, c)
 		} else {
 			ix.direct[c] = s
 		}
 	}
 	for _, c := range added {
-		ix.direct[c] = insertSorted(ix.direct[c], inst)
+		ix.direct[c] = insertSorted(ix.direct[c], id)
 	}
 	switch {
 	case len(old) == 0 && len(newClasses) > 0:
@@ -357,29 +395,29 @@ func (ix *InstanceIndex) invalidate(c rdf.Term) {
 	}
 }
 
-// Instances returns the instances of c, including those of its
-// descendants, sorted. The returned slice is shared; callers must not
-// mutate it.
-func (ix *InstanceIndex) Instances(c rdf.Term) []rdf.Term {
+// set returns the instance set of c, descendants included: the memo
+// entry, or the OR of the direct ID slices, memoized on a live index.
+// The returned set is shared; callers must not write it.
+func (ix *InstanceIndex) set(c rdf.Term) IDSet {
 	if got, ok := ix.memo[c]; ok {
 		return got
 	}
-	set := map[rdf.Term]struct{}{}
-	for _, i := range ix.direct[c] {
-		set[i] = struct{}{}
-	}
-	if ix.ont != nil {
-		for _, d := range ix.ont.Descendants(c) {
-			for _, i := range ix.direct[d] {
-				set[i] = struct{}{}
-			}
+	var out IDSet
+	add := func(class rdf.Term) {
+		ids := ix.direct[class]
+		if len(ids) > 0 && out == nil {
+			out = make(IDSet, (ix.ids.Len()+63)/64)
+		}
+		for _, id := range ids {
+			out[id>>6] |= 1 << (id & 63)
 		}
 	}
-	out := make([]rdf.Term, 0, len(set))
-	for i := range set {
-		out = append(out, i)
+	add(c)
+	if ix.ont != nil {
+		for _, d := range ix.ont.Descendants(c) {
+			add(d)
+		}
 	}
-	sortTermSlice(out)
 	if !ix.frozen {
 		// A frozen snapshot may be read concurrently, so a memo miss is
 		// computed per call instead of stored; the live index un-shares
@@ -390,15 +428,21 @@ func (ix *InstanceIndex) Instances(c rdf.Term) []rdf.Term {
 	return out
 }
 
-// Count returns |Instances(c)| without exposing the slice.
-func (ix *InstanceIndex) Count(c rdf.Term) int { return len(ix.Instances(c)) }
+// Instances returns the instances of c, including those of its
+// descendants, sorted by rdf.Term.Compare, gathered from the ID table
+// on each call. The slice is the caller's.
+func (ix *InstanceIndex) Instances(c rdf.Term) []rdf.Term {
+	return ix.ids.Items(ix.set(c))
+}
+
+// Count returns |Instances(c)|: the popcount of the class set.
+func (ix *InstanceIndex) Count(c rdf.Term) int { return ix.set(c).Len() }
 
 // Contains reports whether inst is an instance of c (or of a descendant
-// of c) by binary search over the memoized sorted instance set.
+// of c): one ID lookup and one bit test.
 func (ix *InstanceIndex) Contains(c, inst rdf.Term) bool {
-	insts := ix.Instances(c)
-	i := sort.Search(len(insts), func(k int) bool { return insts[k].Compare(inst) >= 0 })
-	return i < len(insts) && insts[i] == inst
+	id, ok := ix.ids.ID(inst)
+	return ok && ix.set(c).Has(id)
 }
 
 // Freeze precomputes the instance sets of the given classes so later
@@ -410,19 +454,19 @@ func (ix *InstanceIndex) Freeze(classes []rdf.Term) {
 		return
 	}
 	for _, c := range classes {
-		ix.Instances(c)
+		ix.set(c)
 	}
 }
 
-// insertSorted returns a fresh sorted slice with x inserted (no-op copy
-// when already present). The input slice is never written: snapshots may
-// share it.
-func insertSorted(s []rdf.Term, x rdf.Term) []rdf.Term {
-	i := sort.Search(len(s), func(k int) bool { return s[k].Compare(x) >= 0 })
-	if i < len(s) && s[i] == x {
+// insertSorted returns a fresh sorted slice with x inserted (the input
+// itself when x is already present). The input slice is never written:
+// snapshots may share it.
+func insertSorted(s []uint32, x uint32) []uint32 {
+	i, found := slices.BinarySearch(s, x)
+	if found {
 		return s
 	}
-	out := make([]rdf.Term, 0, len(s)+1)
+	out := make([]uint32, 0, len(s)+1)
 	out = append(out, s[:i]...)
 	out = append(out, x)
 	out = append(out, s[i:]...)
@@ -431,12 +475,12 @@ func insertSorted(s []rdf.Term, x rdf.Term) []rdf.Term {
 
 // removeSorted returns a fresh sorted slice without x, sharing nothing
 // with the input.
-func removeSorted(s []rdf.Term, x rdf.Term) []rdf.Term {
-	i := sort.Search(len(s), func(k int) bool { return s[k].Compare(x) >= 0 })
-	if i >= len(s) || s[i] != x {
+func removeSorted(s []uint32, x uint32) []uint32 {
+	i, found := slices.BinarySearch(s, x)
+	if !found {
 		return s
 	}
-	out := make([]rdf.Term, 0, len(s)-1)
+	out := make([]uint32, 0, len(s)-1)
 	out = append(out, s[:i]...)
 	out = append(out, s[i+1:]...)
 	return out
@@ -492,11 +536,16 @@ type SpaceReport struct {
 	UnionSize int
 	// CatalogSize is |SL| (typed instances), the naive per-item space.
 	CatalogSize int
+	// cands is the union itself, over the IDs of the instance index the
+	// report was computed on.
+	cands IDSet
 }
 
-// ReductionFactor is CatalogSize / UnionSize; 0 when no rule fired
-// (UnionSize 0), meaning the item's space is not reduced at all and the
-// caller must fall back to the full catalog.
+// ReductionFactor is CatalogSize / UnionSize, and 0 when UnionSize is
+// 0: no rule fired, or the predicted classes have no local instance.
+// Such an item's reduced space is empty, and the policy is to keep it
+// empty: the serving path scores no candidate for it and answers with
+// no matches, rather than falling back to the full catalog.
 func (sr SpaceReport) ReductionFactor() float64 {
 	if sr.UnionSize == 0 {
 		return 0
@@ -504,50 +553,42 @@ func (sr SpaceReport) ReductionFactor() float64 {
 	return float64(sr.CatalogSize) / float64(sr.UnionSize)
 }
 
-// Candidates returns the union of local candidates across the item's
-// subspaces, sorted.
-func (sr *SpaceReport) candidates(ix *InstanceIndex) []rdf.Term {
-	set := map[rdf.Term]struct{}{}
-	for _, ss := range sr.Subspaces {
-		for _, inst := range ix.Instances(ss.Class) {
-			set[inst] = struct{}{}
-		}
-	}
-	out := make([]rdf.Term, 0, len(set))
-	for i := range set {
-		out = append(out, i)
-	}
-	sortTermSlice(out)
-	return out
-}
+// Candidates returns the item's local candidates, the union of its
+// subspaces, as IDs of the instance index's IDTable. The set may be
+// shared with the index; callers must not write it.
+func (sr SpaceReport) Candidates() IDSet { return sr.cands }
 
 // Space computes the linking space of one external item: its ranked
-// subspaces and the union size. Predictions whose class has no local
+// subspaces, and their union as an OR of the predicted classes' memoized
+// bitsets, kept in the report (Candidates) so that nothing rebuilds or
+// sorts the candidates afterwards. Predictions whose class has no local
 // instance yield empty subspaces that still appear in the report (they
 // are cheap and the expert may want to see them).
 func Space(item rdf.Term, preds []Prediction, ix *InstanceIndex) SpaceReport {
 	sr := SpaceReport{Item: item, CatalogSize: ix.Total()}
-	union := map[rdf.Term]struct{}{}
-	for _, pr := range preds {
-		insts := ix.Instances(pr.Class)
+	for i, pr := range preds {
+		set := ix.set(pr.Class)
 		sr.Subspaces = append(sr.Subspaces, Subspace{
 			Item:  item,
 			Class: pr.Class,
 			Rule:  pr.Rule,
-			Size:  len(insts),
+			Size:  set.Len(),
 		})
-		for _, i := range insts {
-			union[i] = struct{}{}
+		if i == 0 {
+			sr.cands = set // shared with the memo until a second class
+		} else {
+			sr.cands = sr.cands.or(set, i > 1)
 		}
 	}
-	sr.UnionSize = len(union)
+	sr.UnionSize = sr.cands.Len()
 	return sr
 }
 
 // CandidatePairs expands a space report into (external, local) pairs for
-// a downstream matcher, deduplicated and sorted.
+// a downstream matcher, deduplicated and sorted. ix must be the index
+// the report was computed on, or a later state of it.
 func CandidatePairs(sr SpaceReport, ix *InstanceIndex) [][2]rdf.Term {
-	cands := sr.candidates(ix)
+	cands := ix.ids.Items(sr.cands)
 	out := make([][2]rdf.Term, 0, len(cands))
 	for _, l := range cands {
 		out = append(out, [2]rdf.Term{sr.Item, l})

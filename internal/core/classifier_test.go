@@ -147,11 +147,11 @@ func TestInstanceIndex(t *testing.T) {
 	if got := ix.Count(clsCer); got != 0 {
 		t.Errorf("Count(Ceramic) = %d, want 0", got)
 	}
-	// Memoized slice identity on repeat calls.
-	a := ix.Instances(clsRes)
-	b := ix.Instances(clsRes)
+	// Memoized class set identity on repeat calls.
+	a := ix.set(clsRes)
+	b := ix.set(clsRes)
 	if &a[0] != &b[0] {
-		t.Error("Instances not memoized")
+		t.Error("class set not memoized")
 	}
 }
 

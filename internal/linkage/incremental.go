@@ -1,6 +1,10 @@
 package linkage
 
-import "repro/internal/rdf"
+import (
+	"slices"
+
+	"repro/internal/rdf"
+)
 
 // Side selects which of an engine's two sources an item belongs to.
 type Side int
@@ -30,12 +34,13 @@ type IndexPatch struct {
 }
 
 // ApplyPatches applies an ordered sequence of upsert/remove patches to
-// the writer's local index. An upsert re-reads each item's values from
-// the local graph, dropping items with no remaining values; a remove
-// drops the items without consulting the graph. External-side patches
-// need no work: external items are resolved from the graph at query
-// time, so the caller's contract is only to mutate the external graph
-// before the next Snapshot. Panics on a snapshot.
+// the writer's local value columns. An upsert re-reads each item's
+// values from the local graph, giving a new item the next ID of the
+// engine's table; an item with no remaining values, and a removed one,
+// keeps its ID and loses its values. External-side patches need no
+// work: external items are resolved from the graph at query time, so
+// the caller's contract is only to mutate the external graph before the
+// next Snapshot. Panics on a snapshot.
 func (e *Engine) ApplyPatches(patches []IndexPatch) {
 	ix := e.ix
 	if ix.mut == nil {
@@ -46,21 +51,19 @@ func (e *Engine) ApplyPatches(patches []IndexPatch) {
 			continue
 		}
 		for _, item := range p.Items {
-			sh := shardOf(item)
-			for ci := range ix.comps {
-				c, li := &ix.comps[ci], ix.loc[ci]
-				var vals []indexedValue
+			id := ix.idOf(item)
+			for ci := range ix.cols {
+				var vals []value
 				if !p.Remove {
-					// Acquire the new values before releasing the old ones,
-					// so a value present in both keeps its cache entry warm.
-					if objs := literals(ix.sl, item, c.locProp); len(objs) > 0 {
-						vals = acquireValues(objs, ix.cache, c.slot)
-					}
+					vals = ix.localValues(ci, item)
 				}
-				if vals == nil && li[sh].m[item] == nil {
+				if vals == nil && ix.cols[ci].get(id) == nil {
 					continue // nothing indexed, nothing to drop
 				}
-				ix.cache.release(li.set(ix.mut, sh, item, vals))
+				if id == noID {
+					id = ix.ids.Assign(item)
+				}
+				ix.cols[ci].set(ix.mut, id, vals)
 			}
 		}
 	}
@@ -69,26 +72,29 @@ func (e *Engine) ApplyPatches(patches []IndexPatch) {
 // Snapshot returns a frozen engine over the current state in O(1): it
 // resolves external items from a snapshot of the external graph
 // (rdf.Graph.Snapshot, so the same one a caller snapshotting that graph
-// at the same moment gets) and shares the local indexes, which the
-// writer copies shard by shard before writing again. The snapshot is
-// safe for any number of concurrent readers while the writer keeps
-// patching; Snapshot itself must be serialized with ApplyPatches and
-// with mutations of the graphs. The snapshot of a snapshot is itself.
+// at the same moment gets), reads a snapshot of the ID table (the same
+// one the instance index sharing the table hands out), and shares the
+// value columns, which the writer copies page by page before writing
+// again. The snapshot is safe for any number of concurrent readers
+// while the writer keeps patching; Snapshot itself must be serialized
+// with ApplyPatches and with mutations of the graphs and the table. The
+// snapshot of a snapshot is itself.
 func (e *Engine) Snapshot() *Engine {
 	ix := e.ix
 	if ix.mut == nil {
 		return e
 	}
-	snap := &index{comps: ix.comps, totalWeight: ix.totalWeight, derive: ix.derive, se: ix.se}
+	snap := &index{
+		comps:       ix.comps,
+		totalWeight: ix.totalWeight,
+		se:          ix.se,
+		ids:         ix.ids.Snapshot(),
+		cols:        slices.Clone(ix.cols),
+	}
 	if snap.se != nil {
 		snap.se = snap.se.Snapshot()
 	}
-	snap.loc = make([]*localIndex, len(ix.loc))
-	for i, li := range ix.loc {
-		frozen := *li
-		snap.loc[i] = &frozen
-	}
-	// Disown every shard: the next write copies before it writes.
+	// Disown every page: the next write copies before it writes.
 	ix.mut = &mutToken{}
 	return &Engine{cfg: e.cfg, ix: snap}
 }

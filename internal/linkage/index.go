@@ -1,19 +1,24 @@
 package linkage
 
 import (
-	"hash/maphash"
+	"cmp"
+	"slices"
 	"sort"
+	"unicode/utf8"
 
 	"repro/internal/rdf"
 	"repro/internal/similarity"
 )
 
-// indexedValue is one literal value of an item under a comparator
-// property: the lexical form plus its derivations (rune length, token
-// list, token set, prepared pattern).
-type indexedValue struct {
-	value string
-	entry *cacheEntry
+// value is one literal value of an item under one comparator: the
+// lexical form, its rune length, and the derived form the comparator's
+// measure reads from that side of a pair, if it reads one.
+type value struct {
+	s        string
+	runeLen  int
+	tokens   []string
+	tokenSet map[string]struct{}
+	prepared similarity.Prepared
 }
 
 // compiledComparator is one configured comparator with its measure
@@ -22,25 +27,27 @@ type indexedValue struct {
 type compiledComparator struct {
 	weight  float64
 	measure similarity.Measure
-	// slot is this comparator's index in the engine's comparator list,
-	// addressing its local index, its values in a resolved external item
-	// and its prepared patterns in an entry.
-	slot    int
 	extProp rdf.Term
 	locProp rdf.Term
 	// bounded is non-nil when the measure can bound its score from value
 	// lengths alone; the engine then skips value pairs whose bound cannot
-	// beat the current best.
+	// beat the current best, and candidates whose weighted bound cannot
+	// reach a query's bar.
 	bounded similarity.LengthBounded
 	// tokens is non-nil when the measure scores pre-tokenized values.
 	tokens similarity.Tokenized
 	// tokenSets is non-nil when the measure scores prebuilt token sets;
-	// preferred over tokens in the hot loop.
+	// preferred over tokens.
 	tokenSets similarity.TokenSetScored
 	// prepared is non-nil when the measure can precompile one side of a
-	// comparison (Myers pattern bitmaps, TF-IDF vectors); the hot loop
-	// then scores prepared against prepared, the fastest path of all.
+	// comparison; the external value of a query is then prepared once
+	// and scored against every candidate, the fastest path of all.
 	prepared similarity.PreparedMeasure
+	// localPrepared is set when the prepared measure also reads the
+	// local side's prepared form, as TF-IDF reads its vector. The edit
+	// distances read only the local string (similarity.LeftPrepared), so
+	// their local values are never prepared.
+	localPrepared bool
 }
 
 // compileComparators resolves every comparator's measure capabilities.
@@ -50,7 +57,6 @@ func compileComparators(cfg Config) []compiledComparator {
 		cc := compiledComparator{
 			weight:  cmp.Weight,
 			measure: cmp.Measure,
-			slot:    i,
 			extProp: cmp.ExternalProperty,
 			locProp: cmp.LocalProperty,
 		}
@@ -62,96 +68,263 @@ func compileComparators(cfg Config) []compiledComparator {
 			cc.tokenSets, _ = cmp.Measure.(similarity.TokenSetScored)
 		}
 		cc.prepared, _ = cmp.Measure.(similarity.PreparedMeasure)
+		_, leftOnly := cmp.Measure.(similarity.LeftPrepared)
+		cc.localPrepared = cc.prepared != nil && !leftOnly
 		comps[i] = cc
 	}
 	return comps
 }
 
+// derive returns s as a value of this comparator. An external value, the
+// left-hand side of every pair, gets the form the measure scores from; a
+// local value gets only what the measure reads from the right-hand side.
+func (c *compiledComparator) derive(s string, local bool) value {
+	v := value{s: s, runeLen: utf8.RuneCountInString(s)}
+	switch {
+	case c.prepared != nil:
+		if !local || c.localPrepared {
+			v.prepared = c.prepared.Prepare(s)
+		}
+	case c.tokenSets != nil:
+		toks := similarity.Tokenize(s)
+		v.tokenSet = make(map[string]struct{}, len(toks))
+		for _, tok := range toks {
+			v.tokenSet[tok] = struct{}{}
+		}
+	case c.tokens != nil:
+		v.tokens = similarity.Tokenize(s)
+	}
+	return v
+}
+
+// similarity scores one value pair: ev external, lv local.
+func (c *compiledComparator) similarity(ev, lv *value) float64 {
+	switch {
+	case c.localPrepared:
+		return ev.prepared.SimilarityPrepared(lv.prepared)
+	case c.prepared != nil:
+		return ev.prepared.Similarity(lv.s)
+	case c.tokenSets != nil:
+		return c.tokenSets.SimilarityTokenSets(ev.tokenSet, lv.tokenSet)
+	case c.tokens != nil:
+		return c.tokens.SimilarityTokens(ev.tokens, lv.tokens)
+	default:
+		return c.measure.Similarity(ev.s, lv.s)
+	}
+}
+
+// best returns the best score over every value pair: for a multi-valued
+// property the best-scoring pair counts. A pair whose length bound
+// cannot beat the current best is settled without running the measure.
+func (c *compiledComparator) best(evs, lvs []value) float64 {
+	best := 0.0
+	for i := range evs {
+		ev := &evs[i]
+		for j := range lvs {
+			lv := &lvs[j]
+			if c.bounded != nil && c.bounded.SimilarityUpperBound(ev.runeLen, lv.runeLen) <= best {
+				continue
+			}
+			if s := c.similarity(ev, lv); s > best {
+				best = s
+			}
+		}
+	}
+	return best
+}
+
+// bound returns an upper bound on best(evs, lvs): the largest length
+// bound over the value pairs, or 1 when the measure has none.
+func (c *compiledComparator) bound(evs, lvs []value) float64 {
+	if c.bounded == nil {
+		return 1
+	}
+	b := 0.0
+	for i := range evs {
+		for j := range lvs {
+			b = max(b, c.bounded.SimilarityUpperBound(evs[i].runeLen, lvs[j].runeLen))
+		}
+	}
+	return b
+}
+
 // mutToken is an ownership marker compared by pointer identity, as in
-// rdf.Graph: a shard may be written in place only while it is owned by
+// rdf.Graph: a page may be written in place only while it is owned by
 // the writer's current token. It must not be zero-sized, or distinct
 // tokens could share an address.
 type mutToken struct{ _ byte }
 
-// localShards splits each comparator's local value index so that the
-// one map copy a write pays after a snapshot covers a small slice of the
-// catalog: about 120 items of a 30,000-item catalog. Must be a power of
-// two.
-const localShards = 256
+// A column splits into pages of pageSize consecutive IDs, so that the
+// one copy a write pays after a snapshot covers 256 items. pageSize
+// must be a power of two.
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
 
-// localShard is one slice of a local value index: item -> its values,
-// owned by the token that may write it.
-type localShard struct {
+// noID addresses no column entry: the ID of an item the table does not
+// know.
+const noID = ^uint32(0)
+
+// page holds the local values of pageSize consecutive IDs under one
+// comparator, owned by the token that may write it.
+type page struct {
 	owner *mutToken
-	m     map[rdf.Term][]indexedValue
+	vals  [pageSize][]value
 }
 
-// localIndex is the copy-on-write index of one comparator's local
-// values. A snapshot copies the shard headers; the writer then copies a
-// shard's map before its first write to it, so a snapshot's shards are
-// never written again. Every comparator's index shards items alike, so
-// a pair hashes its local item once.
-type localIndex [localShards]localShard
-
-var shardSeed = maphash.MakeSeed()
-
-func shardOf(item rdf.Term) int {
-	return int(maphash.String(shardSeed, item.Value) & (localShards - 1))
+// column is one comparator's local values, indexed by catalog ID: an
+// item's values are at vals[id], nil when it has none. It is
+// copy-on-write in fixed pages: a snapshot copies the column header, and
+// the writer copies the page slice and then a page before its first
+// write to them, so nothing a snapshot reads is ever written again.
+type column struct {
+	owner *mutToken // owns the pages slice itself
+	pages []*page
 }
 
-// set installs item's values in shard sh (nil drops the item) and
-// returns the values it replaced, copying the shard first if tok does
-// not own it.
-func (li *localIndex) set(tok *mutToken, sh int, item rdf.Term, vals []indexedValue) []indexedValue {
-	s := &li[sh]
-	if s.owner != tok {
-		m := make(map[rdf.Term][]indexedValue, len(s.m)+1)
-		for k, v := range s.m {
-			m[k] = v
-		}
-		s.m, s.owner = m, tok
+// get returns the values of id.
+func (c *column) get(id uint32) []value {
+	if p := int(id >> pageBits); p < len(c.pages) {
+		return c.pages[p].vals[id&pageMask]
 	}
-	old := s.m[item]
-	if vals == nil {
-		delete(s.m, item)
-	} else {
-		s.m[item] = vals
-	}
-	return old
+	return nil
 }
 
-// buildLocalIndex indexes every local item's literal values under one
-// comparator's local property, in one pass over the graph's predicate
-// index.
-func buildLocalIndex(c *compiledComparator, sl *rdf.Graph, cache *valueCache, tok *mutToken) *localIndex {
-	byItem := map[rdf.Term][]rdf.Term{}
+// set installs id's values (nil drops them), copying the page slice and
+// the page first unless tok owns them.
+func (c *column) set(tok *mutToken, id uint32, vals []value) {
+	if c.owner != tok {
+		c.pages, c.owner = slices.Clone(c.pages), tok
+	}
+	p := int(id >> pageBits)
+	for len(c.pages) <= p {
+		c.pages = append(c.pages, &page{owner: tok})
+	}
+	if pg := c.pages[p]; pg.owner != tok {
+		cp := *pg
+		cp.owner = tok
+		c.pages[p] = &cp
+	}
+	c.pages[p].vals[id&pageMask] = vals
+}
+
+// build indexes every comparator's local values into its column, in one
+// pass per comparator over the local graph's predicate index. Items the
+// table does not know get IDs in rdf.Term order, so that the IDs do not
+// depend on map iteration; over a frozen table (no writer token) only
+// the items it knows are indexed. Columns are filled in ID order, so a
+// scan in ID order reads them sequentially.
+func (ix *index) build(sl *rdf.Graph) {
+	// item -> its literal values, per comparator
+	objs := map[rdf.Term][][]rdf.Term{}
 	if sl != nil {
-		sl.Match(rdf.Term{}, c.locProp, rdf.Term{}, func(t rdf.Triple) bool {
-			if t.O.IsLiteral() {
-				byItem[t.S] = append(byItem[t.S], t.O)
+		for ci := range ix.comps {
+			sl.Match(rdf.Term{}, ix.comps[ci].locProp, rdf.Term{}, func(t rdf.Triple) bool {
+				if t.O.IsLiteral() {
+					per := objs[t.S]
+					if per == nil {
+						per = make([][]rdf.Term, len(ix.comps))
+						objs[t.S] = per
+					}
+					per[ci] = append(per[ci], t.O)
+				}
+				return true
+			})
+		}
+	}
+	type entry struct {
+		id  uint32
+		per [][]rdf.Term
+	}
+	entries := make([]entry, 0, len(objs))
+	var unknown []rdf.Term
+	for item, per := range objs {
+		if id, ok := ix.ids.ID(item); ok {
+			entries = append(entries, entry{id, per})
+		} else if ix.mut != nil {
+			unknown = append(unknown, item)
+		}
+	}
+	slices.SortFunc(unknown, rdf.Term.Compare)
+	for _, item := range unknown {
+		entries = append(entries, entry{ix.ids.Assign(item), objs[item]})
+	}
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
+
+	npages := (ix.ids.Len() + pageSize - 1) / pageSize
+	ix.cols = make([]column, len(ix.comps))
+	for ci := range ix.comps {
+		c := &ix.comps[ci]
+		col := column{owner: ix.mut, pages: make([]*page, npages)}
+		for p := range col.pages {
+			col.pages[p] = &page{owner: ix.mut}
+		}
+		n := 0
+		for _, e := range entries {
+			n += len(e.per[ci])
+		}
+		flat := make([]value, n) // one allocation for the whole column
+		for _, e := range entries {
+			vs := e.per[ci]
+			if len(vs) == 0 {
+				continue
 			}
-			return true
-		})
+			sortTerms(vs)
+			vals := flat[:len(vs):len(vs)]
+			flat = flat[len(vs):]
+			for j, o := range vs {
+				vals[j] = c.derive(o.Value, true)
+			}
+			col.pages[e.id>>pageBits].vals[e.id&pageMask] = vals
+		}
+		ix.cols[ci] = col
 	}
-	li := new(localIndex)
-	for i := range li {
-		li[i] = localShard{owner: tok, m: make(map[rdf.Term][]indexedValue, len(byItem)/localShards)}
-	}
-	for item, objs := range byItem {
-		sortTerms(objs)
-		li[shardOf(item)].m[item] = acquireValues(objs, cache, c.slot)
-	}
-	return li
 }
 
-// acquireValues resolves sorted value terms against the writer's cache,
-// taking one reference per value.
-func acquireValues(objs []rdf.Term, cache *valueCache, slot int) []indexedValue {
-	vals := make([]indexedValue, len(objs))
+// localValues derives item's values under comparator ci from the
+// writer's local graph; nil when it has none.
+func (ix *index) localValues(ci int, item rdf.Term) []value {
+	c := &ix.comps[ci]
+	objs := literals(ix.sl, item, c.locProp)
+	if len(objs) == 0 {
+		return nil
+	}
+	vals := make([]value, len(objs))
 	for i, o := range objs {
-		vals[i] = indexedValue{value: o.Value, entry: cache.acquire(o.Value, slot)}
+		vals[i] = c.derive(o.Value, true)
 	}
 	return vals
+}
+
+// resolve derives an external item's values per comparator from the
+// index's external graph. They are built per call and shared with
+// nothing, so readers of a snapshot write nothing they share.
+func (ix *index) resolve(ext rdf.Term) [][]value {
+	q := make([][]value, len(ix.comps))
+	for ci := range ix.comps {
+		c := &ix.comps[ci]
+		objs := literals(ix.se, ext, c.extProp)
+		if len(objs) == 0 {
+			continue
+		}
+		vals := make([]value, len(objs))
+		for i, o := range objs {
+			vals[i] = c.derive(o.Value, false)
+		}
+		q[ci] = vals
+	}
+	return q
+}
+
+// idOf maps a local item to its ID, or noID when the table does not
+// know it: such an item has no values.
+func (ix *index) idOf(item rdf.Term) uint32 {
+	if id, ok := ix.ids.ID(item); ok {
+		return id
+	}
+	return noID
 }
 
 // literals returns item's literal values under prop in g, ordered by
@@ -173,26 +346,4 @@ func literals(g *rdf.Graph, item, prop rdf.Term) []rdf.Term {
 
 func sortTerms(ts []rdf.Term) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
-}
-
-// resolve derives an external item's values per comparator slot from the
-// index's external graph. The derivations are built per call and never
-// enter the writer's cache, so readers of a snapshot write nothing they
-// share.
-func (ix *index) resolve(ext rdf.Term) [][]indexedValue {
-	vals := make([][]indexedValue, len(ix.comps))
-	for slot := range ix.comps {
-		objs := literals(ix.se, ext, ix.comps[slot].extProp)
-		if len(objs) == 0 {
-			continue
-		}
-		col := make([]indexedValue, len(objs))
-		for i, o := range objs {
-			e := ix.derive.entry(o.Value)
-			ix.derive.prepare(e, o.Value, slot)
-			col[i] = indexedValue{value: o.Value, entry: e}
-		}
-		vals[slot] = col
-	}
-	return vals
 }

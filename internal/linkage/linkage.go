@@ -8,26 +8,43 @@
 // engine is a standard weighted-average record matcher over the
 // similarity toolbox of internal/similarity.
 //
-// # Architecture: value index and worker model
+// # Architecture: dense IDs from class set to score
 //
-// Pair comparison is the dominant cost of linking, so the engine is built
-// around two ideas:
+// A query scores one external item against the few thousand local items
+// of its reduced space, so the glue around the similarity kernels costs
+// as much as the kernels. The engine is built so that the serving path
+// never hashes, sorts or allocates a catalog term:
 //
-//   - Value index. New copies each comparator's local property values
-//     out of the catalog graph into per-item slices
-//     (internal/linkage/index.go). Per-value derivations — rune lengths,
-//     token lists and token sets for token-based measures, precompiled
-//     patterns for PreparedMeasures (Myers bitmaps for the edit
-//     distances, TF-IDF weight vectors) — live in a per-engine cache
-//     (internal/linkage/cache.go) keyed by the distinct value string, so
-//     a value appearing under several comparators is derived once. The
-//     external item of a query is resolved once per call from the
-//     engine's external graph, with its derivations built for that call
-//     only. Scoring a pair therefore costs one index lookup plus the
-//     measure calls: length-bounded measures (the edit distances and the
-//     Jaro family) skip value pairs whose length difference already rules
-//     out beating the current best, and prepared measures score
-//     precompiled pattern against precompiled pattern.
+//   - One ID space. Every local item has a dense uint32 ID from a
+//     core.IDTable. New builds a private table; NewWithIDs builds over a
+//     given one, which is how a pipeline's engine shares the table of its
+//     core.InstanceIndex, so the bits of a class set
+//     (core.SpaceReport.Candidates) address the engine's columns
+//     directly.
+//
+//   - Value columns. Each comparator keeps its local values in a column
+//     indexed by ID (internal/linkage/index.go): per value the string and
+//     its rune length, plus the one derived form the measure reads from
+//     the local side — a token list or token set for the token measures,
+//     a prepared vector for TF-IDF. The edit distances read only the
+//     local string (similarity.LeftPrepared), so no local value carries a
+//     Myers table. The external item of a query is resolved once per call
+//     from the engine's external graph, with its prepared forms built for
+//     that call only.
+//
+//   - One scoring loop. A ranker offers each candidate ID in turn: it
+//     first sums the candidate's bound, the weighted
+//     similarity.LengthBounded bound of each comparator (1 for a measure
+//     without one, 0 where a side has no value), and skips the candidate
+//     unscored when the bound is strictly below the bar — the threshold,
+//     raised to the k-th best score once k matches are held. Otherwise
+//     it scores the candidate, taking per comparator the best value pair
+//     and skipping value pairs whose length bound cannot beat it. The k
+//     best are kept in a bounded heap under the total order ScorePairs
+//     sorts by, so nothing sorts the passing matches beyond k. TopKIDs
+//     runs the loop over a bitset of IDs; the term API (Score, TopK,
+//     ScorePairs, LinkBest) maps each term to its ID once and runs the
+//     same loop.
 //
 //   - Parallel scoring. ScorePairs and LinkBest fan work out across
 //     Config.Workers goroutines (default: all cores) using the chunked
@@ -43,22 +60,25 @@
 // # Live engines and snapshots
 //
 // An engine follows the concurrency model of rdf.Graph and
-// core.InstanceIndex. The engine New returns belongs to one writer:
-// ApplyPatches (internal/linkage/incremental.go) re-indexes local items
-// in place and nothing is locked, so it may be queried only while
-// neither ApplyPatches nor a mutation of its graphs runs. Snapshot
+// core.InstanceIndex. The engine New or NewWithIDs returns over a
+// writer's table belongs to one writer: ApplyPatches
+// (internal/linkage/incremental.go) re-indexes local items in place and
+// nothing is locked, so it may be queried only while neither
+// ApplyPatches nor a mutation of its graphs or table runs. Snapshot
 // returns, in O(1), a frozen engine that resolves external items from a
-// frozen snapshot of the external graph and reads a frozen local index:
-// the local index is copy-on-write, so a write after a snapshot copies
-// only the hash shard it touches, and nothing a snapshot reads is ever
-// written again. Any number of goroutines may query a snapshot while
-// the writer keeps patching.
+// frozen snapshot of the external graph and reads a frozen ID table and
+// frozen columns: the columns are copy-on-write in pages of 256 IDs, so
+// a write after a snapshot copies only the page it touches, and nothing
+// a snapshot reads is ever written again. Any number of goroutines may
+// query a snapshot while the writer keeps patching. An engine built
+// over a frozen table is itself a snapshot.
 package linkage
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/core"
@@ -121,9 +141,9 @@ func (c Config) Validate() error {
 }
 
 // Engine scores and links pairs between two graphs. Construction
-// indexes every comparator's local property values; external items are
-// resolved from the external graph on each query. The engine New
-// returns is the writer's: see the package comment for its contract
+// indexes every comparator's local property values by ID; external
+// items are resolved from the external graph on each query. The engine
+// New returns is the writer's: see the package comment for its contract
 // and for Snapshot, the form concurrent readers query.
 type Engine struct {
 	cfg Config
@@ -138,44 +158,49 @@ type index struct {
 	// totalWeight is the constant score denominator: every comparator
 	// keeps its weight whether or not values are present.
 	totalWeight float64
-	derive      *derivations
 	// se is the graph external items are resolved from: the writer's
 	// live graph, or the frozen snapshot a snapshot was taken with.
 	se *rdf.Graph
-	// loc holds each comparator's local value index, by slot.
-	loc []*localIndex
+	// ids maps local items to the IDs the columns are indexed by.
+	ids *core.IDTable
+	// cols holds each comparator's local values, by comparator.
+	cols []column
 
 	// The writer-only half, nil on a snapshot: the live local graph
-	// patches re-read from, the refcounted value cache, and the token
-	// that owns the local shards the writer may write in place.
-	sl    *rdf.Graph
-	cache *valueCache
-	mut   *mutToken
+	// patches re-read from, and the token that owns the column pages
+	// the writer may write in place.
+	sl  *rdf.Graph
+	mut *mutToken
 }
 
 // New builds an engine over the external and local graphs, indexing the
-// local values (see the package comment). Later mutations of the local
-// graph are observed only once the mutated items are passed to
-// ApplyPatches; external items are read from se at query time.
+// local values under a private ID table (see the package comment).
+// Later mutations of the local graph are observed only once the mutated
+// items are passed to ApplyPatches; external items are read from se at
+// query time.
 func New(cfg Config, se, sl *rdf.Graph) (*Engine, error) {
+	return NewWithIDs(cfg, se, sl, core.NewIDTable())
+}
+
+// NewWithIDs is New over a given ID table, such as the one a
+// core.InstanceIndex owns, so that TopKIDs scores the IDs of that
+// index's class sets. Over a writer's table the engine assigns IDs to
+// local items the table does not know yet, and its ApplyPatches must be
+// serialized with the table's other writer. Over a frozen table the
+// engine indexes only the items the table knows — every candidate a
+// class set of that table can name — and is itself a frozen snapshot.
+func NewWithIDs(cfg Config, se, sl *rdf.Graph, ids *core.IDTable) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	comps := compileComparators(cfg)
-	d := newDerivations(comps)
-	ix := &index{
-		comps:  comps,
-		derive: d,
-		se:     se,
-		sl:     sl,
-		cache:  &valueCache{d: d, entries: map[string]*cacheEntry{}},
-		mut:    &mutToken{},
+	ix := &index{comps: compileComparators(cfg), se: se, ids: ids}
+	if !ids.Frozen() {
+		ix.sl, ix.mut = sl, &mutToken{}
 	}
-	ix.loc = make([]*localIndex, len(comps))
-	for i := range comps {
-		ix.loc[i] = buildLocalIndex(&comps[i], sl, ix.cache, ix.mut)
-		ix.totalWeight += comps[i].weight
+	for i := range ix.comps {
+		ix.totalWeight += ix.comps[i].weight
 	}
+	ix.build(sl)
 	return &Engine{cfg: cfg, ix: ix}, nil
 }
 
@@ -204,55 +229,32 @@ const chunkSize = par.DefaultChunk
 // whose properties are absent on either side score 0 but keep their
 // weight in the denominator, penalizing missing information.
 func (e *Engine) Score(ext, loc rdf.Term) float64 {
-	return e.ix.score(e.ix.resolve(ext), loc)
+	s, _ := e.ix.scoreAbove(e.ix.resolve(ext), e.ix.idOf(loc), 0)
+	return s
 }
 
-// score is the hot path: ext is an external item's resolved values.
-func (ix *index) score(ext [][]indexedValue, loc rdf.Term) float64 {
-	sh := shardOf(loc)
+// scoreAbove is the hot path: it scores the resolved external item q
+// against local item id, unless the candidate's bound — the weighted sum
+// of its comparators' length bounds — is strictly below bar, in which
+// case it reports false without scoring. The bound is summed in the
+// score's comparator order, so rounding keeps the score at or below it.
+func (ix *index) scoreAbove(q [][]value, id uint32, bar float64) (float64, bool) {
+	bound := 0.0
+	for i := range ix.comps {
+		if evs, lvs := q[i], ix.cols[i].get(id); len(evs) > 0 && len(lvs) > 0 {
+			bound += ix.comps[i].weight * ix.comps[i].bound(evs, lvs)
+		}
+	}
+	if bound/ix.totalWeight < bar {
+		return 0, false
+	}
 	num := 0.0
 	for i := range ix.comps {
-		c := &ix.comps[i]
-		evs := ext[i]
-		if len(evs) == 0 {
-			continue
+		if evs, lvs := q[i], ix.cols[i].get(id); len(evs) > 0 && len(lvs) > 0 {
+			num += ix.comps[i].weight * ix.comps[i].best(evs, lvs)
 		}
-		lvs := ix.loc[i][sh].m[loc]
-		if len(lvs) == 0 {
-			continue
-		}
-		best := 0.0
-		for vi := range evs {
-			ev := evs[vi].entry
-			for vj := range lvs {
-				lv := lvs[vj].entry
-				// A value pair whose length bound cannot beat the current
-				// best is settled without running the measure.
-				if c.bounded != nil && c.bounded.SimilarityUpperBound(ev.runeLen, lv.runeLen) <= best {
-					continue
-				}
-				var s float64
-				switch {
-				case c.prepared != nil:
-					// Both sides' values were prepared in this comparator's
-					// slot: the local ones when indexed, the external ones
-					// when resolved.
-					s = ev.prepared[c.slot].SimilarityPrepared(lv.prepared[c.slot])
-				case c.tokenSets != nil:
-					s = c.tokenSets.SimilarityTokenSets(ev.tokenSet, lv.tokenSet)
-				case c.tokens != nil:
-					s = c.tokens.SimilarityTokens(ev.tokens, lv.tokens)
-				default:
-					s = c.measure.Similarity(evs[vi].value, lvs[vj].value)
-				}
-				if s > best {
-					best = s
-				}
-			}
-		}
-		num += c.weight * best
 	}
-	return num / ix.totalWeight
+	return num / ix.totalWeight, true
 }
 
 // Match is a declared same-as link with its score.
@@ -260,6 +262,12 @@ type Match struct {
 	External rdf.Term
 	Local    rdf.Term
 	Score    float64
+}
+
+// Work counts the candidate pairs of one query: those scored, and those
+// skipped unscored because their bound could not reach the bar.
+type Work struct {
+	Scored, Pruned int
 }
 
 // ScorePairs scores candidate pairs and returns those at or above the
@@ -276,16 +284,16 @@ func (e *Engine) ScorePairs(pairs [][2]rdf.Term) []Match {
 // ctx.Err() is returned with a nil slice. Each distinct external item is
 // resolved once before the pairs fan out.
 func (e *Engine) ScorePairsCtx(ctx context.Context, pairs [][2]rdf.Term) ([]Match, error) {
-	ix := e.ix
-	exts := map[rdf.Term][][]indexedValue{}
+	ix, threshold := e.ix, e.cfg.Threshold
+	exts := map[rdf.Term][][]value{}
 	for _, p := range pairs {
 		if _, ok := exts[p[0]]; !ok {
 			exts[p[0]] = ix.resolve(p[0])
 		}
 	}
 	out, err := par.MapChunks(ctx, e.workers(), chunkSize, pairs, func(p [2]rdf.Term) (Match, bool) {
-		s := ix.score(exts[p[0]], p[1])
-		return Match{External: p[0], Local: p[1], Score: s}, s >= e.cfg.Threshold
+		s, ok := ix.scoreAbove(exts[p[0]], ix.idOf(p[1]), threshold)
+		return Match{External: p[0], Local: p[1], Score: s}, ok && s >= threshold
 	})
 	if err != nil {
 		return nil, err
@@ -312,7 +320,12 @@ func (e *Engine) LinkBestCtx(ctx context.Context, candidates map[rdf.Term][]rdf.
 		exts = append(exts, ext)
 	}
 	out, err := par.MapChunks(ctx, e.workers(), chunkSize, exts, func(ext rdf.Term) (Match, bool) {
-		return e.ix.bestFor(ext, candidates[ext], e.cfg.Threshold)
+		r := e.ix.ranker(ext, e.cfg.Threshold, 1)
+		r.offerTerms(candidates[ext])
+		if len(r.heap) == 0 {
+			return Match{}, false
+		}
+		return r.heap[0], true
 	})
 	if err != nil {
 		return nil, err
@@ -321,49 +334,147 @@ func (e *Engine) LinkBestCtx(ctx context.Context, candidates map[rdf.Term][]rdf.
 	return out, nil
 }
 
-// bestFor returns ext's best-scoring candidate among locs and whether it
-// clears the threshold.
-func (ix *index) bestFor(ext rdf.Term, locs []rdf.Term, threshold float64) (Match, bool) {
-	q := ix.resolve(ext)
-	best := Match{Score: -1}
-	for _, loc := range locs {
-		s := ix.score(q, loc)
-		if s > best.Score || (s == best.Score && loc.Compare(best.Local) < 0) {
-			best = Match{External: ext, Local: loc, Score: s}
-		}
-	}
-	return best, best.Score >= threshold
-}
-
 // TopK scores ext against every candidate in locs and returns up to k
 // matches at or above the threshold, best first under the same total
 // order ScorePairs sorts by. k <= 0 means no limit.
 func (e *Engine) TopK(ext rdf.Term, locs []rdf.Term, k int) []Match {
-	ix := e.ix
-	q := ix.resolve(ext)
-	var out []Match
-	for _, loc := range locs {
-		if s := ix.score(q, loc); s >= e.cfg.Threshold {
-			out = append(out, Match{External: ext, Local: loc, Score: s})
+	r := e.ix.ranker(ext, e.cfg.Threshold, k)
+	r.offerTerms(locs)
+	return r.result()
+}
+
+// TopKIDs is TopK over candidates given as IDs of the engine's ID table,
+// such as the Candidates of a core.SpaceReport computed on an instance
+// index whose table the engine shares (NewWithIDs), at the same
+// snapshot. It also reports the query's work.
+func (e *Engine) TopKIDs(ext rdf.Term, cands core.IDSet, k int) ([]Match, Work) {
+	r := e.ix.ranker(ext, e.cfg.Threshold, k)
+	for wi, w := range cands {
+		for w != 0 {
+			r.offer(uint32(wi<<6|bits.TrailingZeros64(w)), nil)
+			w &= w - 1
 		}
 	}
-	sortMatches(out)
-	if k > 0 && len(out) > k {
-		out = out[:k]
+	return r.result(), r.work
+}
+
+// ranker selects one external item's k best matches at or above the
+// threshold (k <= 0 keeps every one). It holds at most k matches in a
+// heap whose root ranks last, and once the heap is full raises its bar
+// from the threshold to the root's score, so that a candidate whose
+// bound cannot reach the k-th score is skipped unscored. The skip needs
+// the bound strictly below the bar: a candidate that ties the k-th
+// score can still win on the Local tie-break.
+type ranker struct {
+	ix        *index
+	q         [][]value
+	ext       rdf.Term
+	k         int
+	threshold float64
+	bar       float64
+	heap      []Match
+	work      Work
+}
+
+func (ix *index) ranker(ext rdf.Term, threshold float64, k int) ranker {
+	return ranker{ix: ix, q: ix.resolve(ext), ext: ext, k: k, threshold: threshold, bar: threshold}
+}
+
+// offerTerms offers every item of locs, mapping its term to its ID once.
+func (r *ranker) offerTerms(locs []rdf.Term) {
+	for i := range locs {
+		r.offer(r.ix.idOf(locs[i]), &locs[i])
 	}
-	return out
+}
+
+// offer scores local item id against the query and keeps the match if
+// it ranks among the k best so far. loc is the item's term, or nil to
+// read it from the ID table, which is done only for a match kept.
+func (r *ranker) offer(id uint32, loc *rdf.Term) {
+	s, ok := r.ix.scoreAbove(r.q, id, r.bar)
+	if !ok {
+		r.work.Pruned++
+		return
+	}
+	r.work.Scored++
+	full := r.k > 0 && len(r.heap) == r.k
+	if s < r.threshold || full && s < r.heap[0].Score {
+		return
+	}
+	m := Match{External: r.ext, Score: s}
+	if loc != nil {
+		m.Local = *loc
+	} else {
+		m.Local = r.ix.ids.Item(id)
+	}
+	switch {
+	case r.k <= 0:
+		r.heap = append(r.heap, m)
+		return
+	case !full:
+		r.heap = append(r.heap, m)
+		siftUp(r.heap, len(r.heap)-1)
+		if len(r.heap) < r.k {
+			return
+		}
+	case before(&m, &r.heap[0]):
+		r.heap[0] = m
+		siftDown(r.heap, 0)
+	default:
+		return
+	}
+	r.bar = max(r.threshold, r.heap[0].Score)
+}
+
+// result returns the kept matches, best first.
+func (r *ranker) result() []Match {
+	sortMatches(r.heap)
+	return r.heap
+}
+
+// before reports whether a ranks before b: higher score first, then
+// External, then Local by rdf.Term.Compare.
+func before(a, b *Match) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	if c := a.External.Compare(b.External); c != 0 {
+		return c < 0
+	}
+	return a.Local.Compare(b.Local) < 0
+}
+
+// siftUp and siftDown restore the ranker's heap order: no match ranks
+// before its parent, so the root ranks last.
+func siftUp(h []Match, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(&h[p], &h[i]) {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func siftDown(h []Match, i int) {
+	for {
+		last := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && before(&h[last], &h[c]) {
+				last = c
+			}
+		}
+		if last == i {
+			return
+		}
+		h[i], h[last] = h[last], h[i]
+		i = last
+	}
 }
 
 func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Score != ms[j].Score {
-			return ms[i].Score > ms[j].Score
-		}
-		if c := ms[i].External.Compare(ms[j].External); c != 0 {
-			return c < 0
-		}
-		return ms[i].Local.Compare(ms[j].Local) < 0
-	})
+	sort.Slice(ms, func(i, j int) bool { return before(&ms[i], &ms[j]) })
 }
 
 // Result is a confusion summary of declared links against ground truth.

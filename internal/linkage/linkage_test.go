@@ -234,3 +234,42 @@ func TestTopK(t *testing.T) {
 		t.Fatalf("TopK(2) = %v", two)
 	}
 }
+
+// TestPreparedPathMatchesPlainMeasures asserts the engine's prepared
+// fast path is observationally identical to scoring with the plain
+// measures through a Func wrapper (which can never be prepared).
+func TestPreparedPathMatchesPlainMeasures(t *testing.T) {
+	se, sl, pairs, _ := seededGraphs(13, 50, 35)
+	fast := Config{
+		Comparators: []Comparator{
+			{ExternalProperty: pn, LocalProperty: pn, Measure: similarity.Levenshtein{}, Weight: 2},
+			{ExternalProperty: label, LocalProperty: label, Measure: similarity.Damerau{}, Weight: 1},
+		},
+		Threshold: 0.1,
+	}
+	slow := fast
+	slow.Comparators = []Comparator{
+		{ExternalProperty: pn, LocalProperty: pn,
+			Measure: similarity.Func{F: similarity.Levenshtein{}.Similarity, ID: "lev"}, Weight: 2},
+		{ExternalProperty: label, LocalProperty: label,
+			Measure: similarity.Func{F: similarity.Damerau{}.Similarity, ID: "dam"}, Weight: 1},
+	}
+	fe, err := New(fast, se, sl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se2, sl2 := se.Snapshot(), sl.Snapshot()
+	we, err := New(slow, se2, sl2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm, wm := fe.ScorePairs(pairs), we.ScorePairs(pairs)
+	if len(fm) != len(wm) {
+		t.Fatalf("prepared path found %d matches, plain %d", len(fm), len(wm))
+	}
+	for i := range fm {
+		if fm[i] != wm[i] {
+			t.Fatalf("match %d differs: prepared %+v, plain %+v", i, fm[i], wm[i])
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -224,6 +225,23 @@ func TestTraceAndSpans(t *testing.T) {
 	StartSpan(context.Background(), "x").End()
 	if got := TraceFrom(context.Background()); got != nil {
 		t.Errorf("TraceFrom(empty ctx) = %v", got)
+	}
+}
+
+func TestTraceCounts(t *testing.T) {
+	tr := NewTrace(nil)
+	tr.Add("candidates", 3)
+	tr.Add("pruned", 0)
+	tr.Add("candidates", 4)
+	want := []Count{{"candidates", 7}, {"pruned", 0}}
+	if got := tr.Counts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Counts() = %+v, want %+v", got, want)
+	}
+	// A nil trace (no trace in the context) ignores counts.
+	var none *Trace
+	none.Add("candidates", 1)
+	if got := none.Counts(); got != nil {
+		t.Errorf("nil trace Counts() = %+v", got)
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 // breakdown, e.g. /v1/link?debug=timings) and in whatever sink the
 // Trace owner wired (typically a stage-labeled latency histogram).
 // Code that never sees a Trace in its context pays one context lookup
-// per span and nothing else — no clock reads, no allocation.
+// per span and nothing else — no clock reads, no allocation. A Trace
+// also carries the request's work counters (Add): how much a stage did,
+// next to how long it took.
 
 // Stage is one timed pipeline stage of a request.
 type Stage struct {
@@ -25,7 +27,15 @@ type Stage struct {
 type Trace struct {
 	mu     sync.Mutex
 	stages []Stage
+	counts []Count
 	sink   func(name string, d time.Duration)
+}
+
+// Count is one named work counter of a request, such as the candidate
+// pairs a link query scored.
+type Count struct {
+	Name string
+	N    int64
 }
 
 // NewTrace returns an empty trace. sink, when non-nil, additionally
@@ -56,6 +66,33 @@ func (t *Trace) Stages() []Stage {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Stage(nil), t.stages...)
+}
+
+// Add adds n to the trace's work counter name, creating it on first
+// use.
+func (t *Trace) Add(name string, n int64) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.counts {
+		if t.counts[i].Name == name {
+			t.counts[i].N += n
+			return
+		}
+	}
+	t.counts = append(t.counts, Count{Name: name, N: n})
+}
+
+// Counts returns a copy of the work counters in first-use order.
+func (t *Trace) Counts() []Count {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]Count(nil), t.counts...)
 }
 
 type traceKey struct{}

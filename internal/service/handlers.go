@@ -432,6 +432,11 @@ type linkResponse struct {
 	// Timings is the per-stage breakdown of this query, present only
 	// when the client asked for ?debug=timings.
 	Timings []stageJSON `json:"timings,omitempty"`
+	// Counts is the query's work (datalink.CountLink*: candidates, pairs
+	// scored and pruned, items that fired no rule), present only when
+	// the client asked for ?debug=timings. /metrics exports the same
+	// names as linkrules_<name>_total.
+	Counts map[string]int64 `json:"counts,omitempty"`
 }
 
 func (s *Service) handleLink(w http.ResponseWriter, r *http.Request) {
@@ -508,6 +513,7 @@ func (s *Service) handleLink(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	s.met.addWork(tr.Counts())
 	results := make([]linkResult, 0, len(topk))
 	for item, ms := range topk {
 		lr := linkResult{Item: item.Value, Matches: make([]matchJSON, 0, len(ms))}
@@ -521,6 +527,10 @@ func (s *Service) handleLink(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("debug") == "timings" {
 		for _, st := range tr.Stages() {
 			resp.Timings = append(resp.Timings, stageJSON{Stage: st.Name, Seconds: st.Duration.Seconds()})
+		}
+		resp.Counts = map[string]int64{}
+		for _, c := range tr.Counts() {
+			resp.Counts[c.Name] = c.N
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

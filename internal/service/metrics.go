@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"time"
 
+	datalink "repro"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -25,6 +26,9 @@ type serviceMetrics struct {
 	timeouts  *obs.Counter
 	panics    *obs.Counter
 	stages    *obs.HistogramVec // stage: engine, blocking, scoring, learn, publish
+	// work holds the link-query work counters, keyed by the trace count
+	// name LinkTopK adds (datalink.CountLink*).
+	work map[string]*obs.Counter
 }
 
 func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
@@ -46,6 +50,15 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		stages: reg.HistogramVec("linkrules_stage_seconds",
 			"Pipeline stage durations (engine, blocking, scoring, learn, publish).",
 			obs.DefBuckets(), "stage"),
+		work: map[string]*obs.Counter{},
+	}
+	for name, help := range map[string]string{
+		datalink.CountLinkCandidates:  "Local candidates expanded by link queries: the sum of the items' reduced-space sizes.",
+		datalink.CountLinkPairsScored: "Candidate pairs link queries scored.",
+		datalink.CountLinkPairsPruned: "Candidate pairs link queries skipped unscored because their score bound could not reach the threshold or the k-th best score.",
+		datalink.CountLinkItemsNoRule: "Items link queries answered with an empty reduced space because they fired no rule.",
+	} {
+		m.work[name] = reg.Counter("linkrules_"+name+"_total", help)
 	}
 	// Build identity as the conventional constant-1 info gauge, so every
 	// scrape (and every loadgen report that diffs scrapes) names the
@@ -64,6 +77,13 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 func (m *serviceMetrics) stageSink() func(name string, d time.Duration) {
 	return func(name string, d time.Duration) {
 		m.stages.With(name).Observe(d.Seconds())
+	}
+}
+
+// addWork adds a finished link query's work counters from its trace.
+func (m *serviceMetrics) addWork(counts []obs.Count) {
+	for _, c := range counts {
+		m.work[c.Name].Add(uint64(c.N))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	datalink "repro"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -209,6 +210,11 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 		`linkrules_stage_seconds_count{stage="engine"} 1`,
 		`linkrules_stage_seconds_count{stage="learn"}`,
 		`linkrules_stage_seconds_count{stage="publish"}`,
+		// pipeline work counters (the same link query)
+		"linkrules_link_candidates_total",
+		"linkrules_link_pairs_scored_total",
+		"linkrules_link_pairs_pruned_total",
+		"linkrules_link_items_no_rule_total",
 		// store layer
 		"linkrules_wal_appends_total",
 		"linkrules_wal_fsync_seconds_count",
@@ -219,6 +225,13 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics is missing %q", want)
 		}
+	}
+	// Every candidate pair is either scored or pruned by its bound.
+	cands := metricValue(t, text, "linkrules_link_candidates_total")
+	scored := metricValue(t, text, "linkrules_link_pairs_scored_total")
+	pruned := metricValue(t, text, "linkrules_link_pairs_pruned_total")
+	if cands == 0 || scored+pruned != cands {
+		t.Errorf("candidates %v, scored %v + pruned %v: want a non-empty, fully accounted space", cands, scored, pruned)
 	}
 	// The store Func gauges must mirror Stats() — same source, no drift.
 	stats := svc.Store().Stats()
@@ -231,7 +244,8 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 }
 
 // TestLinkDebugTimings asserts ?debug=timings returns the stage
-// breakdown and that the plain response omits it.
+// breakdown and the work counters, and that the plain response omits
+// both.
 func TestLinkDebugTimings(t *testing.T) {
 	h := corpusService(t).Handler()
 	if rec := call(t, h, "POST", "/v1/learn", learnBody(10), nil); rec.Code != http.StatusOK {
@@ -241,8 +255,8 @@ func TestLinkDebugTimings(t *testing.T) {
 	if rec := call(t, h, "POST", "/v1/link", linkRequest{TopK: 1}, &plain); rec.Code != http.StatusOK {
 		t.Fatalf("link: %d %s", rec.Code, rec.Body)
 	}
-	if len(plain.Timings) != 0 {
-		t.Errorf("undebugged link response carries timings: %+v", plain.Timings)
+	if len(plain.Timings) != 0 || plain.Counts != nil {
+		t.Errorf("undebugged link response carries timings or counts: %+v %+v", plain.Timings, plain.Counts)
 	}
 	var dbg linkResponse
 	if rec := call(t, h, "POST", "/v1/link?debug=timings", linkRequest{TopK: 1}, &dbg); rec.Code != http.StatusOK {
@@ -259,6 +273,11 @@ func TestLinkDebugTimings(t *testing.T) {
 		if !got[stage] {
 			t.Errorf("timings missing stage %q (got %+v)", stage, dbg.Timings)
 		}
+	}
+	c := dbg.Counts
+	if len(c) != 4 || c[datalink.CountLinkCandidates] == 0 ||
+		c[datalink.CountLinkPairsScored]+c[datalink.CountLinkPairsPruned] != c[datalink.CountLinkCandidates] {
+		t.Errorf("counts = %v, want the four link work counters over a non-empty space", c)
 	}
 }
 

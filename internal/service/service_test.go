@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -213,6 +214,60 @@ func TestLink(t *testing.T) {
 	bad := linkRequest{Comparators: []comparatorSpec{{ExternalProperty: pnProp, Measure: "nope"}}}
 	if rec := call(t, h, "POST", "/v1/link", bad, nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad measure: %d, want 400", rec.Code)
+	}
+}
+
+// TestLinkEmptySpacePolicy pins the policy for an item whose reduced
+// space is empty — one that fires no rule, and one whose predicted class
+// has no local instance left: a 200 with an empty matches list, even at
+// threshold 0, and no fallback to the full catalog. ?debug=timings
+// counts the first as an item that fired no rule.
+func TestLinkEmptySpacePolicy(t *testing.T) {
+	h := corpusService(t).Handler()
+	call(t, h, "POST", "/v1/learn", learnBody(20), nil)
+	up := upsertRequest{Side: "external", Items: []itemSpec{
+		// No segment of this part number occurs in any rule.
+		{ID: "http://ex.org/e/none", Properties: map[string][]string{pnProp: {"ZZZ-QQQQ"}}},
+		// Only capacitor rules fire for this one.
+		{ID: "http://ex.org/e/cap", Properties: map[string][]string{pnProp: {"CAP-W"}}},
+	}}
+	if rec := call(t, h, "POST", "/v1/items/upsert", up, nil); rec.Code != http.StatusOK {
+		t.Fatalf("upsert: %d %s", rec.Code, rec.Body)
+	}
+	rm := removeRequest{Side: "local"}
+	for i := 0; i < 20; i++ {
+		rm.IDs = append(rm.IDs, fmt.Sprintf("http://ex.org/l/c%d", i))
+	}
+	if rec := call(t, h, "POST", "/v1/items/remove", rm, nil); rec.Code != http.StatusOK {
+		t.Fatalf("remove: %d %s", rec.Code, rec.Body)
+	}
+
+	zero := 0.0
+	req := linkRequest{Items: []string{"http://ex.org/e/none", "http://ex.org/e/cap"}, Threshold: &zero}
+	var resp linkResponse
+	rec := call(t, h, "POST", "/v1/link?debug=timings", req, &resp)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("link: %d %s", rec.Code, rec.Body)
+	}
+	if len(resp.Results) != 2 {
+		t.Fatalf("results: %+v", resp.Results)
+	}
+	for _, r := range resp.Results {
+		if r.Matches == nil || len(r.Matches) != 0 {
+			t.Errorf("%s: matches %+v, want an empty list", r.Item, r.Matches)
+		}
+	}
+	if n := strings.Count(rec.Body.String(), `"matches":[]`); n != 2 {
+		t.Errorf("body has %d empty matches lists, want 2: %s", n, rec.Body)
+	}
+	want := map[string]int64{
+		datalink.CountLinkCandidates:  0,
+		datalink.CountLinkPairsScored: 0,
+		datalink.CountLinkPairsPruned: 0,
+		datalink.CountLinkItemsNoRule: 1,
+	}
+	if !reflect.DeepEqual(resp.Counts, want) {
+		t.Errorf("counts = %v, want %v", resp.Counts, want)
 	}
 }
 

@@ -82,6 +82,19 @@ type PreparedMeasure interface {
 	Prepare(a string) Prepared
 }
 
+// LeftPrepared is implemented by PreparedMeasures whose prepared form
+// reads only the raw string of the right-hand side: SimilarityPrepared(o)
+// equals Similarity(b) for the string b that o was prepared from, as for
+// the edit distances, whose pattern bitmap is built from the left side
+// alone. Callers holding many right-hand values (the linkage engine's
+// local value columns) keep only the strings, score them with
+// Prepared.Similarity, and never build a preparation nobody reads.
+type LeftPrepared interface {
+	PreparedMeasure
+	// PreparesLeftOnly marks the measure; it does nothing.
+	PreparesLeftOnly()
+}
+
 // Func adapts a plain function to the Measure interface.
 type Func struct {
 	F  func(a, b string) float64

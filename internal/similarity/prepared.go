@@ -68,6 +68,13 @@ func (Levenshtein) Prepare(a string) Prepared { return newEditPattern(a, false) 
 // Prepare implements PreparedMeasure.
 func (Damerau) Prepare(a string) Prepared { return newEditPattern(a, true) }
 
+// PreparesLeftOnly implements LeftPrepared: an edit pattern reads only
+// the other side's value.
+func (Levenshtein) PreparesLeftOnly() {}
+
+// PreparesLeftOnly implements LeftPrepared.
+func (Damerau) PreparesLeftOnly() {}
+
 // runeLen counts runes without allocating.
 func runeLen(s string) int {
 	n := 0

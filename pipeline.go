@@ -139,14 +139,14 @@ type Patch = linkage.IndexPatch
 
 // ApplyPatches reports an ordered mixed upsert/remove batch of item
 // mutations the caller already made to the graphs: local-side entries
-// re-index the engine's catalog values and the instance index, item by
-// item. External items need no patch — they are read from the graph
-// snapshot at query time — so their entries are no-ops. The caller
-// publishes once after the batch, so N items cost one Snapshot.
+// re-index the instance index and then the engine's catalog values, item
+// by item. The instance index goes first because it owns the ID table
+// both share: it gives a new catalog item its ID, and the engine then
+// files the item's values under that ID. External items need no
+// patch — they are read from the graph snapshot at query time — so
+// their entries are no-ops. The caller publishes once after the batch,
+// so N items cost one Snapshot.
 func (p *Pipeline) ApplyPatches(patches []Patch) {
-	if p.linker != nil {
-		p.linker.ApplyPatches(patches)
-	}
 	for _, pt := range patches {
 		if pt.Side != LocalSide {
 			continue
@@ -159,18 +159,23 @@ func (p *Pipeline) ApplyPatches(patches []Patch) {
 			}
 		}
 	}
+	if p.linker != nil {
+		p.linker.ApplyPatches(patches)
+	}
 }
 
 // EnsureLinker builds the writer's engine for cfg's comparators unless
 // it already exists, so the views Snapshot publishes score with it
-// instead of compiling a value index per query. Queries with other
-// comparators still work: the view builds a request-scoped engine from
-// its own frozen graphs. Must be serialized with ApplyPatches.
+// instead of compiling a value index per query. The engine shares the
+// instance index's ID table, so a view scores its class sets' IDs
+// directly. Queries with other comparators still work: the view builds
+// a request-scoped engine from its own frozen graphs and table. Must be
+// serialized with ApplyPatches.
 func (p *Pipeline) EnsureLinker(cfg LinkerConfig) error {
 	if p.linker != nil && reflect.DeepEqual(cfg.Comparators, p.linkerCfg.Comparators) {
 		return nil
 	}
-	eng, err := linkage.New(cfg, p.se, p.sl)
+	eng, err := linkage.NewWithIDs(cfg, p.se, p.sl, p.Instances.IDs())
 	if err != nil {
 		return err
 	}
@@ -183,10 +188,10 @@ func (p *Pipeline) EnsureLinker(cfg LinkerConfig) error {
 
 // Snapshot publishes a QueryView of the pipeline's current state in
 // O(1): graph, instance-index and engine snapshots are copy-on-write,
-// and the engine's snapshot resolves external items from the same
-// external graph snapshot the view holds. It first warms the instance
-// sets of the model's rule classes, so the frozen index answers from
-// its memo. Like every writer it must be serialized with mutations; the
+// the engine's snapshot resolves external items from the same external
+// graph snapshot the view holds, and both index snapshots read the same
+// frozen ID table. It first warms the instance sets of the model's rule
+// classes, so the frozen index answers from its memo. Like every writer it must be serialized with mutations; the
 // returned view is safe for unsynchronized concurrent use from then on.
 func (p *Pipeline) Snapshot() *QueryView {
 	p.Instances.Freeze(p.classes)
@@ -245,7 +250,9 @@ func (v *QueryView) ReducedSpace(item Term) SpaceReport {
 
 // engineFor resolves the scoring engine for cfg: the published engine
 // snapshot under cfg's threshold and workers when the comparators match,
-// else a request-scoped engine compiled from the frozen snapshots.
+// else a request-scoped engine compiled from the frozen snapshots over
+// the view's frozen ID table. Either scores the IDs of the view's class
+// sets.
 // Comparators are compared with reflect.DeepEqual, which is always false
 // for measures carrying function values (similarity.Func closures):
 // those configs still work but compile an engine per query.
@@ -253,7 +260,7 @@ func (v *QueryView) engineFor(cfg LinkerConfig) (*linkage.Engine, error) {
 	if v.eng != nil && reflect.DeepEqual(cfg.Comparators, v.engCfg.Comparators) {
 		return v.eng.WithOptions(cfg.Threshold, cfg.Workers)
 	}
-	return linkage.New(cfg, v.se, v.sl)
+	return linkage.NewWithIDs(cfg, v.se, v.sl, v.ix.IDs())
 }
 
 // candidates expands one item's reduced space into its local candidates.
@@ -266,19 +273,38 @@ func (v *QueryView) candidates(item Term) []Term {
 	return locs
 }
 
-// itemCands pairs an external item with its expanded local candidates.
-type itemCands struct {
-	item Term
-	locs []Term
-}
+// Work counters LinkTopK adds to the request's obs.Trace, one sum per
+// call. The service exports each as the counter
+// linkrules_<name>_total and returns them with ?debug=timings.
+const (
+	// CountLinkCandidates is the candidates expanded: the sum of the
+	// items' UnionSize.
+	CountLinkCandidates = "link_candidates"
+	// CountLinkPairsScored is the candidate pairs scored.
+	CountLinkPairsScored = "link_pairs_scored"
+	// CountLinkPairsPruned is the candidate pairs skipped unscored
+	// because their score bound could not reach the bar.
+	CountLinkPairsPruned = "link_pairs_pruned"
+	// CountLinkItemsNoRule is the items that fired no rule.
+	CountLinkItemsNoRule = "link_items_no_rule"
+)
 
 // LinkTopK returns, for every item, its k best-scoring candidates at or
 // above cfg.Threshold inside the item's reduced linking space (k <= 0
 // means all). The per-item slices follow the engine's match order.
+//
+// The reduced space is the union of the item's predicted classes'
+// instance sets, as IDs (SpaceReport.Candidates), and the engine scores
+// those IDs directly (linkage.Engine.TopKIDs). An item that fires no
+// rule, or whose predicted classes have no local instance, has an empty
+// space; the policy is to keep it empty, so it gets no matches — there
+// is no fallback to the full catalog.
+//
 // Candidate expansion runs serially; the scoring stage fans out across
 // cfg.Workers goroutines. When the context carries an obs.Trace, the
-// engine-resolution, blocking and scoring stages are timed into it;
-// without one the spans are free.
+// engine-resolution, blocking and scoring stages are timed into it and
+// the Count* work counters are added to it; without one the spans and
+// counters are free.
 func (v *QueryView) LinkTopK(ctx context.Context, items []Term, cfg LinkerConfig, k int) (map[Term][]Match, error) {
 	sp := obs.StartSpan(ctx, "engine")
 	eng, err := v.engineFor(cfg)
@@ -287,31 +313,44 @@ func (v *QueryView) LinkTopK(ctx context.Context, items []Term, cfg LinkerConfig
 		return nil, fmt.Errorf("datalink: building linker: %w", err)
 	}
 	sp = obs.StartSpan(ctx, "blocking")
-	cands := make([]itemCands, 0, len(items))
+	spaces := make([]SpaceReport, 0, len(items))
 	for _, item := range items {
 		if err := ctx.Err(); err != nil {
 			sp.End()
 			return nil, err
 		}
-		cands = append(cands, itemCands{item: item, locs: v.candidates(item)})
+		spaces = append(spaces, v.ReducedSpace(item))
 	}
 	sp.End()
 	sp = obs.StartSpan(ctx, "scoring")
 	defer sp.End()
 	type itemMatches struct {
-		item Term
 		ms   []Match
+		work linkage.Work
 	}
-	scored, err := par.MapChunks(ctx, par.Workers(cfg.Workers), 0, cands, func(c itemCands) (itemMatches, bool) {
-		return itemMatches{item: c.item, ms: eng.TopK(c.item, c.locs, k)}, true
+	scored, err := par.MapChunks(ctx, par.Workers(cfg.Workers), 0, spaces, func(sr SpaceReport) (itemMatches, bool) {
+		ms, work := eng.TopKIDs(sr.Item, sr.Candidates(), k)
+		return itemMatches{ms: ms, work: work}, true
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[Term][]Match, len(scored))
-	for _, im := range scored {
-		out[im.item] = im.ms
+	var cands, noRule, pairs, pruned int
+	for i, sr := range spaces {
+		out[sr.Item] = scored[i].ms
+		pairs += scored[i].work.Scored
+		pruned += scored[i].work.Pruned
+		cands += sr.UnionSize
+		if len(sr.Subspaces) == 0 {
+			noRule++
+		}
 	}
+	tr := obs.TraceFrom(ctx)
+	tr.Add(CountLinkCandidates, int64(cands))
+	tr.Add(CountLinkPairsScored, int64(pairs))
+	tr.Add(CountLinkPairsPruned, int64(pruned))
+	tr.Add(CountLinkItemsNoRule, int64(noRule))
 	return out, nil
 }
 
