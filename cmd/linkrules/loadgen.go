@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -18,33 +19,29 @@ import (
 
 	datalink "repro"
 	"repro/internal/obs"
-	"repro/internal/service"
-	"repro/internal/store"
 )
 
-// cmdLoadgen drives a linking service with a sustained mixed workload at
-// a target request rate and reports whether it held its latency SLO.
-// Where `bench` measures isolated phase throughput (how fast can one
-// client push the pipeline), loadgen measures the service under
-// concurrent open-loop load: link queries, item re-upserts and full
-// relearns arriving together, the way production traffic does.
+// cmdLoadgen drives a running linking service over HTTP with a sustained
+// mixed workload at a target request rate and reports whether it held
+// its latency SLO: link queries, item re-upserts and full relearns
+// arriving together, the way production traffic does. It is a plain
+// client of `serve` (-addr is required); the in-process stack is
+// measured by the repository benchmark, linkbench.
 //
-// The target is either a running server (-addr, scraped over HTTP) or an
-// in-process durable service built from the corpus flags — the same
-// stack `serve` runs, minus the network. Either way the harness scrapes
-// /metrics before and after the run and diffs the two scrapes, so the
-// report carries both sides of the story: client-observed latency
-// (sampled from each request's scheduled start, so queueing delay is
-// included — no coordinated omission) and the server's own histogram
-// and counter deltas over exactly the load window.
+// The harness scrapes the server's /metrics before and after the run
+// and diffs the two scrapes, so the report carries both sides of the
+// story: client-observed latency (sampled from each request's scheduled
+// start, so queueing delay is included — no coordinated omission) and
+// the server's own histogram and counter deltas over exactly the load
+// window.
 //
-// The report ("linkrules-loadgen/1", stable schema: only add fields) is
-// the PR-trajectory artifact; -slo-p99 turns it into a gate — the exit
-// status is non-zero when the link p99 misses the target.
+// The report ("linkrules-loadgen/1", stable schema: only add fields)
+// is a deployment's SLO record; -slo-p99 turns it into a gate — the
+// exit status is non-zero when the link p99 misses the target.
 func cmdLoadgen(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
-	cf := addCorpusFlags(fs)
-	addr := fs.String("addr", "", "target a running service at HOST:PORT (empty: in-process service)")
+	cf := addShapeFlags(fs)
+	addr := fs.String("addr", "", "running service to drive, HOST:PORT or URL (required)")
 	qps := fs.Float64("qps", 10, "target request rate (open loop)")
 	duration := fs.Duration("duration", 15*time.Second, "load window length")
 	workers := fs.Int("workers", 4, "concurrent client workers")
@@ -55,9 +52,11 @@ func cmdLoadgen(args []string) error {
 	out := fs.String("out", "-", "report file (- writes to stdout)")
 	smoke := fs.Bool("smoke", false, "tiny corpus and short window, for CI smoke runs")
 	apiKey := fs.String("api-key", "", "X-API-Key header sent with every request")
-	fsyncMode := fs.String("fsync", "interval", "WAL fsync policy for the in-process store: never, interval or always")
 	if err := parse(fs, args); err != nil {
 		return err
+	}
+	if *addr == "" {
+		return fmt.Errorf("-addr is required: start a service with `linkrules serve` and pass its HOST:PORT")
 	}
 	if *smoke {
 		if cf.scale == "paper" {
@@ -102,10 +101,7 @@ func cmdLoadgen(args []string) error {
 	fmt.Fprintf(os.Stderr, "linkrules loadgen: %s corpus, seed %d (%d external items, |TS| %d)\n",
 		cf.scale, cf.seed, len(specs), ds.Training.Len())
 
-	target, targetMode, err := buildTarget(cf, ds, *addr, *apiKey, *fsyncMode)
-	if err != nil {
-		return err
-	}
+	target := newHTTPTarget(*addr, *apiKey)
 	defer target.close()
 	if err := warmTarget(target, specs, ds); err != nil {
 		return err
@@ -137,7 +133,7 @@ func cmdLoadgen(args []string) error {
 		CPUs:      runtime.NumCPU(),
 		Smoke:     *smoke,
 		Build:     obs.Build(),
-		Target:    loadgenTarget{Mode: targetMode, Addr: *addr, Fsync: *fsyncMode},
+		Target:    loadgenTarget{Mode: "http", Addr: *addr},
 		Workload: loadgenWorkload{
 			TargetQPS:     *qps,
 			DurationSec:   duration.Seconds(),
@@ -223,59 +219,27 @@ func parseMix(s string) (map[string]int, error) {
 	return mix, nil
 }
 
-// lgTarget abstracts where the load lands: an in-process handler or a
-// live server over HTTP. do never fails on HTTP-level errors — the
-// status code is the measurement; err is transport-only.
-type lgTarget interface {
-	do(method, path string, body []byte) (status int, resp []byte, err error)
-	scrape() (string, error)
-	close()
-}
-
-// handlerTarget drives the in-process service directly, like bench.
-type handlerTarget struct {
-	h   http.Handler
-	svc *service.Service
-	dir string
-	key string
-}
-
-func (t *handlerTarget) do(method, path string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequest(method, "http://loadgen.invalid"+path, strings.NewReader(string(body)))
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if t.key != "" {
-		req.Header.Set("X-API-Key", t.key)
-	}
-	rw := &benchRecorder{}
-	t.h.ServeHTTP(rw, req)
-	return rw.code, rw.body.Bytes(), nil
-}
-
-func (t *handlerTarget) scrape() (string, error) {
-	code, body, err := t.do("GET", "/metrics", nil)
-	if err != nil || code != http.StatusOK {
-		return "", fmt.Errorf("scrape: %d %v", code, err)
-	}
-	return string(body), nil
-}
-
-func (t *handlerTarget) close() {
-	t.svc.Close()
-	os.RemoveAll(t.dir)
-}
-
-// httpTarget drives a running server. Responses are drained so
-// keep-alive connections get reused — the client must not become the
-// bottleneck it is measuring.
+// httpTarget drives a running server. do never fails on HTTP-level
+// errors — the status code is the measurement; err is transport-only.
+// Responses are drained so keep-alive connections get reused — the
+// client must not become the bottleneck it is measuring.
 type httpTarget struct {
 	base string
 	key  string
 	c    *http.Client
+}
+
+// newHTTPTarget resolves -addr: a bare HOST:PORT gets an http:// scheme.
+func newHTTPTarget(addr, apiKey string) *httpTarget {
+	base := addr
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
+	}
+	return &httpTarget{
+		base: strings.TrimSuffix(base, "/"),
+		key:  apiKey,
+		c:    &http.Client{Timeout: 2 * time.Minute},
+	}
 }
 
 func (t *httpTarget) do(method, path string, body []byte) (int, []byte, error) {
@@ -314,64 +278,12 @@ func (t *httpTarget) scrape() (string, error) {
 
 func (t *httpTarget) close() { t.c.CloseIdleConnections() }
 
-// buildTarget resolves -addr: empty builds the same durable stack bench
-// uses (temp store, flight recorder on defaults); otherwise the load
-// goes over HTTP to the given server.
-func buildTarget(cf *corpusFlags, ds *datalink.Dataset, addr, apiKey, fsyncMode string) (lgTarget, string, error) {
-	if addr != "" {
-		base := addr
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		return &httpTarget{
-			base: strings.TrimSuffix(base, "/"),
-			key:  apiKey,
-			c:    &http.Client{Timeout: 2 * time.Minute},
-		}, "http", nil
-	}
-	mode, err := store.ParseFsyncMode(fsyncMode)
-	if err != nil {
-		return nil, "", err
-	}
-	dir, err := os.MkdirTemp("", "linkrules-loadgen-*")
-	if err != nil {
-		return nil, "", err
-	}
-	reg := obs.NewRegistry()
-	st, rec, err := store.Open(dir, store.Options{
-		Fsync:         mode,
-		SnapshotEvery: -1, // no auto-checkpoints: runs stay comparable
-		Metrics:       store.NewMetrics(reg),
-	})
-	if err != nil {
-		os.RemoveAll(dir)
-		return nil, "", err
-	}
-	seed := &service.Seed{
-		External: ds.External,
-		Local:    ds.Local,
-		Ontology: ds.Ontology,
-		Training: ds.Training.Links,
-	}
-	svc, err := service.Restore(st, rec, seed, service.Options{
-		Learner:       datalink.LearnerConfig{SupportThreshold: cf.th},
-		DefaultLinker: datalink.DefaultLinkingConfig(),
-		Metrics:       reg,
-	})
-	if err != nil {
-		st.Close()
-		os.RemoveAll(dir)
-		return nil, "", err
-	}
-	return &handlerTarget{h: svc.Handler(), svc: svc, dir: dir, key: apiKey}, "inprocess", nil
-}
-
 // warmTarget makes sure the target can answer link queries: if its
 // status says no corpus or no model, the corpus is upserted and learned
 // through the API. An already-seeded server is left untouched — it is
 // assumed to hold the same corpus (start `serve` with the same corpus
 // flags).
-func warmTarget(target lgTarget, specs []benchItem, ds *datalink.Dataset) error {
+func warmTarget(target *httpTarget, specs []benchItem, ds *datalink.Dataset) error {
 	code, body, err := target.do("GET", "/v1/status", nil)
 	if err != nil || code != http.StatusOK {
 		return fmt.Errorf("target status: %d %v", code, err)
@@ -484,7 +396,7 @@ type lgResult struct {
 // and returns every completed request. The op sequence is drawn from a
 // seeded PCG, so two runs with the same seed issue the identical
 // request stream.
-func runLoad(target lgTarget, work *lgWorkload, mix map[string]int, qps float64, duration time.Duration, workers int, seed int64) []lgResult {
+func runLoad(target *httpTarget, work *lgWorkload, mix map[string]int, qps float64, duration time.Duration, workers int, seed int64) []lgResult {
 	rng := rand.New(rand.NewPCG(uint64(seed), 0x9e3779b97f4a7c15))
 	order := []string{"link", "upsert", "learn"}
 	total := 0
@@ -747,9 +659,8 @@ type loadgenReport struct {
 }
 
 type loadgenTarget struct {
-	Mode  string `json:"mode"` // "inprocess" or "http"
-	Addr  string `json:"addr,omitempty"`
-	Fsync string `json:"fsync,omitempty"`
+	Mode string `json:"mode"` // always "http"
+	Addr string `json:"addr,omitempty"`
 }
 
 type loadgenWorkload struct {
@@ -811,4 +722,85 @@ type loadgenSLO struct {
 	TargetP99Ms float64 `json:"target_p99_ms"`
 	LinkP99Ms   float64 `json:"link_p99_ms"`
 	Pass        bool    `json:"pass"`
+}
+
+type benchCorpus struct {
+	Scale           string `json:"scale"`
+	Seed            int64  `json:"seed"`
+	TrainingLinks   int    `json:"training_links"`
+	ExternalItems   int    `json:"external_items"`
+	ExternalTriples int    `json:"external_triples"`
+	LocalTriples    int    `json:"local_triples"`
+}
+
+// benchItem mirrors the upsert wire format.
+type benchItem struct {
+	ID         string              `json:"id"`
+	Properties map[string][]string `json:"properties"`
+}
+
+// externalItemSpecs converts the generated external graph into upsert
+// payloads: one spec per subject carrying its literal properties,
+// sorted so the ingest order is deterministic.
+func externalItemSpecs(g *datalink.Graph) []benchItem {
+	subjects := g.AllSubjects()
+	sort.Slice(subjects, func(i, j int) bool { return subjects[i].Compare(subjects[j]) < 0 })
+	specs := make([]benchItem, 0, len(subjects))
+	for _, s := range subjects {
+		props := map[string][]string{}
+		for _, tr := range g.Find(s, datalink.Term{}, datalink.Term{}) {
+			if tr.O.IsLiteral() {
+				props[tr.P.Value] = append(props[tr.P.Value], tr.O.Value)
+			}
+		}
+		if len(props) == 0 {
+			continue
+		}
+		specs = append(specs, benchItem{ID: s.Value, Properties: props})
+	}
+	return specs
+}
+
+// ndjsonItems renders specs as an NDJSON bulk body, one item per line.
+func ndjsonItems(specs []benchItem) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, s := range specs {
+		if err := enc.Encode(s); err != nil {
+			return nil, err
+		}
+	}
+	return buf.Bytes(), nil
+}
+
+// percentile returns the p-th percentile of sorted samples using
+// nearest-rank.
+func percentile(sorted []float64, p int) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := (len(sorted)*p + 99) / 100
+	if idx > 0 {
+		idx--
+	}
+	return sorted[idx]
+}
+
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+// rate divides guarding against a zero interval.
+func rate(n, sec float64) float64 {
+	if sec <= 0 {
+		return 0
+	}
+	return n / sec
 }

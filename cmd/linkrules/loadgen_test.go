@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -55,16 +56,23 @@ func TestHistQuantile(t *testing.T) {
 	}
 }
 
-// TestCLILoadgenSmoke runs the loadgen subcommand in smoke mode — the
-// same invocation CI uses — and checks the report: schema tag, client
-// and server blocks populated, a lint-clean scrape, and a passing SLO.
+// TestCLILoadgenSmoke starts a `serve` on the smoke corpus with the
+// flight recorder on and runs the loadgen subcommand against it in smoke
+// mode, as CI's "Load generation (e2e, live server)" step does, and
+// checks the report: schema tag, client and server blocks populated, a
+// lint-clean scrape, and a passing SLO. Then /debug/requests must
+// answer. The CI step repeats the run outside `go test` only to upload
+// its report, the deployment's SLO record, as LOADGEN_e2e.json.
 func TestCLILoadgenSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration in -short mode")
 	}
 	bin := binary(t)
+	// The corpus -smoke generates client-side: small scale, seed 42.
+	p := startServe(t, bin, "-scale", "small", "-links", "150", "-catalog", "500",
+		"-slow-ms", "50", "-trace-sample", "0.1", "-debug-requests")
 	out := filepath.Join(t.TempDir(), "LOADGEN.json")
-	stderr := run(t, bin, "loadgen", "-smoke", "-slo-p99", "60000", "-out", out)
+	stderr := run(t, bin, "loadgen", "-smoke", "-addr", p.base, "-slo-p99", "60000", "-out", out)
 	if !strings.Contains(stderr, "requests in") {
 		t.Errorf("loadgen progress output:\n%s", stderr)
 	}
@@ -79,7 +87,7 @@ func TestCLILoadgenSmoke(t *testing.T) {
 	if rep.Schema != "linkrules-loadgen/1" {
 		t.Errorf("schema = %q, want linkrules-loadgen/1", rep.Schema)
 	}
-	if !rep.Smoke || rep.Target.Mode != "inprocess" {
+	if !rep.Smoke || rep.Target.Mode != "http" || rep.Target.Addr != p.base {
 		t.Errorf("run description: %+v", rep)
 	}
 	if rep.Build.GoVersion == "" {
@@ -112,6 +120,41 @@ func TestCLILoadgenSmoke(t *testing.T) {
 		if _, ok := m[key]; !ok {
 			t.Errorf("report lacks top-level key %q", key)
 		}
+	}
+	// The flight recorder answers with the configuration serve gave it.
+	var dbg struct {
+		Config struct {
+			SlowMS     float64 `json:"slow_ms"`
+			SampleRate float64 `json:"sample_rate"`
+		} `json:"config"`
+	}
+	body := p.get(t, "/debug/requests?n=5")
+	if err := json.Unmarshal([]byte(body), &dbg); err != nil {
+		t.Fatalf("/debug/requests: %v\n%s", err, body)
+	}
+	if dbg.Config.SlowMS != 50 || dbg.Config.SampleRate != 0.1 {
+		t.Errorf("flight recorder config %+v, want slow_ms 50, sample_rate 0.1", dbg.Config)
+	}
+}
+
+// TestCLILoadgenRequiresAddr: loadgen is a client of a running service,
+// so a run without -addr fails before generating any corpus.
+func TestCLILoadgenRequiresAddr(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration in -short mode")
+	}
+	bin := binary(t)
+	out, err := exec.Command(bin, "loadgen", "-smoke").CombinedOutput()
+	if err == nil {
+		t.Fatalf("loadgen without -addr succeeded:\n%s", out)
+	}
+	if !strings.Contains(string(out), "-addr") {
+		t.Errorf("error does not name -addr:\n%s", out)
+	}
+	// The server's learner config applies, so loadgen takes no -th.
+	out, err = exec.Command(bin, "loadgen", "-th", "0.01", "-addr", "127.0.0.1:1").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-th") {
+		t.Errorf("loadgen accepted -th (err %v):\n%s", err, out)
 	}
 }
 

@@ -25,10 +25,14 @@
 //	            batch linking workflow (train → classify → CSV)
 //	ingest      stream a corpus file into a service via the bulk path
 //	serve       run the live linking service (HTTP/JSON)
-//	bench       run the service benchmark, emit a JSON report
-//	loadgen     drive a service with a mixed workload, check the SLO
+//	loadgen     drive a running service with a mixed workload, check
+//	            the SLO
 //	version     print build identity (version, go version, revision)
 //	all         run every experiment in sequence
+//
+// Performance is measured by the repository benchmark, the separate
+// linkbench module (linkbench/README.md), which drives the in-process
+// service stack and checks its answers.
 package main
 
 import (
@@ -103,8 +107,6 @@ func main() {
 		err = cmdExport(args)
 	case "serve":
 		err = cmdServe(args)
-	case "bench":
-		err = cmdBench(args)
 	case "loadgen":
 		err = cmdLoadgen(args)
 	case "version", "-version", "--version":
@@ -170,26 +172,21 @@ service:
                           -snapshot-every N); an existing store's state
                           wins over the corpus flags
 
-  bench                   run the benchmark corpus end-to-end through the
-                          service stack (upsert throughput, learn time,
-                          link p50/p99, WAL append rate) and emit a
-                          machine-readable JSON report to stdout, or to
-                          -out FILE (-smoke for CI)
-
-  loadgen -qps N          drive a service (in-process, or -addr HOST:PORT
-                          for a running one) with a mixed open-loop
-                          workload (-mix link=90,upsert=9,learn=1) for
-                          -duration, diff its /metrics scrapes, and emit
-                          a JSON report (stdout, or -out FILE); -slo-p99
-                          MS makes a missed link p99 exit non-zero
-                          (-smoke for CI)
+  loadgen -addr HOST:PORT drive a running serve over HTTP with a mixed
+                          open-loop workload (-qps N, -mix
+                          link=90,upsert=9,learn=1) for -duration, diff
+                          its /metrics scrapes, and emit a JSON report
+                          (stdout, or -out FILE); -slo-p99 MS makes a
+                          missed link p99 exit non-zero (-smoke for CI;
+                          the corpus flags must match the server's)
 
   version                 print build identity (also -version)
 
 common flags: -seed N, -scale paper|small, -links N, -catalog N`)
 }
 
-// corpusFlags holds the shared corpus-shaping flags.
+// corpusFlags holds the shared corpus-shaping flags and the learner's
+// support threshold.
 type corpusFlags struct {
 	seed    int64
 	scale   string
@@ -198,13 +195,23 @@ type corpusFlags struct {
 	th      float64
 }
 
+// addCorpusFlags registers the corpus-shaping flags plus -th, for the
+// commands that learn rules with that threshold.
 func addCorpusFlags(fs *flag.FlagSet) *corpusFlags {
+	cf := addShapeFlags(fs)
+	fs.Float64Var(&cf.th, "th", 0, "support threshold (0 = paper default 0.002)")
+	return cf
+}
+
+// addShapeFlags registers only the corpus-shaping flags, for the
+// commands that would ignore -th: they write data, fix their own
+// learner config, or (loadgen) leave learning to the server.
+func addShapeFlags(fs *flag.FlagSet) *corpusFlags {
 	cf := &corpusFlags{}
 	fs.Int64Var(&cf.seed, "seed", 42, "corpus generation seed")
 	fs.StringVar(&cf.scale, "scale", "paper", "corpus scale: paper or small")
 	fs.IntVar(&cf.links, "links", 0, "override training-set size |TS|")
 	fs.IntVar(&cf.catalog, "catalog", 0, "override catalog size |SL|")
-	fs.Float64Var(&cf.th, "th", 0, "support threshold (0 = paper default 0.002)")
 	return cf
 }
 
@@ -312,7 +319,7 @@ func cmdBlocking(args []string) error {
 
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	cf := addCorpusFlags(fs)
+	cf := addShapeFlags(fs)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -334,7 +341,7 @@ func cmdSweep(args []string) error {
 
 func cmdSplitters(args []string) error {
 	fs := flag.NewFlagSet("splitters", flag.ContinueOnError)
-	cf := addCorpusFlags(fs)
+	cf := addShapeFlags(fs)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -491,7 +498,7 @@ func classNames(classes []datalink.Term) string {
 
 func cmdKeys(args []string) error {
 	fs := flag.NewFlagSet("keys", flag.ContinueOnError)
-	cf := addCorpusFlags(fs)
+	cf := addShapeFlags(fs)
 	top := fs.Int("top", 20, "keys to print")
 	distinct := fs.Float64("distinctness", 0.95, "minimum distinctness")
 	if err := parse(fs, args); err != nil {
@@ -543,7 +550,7 @@ func cmdToponyms(args []string) error {
 
 func cmdDatagen(args []string) error {
 	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
-	cf := addCorpusFlags(fs)
+	cf := addShapeFlags(fs)
 	out := fs.String("out", "corpus", "output directory")
 	stream := fs.Bool("stream", false, "stream entities to disk as they are generated (bounded memory; triples land in generation order, not sorted)")
 	if err := parse(fs, args); err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -235,12 +236,15 @@ func TestCLIUnknownCommandFails(t *testing.T) {
 		t.Skip("CLI integration in -short mode")
 	}
 	bin := binary(t)
-	cmd := exec.Command(bin, "bogus")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("unknown command succeeded:\n%s", out)
-	}
-	if !strings.Contains(string(out), "unknown command") {
-		t.Errorf("stderr:\n%s", out)
+	// bench names no command: linkbench is the repository benchmark.
+	for _, name := range []string{"bogus", "bench"} {
+		out, err := exec.Command(bin, name).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("linkrules %s: %v, want exit status 2:\n%s", name, err, out)
+		}
+		if !strings.Contains(string(out), "unknown command") {
+			t.Errorf("linkrules %s stderr:\n%s", name, out)
+		}
 	}
 }

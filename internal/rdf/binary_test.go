@@ -123,7 +123,17 @@ func TestBinarySnapshotMatchesNTriples(t *testing.T) {
 	}
 }
 
-func TestDecodeSnapshotRejectsCorruptInput(t *testing.T) {
+// snapshotCorruptions is a valid ten-triple snapshot encoding and the
+// damaged copies of it that TestDecodeSnapshotRejectsCorruptInput checks
+// and FuzzDecodeSnapshot seeds from.
+type snapshotCorruptions struct {
+	valid     []byte
+	badMagic  []byte   // first byte inverted
+	truncated [][]byte // every 7th proper prefix
+	flipped   [][]byte // bit 6 flipped, once per byte past the magic
+}
+
+func corruptSnapshots(tb testing.TB) snapshotCorruptions {
 	g := NewGraph()
 	s := NewIRI("http://ex.org/s")
 	for i := 0; i < 10; i++ {
@@ -131,33 +141,44 @@ func TestDecodeSnapshotRejectsCorruptInput(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	if err := EncodeSnapshot(&buf, g); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	enc := buf.Bytes()
+	c := snapshotCorruptions{valid: enc, badMagic: append([]byte(nil), enc...)}
+	c.badMagic[0] ^= 0xff
+	for cut := 1; cut < len(enc); cut += 7 {
+		c.truncated = append(c.truncated, enc[:cut])
+	}
+	for i := len(binaryMagic); i < len(enc); i++ {
+		b := append([]byte(nil), enc...)
+		b[i] ^= 0x40
+		c.flipped = append(c.flipped, b)
+	}
+	return c
+}
+
+func TestDecodeSnapshotRejectsCorruptInput(t *testing.T) {
+	c := corruptSnapshots(t)
 
 	t.Run("bad magic", func(t *testing.T) {
-		b := append([]byte(nil), enc...)
-		b[0] ^= 0xff
-		if _, err := DecodeSnapshot(bytes.NewReader(b)); err == nil {
+		if _, err := DecodeSnapshot(bytes.NewReader(c.badMagic)); err == nil {
 			t.Fatal("decoded despite corrupt magic")
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		for cut := 1; cut < len(enc); cut += 7 {
-			if _, err := DecodeSnapshot(bytes.NewReader(enc[:cut])); err == nil {
-				t.Fatalf("decoded a %d/%d-byte prefix", cut, len(enc))
+		for _, b := range c.truncated {
+			if _, err := DecodeSnapshot(bytes.NewReader(b)); err == nil {
+				t.Fatalf("decoded a %d/%d-byte prefix", len(b), len(c.valid))
 			}
 		}
 	})
 	t.Run("bit flips", func(t *testing.T) {
 		// Any single-bit corruption must either fail or still yield a
 		// graph of valid triples — never panic or hang.
-		for i := len(binaryMagic); i < len(enc); i++ {
-			b := append([]byte(nil), enc...)
-			b[i] ^= 0x40
+		for i, b := range c.flipped {
 			g, err := DecodeSnapshot(bytes.NewReader(b))
 			if err == nil && g.Len() > 1000 {
-				t.Fatalf("flip at %d produced an implausible graph", i)
+				t.Fatalf("flip at %d produced an implausible graph", len(binaryMagic)+i)
 			}
 		}
 	})

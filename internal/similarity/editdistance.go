@@ -253,8 +253,9 @@ func damRunes(ra, rb []rune) int {
 
 // ReferenceLevenshteinDistance runs the plain rune-path DP regardless of
 // input shape. It is the oracle the bit-parallel kernels are fuzzed
-// against and the baseline `linkrules bench` reports kernel speedups
-// relative to; production callers should use LevenshteinDistance.
+// against and the baseline BenchmarkReferenceLevenshtein measures
+// kernel speedups against; production callers should use
+// LevenshteinDistance.
 func ReferenceLevenshteinDistance(a, b string) int {
 	return levRunes([]rune(a), []rune(b))
 }

@@ -280,7 +280,7 @@ func readUpsertOp(br *byteReader) (*UpsertOp, error) {
 			return nil, err
 		}
 		if np > 0 {
-			it.Props = make(map[string][]string, np)
+			it.Props = make(map[string][]string, min(np, 1024))
 		}
 		for j := uint64(0); j < np; j++ {
 			p, err := br.string("property IRI")
