@@ -410,12 +410,12 @@ func BenchmarkLinkBestParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkLinkTopK is the serving path of /v1/link below HTTP: each op
-// is one held-out item through QueryView.LinkTopK with top 3, on the
-// paper-scale corpus (a 30,000-item catalog), the default linker and a
-// model learned from 70% of the expert links. The items are the other
-// 30%, taken in turn.
-func BenchmarkLinkTopK(b *testing.B) {
+// paperPipeline builds a pipeline on the paper-scale corpus (a
+// 30,000-item catalog) with the default linker's engine, and a model
+// learned from 70% of the expert links, shuffled at seed 42. It returns
+// the pipeline, the corpus, and the training and held-out links.
+func paperPipeline(b *testing.B) (p *Pipeline, ds *Dataset, train, held []Link) {
+	b.Helper()
 	ds, err := GenerateCorpus(PaperCorpusConfig(42))
 	if err != nil {
 		b.Fatal(err)
@@ -423,15 +423,23 @@ func BenchmarkLinkTopK(b *testing.B) {
 	links := append([]Link(nil), ds.Training.Links...)
 	rand.New(rand.NewSource(42)).Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
 	cut := len(links) * 7 / 10
-	p, err := NewPipeline(LearnerConfig{}, TrainingSet{Links: links[:cut]}, ds.External, ds.Local, ds.Ontology)
+	p, err = NewPipeline(LearnerConfig{}, TrainingSet{Links: links[:cut]}, ds.External, ds.Local, ds.Ontology)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultLinkingConfig()
-	if err := p.EnsureLinker(cfg); err != nil {
+	if err := p.EnsureLinker(DefaultLinkingConfig()); err != nil {
 		b.Fatal(err)
 	}
-	view, held := p.Snapshot(), links[cut:]
+	return p, ds, links[:cut], links[cut:]
+}
+
+// BenchmarkLinkTopK is the serving path of /v1/link below HTTP: each op
+// is one held-out item of paperPipeline through QueryView.LinkTopK with
+// top 3 and the default linker, the items taken in turn.
+func BenchmarkLinkTopK(b *testing.B) {
+	p, _, _, held := paperPipeline(b)
+	cfg := DefaultLinkingConfig()
+	view := p.Snapshot()
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -439,6 +447,28 @@ func BenchmarkLinkTopK(b *testing.B) {
 		if _, err := view.LinkTopK(ctx, []Term{held[i%len(held)].External}, cfg, 3); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRelearn is a relearn as the service pays it after its first
+// learn: each op learns a model from paperPipeline's training links,
+// installs it with SetModel, which keeps the instance index and the
+// default linker's engine, and publishes a snapshot.
+func BenchmarkRelearn(b *testing.B) {
+	p, ds, train, _ := paperPipeline(b)
+	p.Snapshot()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := LearnCtx(ctx, LearnerConfig{}, TrainingSet{Links: train}, ds.External, ds.Local, ds.Ontology)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if p.SetModel(m) {
+			b.Fatal("SetModel rebuilt the indexes of an unchanged catalog")
+		}
+		p.Snapshot()
 	}
 }
 

@@ -204,8 +204,8 @@ func LearnCtx(ctx context.Context, cfg LearnerConfig, ts TrainingSet, se, sl *rd
 		idx.facts = append(idx.facts, r.lf)
 	}
 
-	// Passes 2-5 (premise, class and conjunction frequencies, rule
-	// emission) are shared with the incremental path.
+	// Passes 2-5: premise, class and conjunction frequencies, rule
+	// emission.
 	return rebuildFromIndex(ctx, cfg, props, idx, segStats)
 }
 
@@ -296,4 +296,120 @@ func (m *Model) ClassFrequency(c rdf.Term) int {
 		return 0
 	}
 	return m.index.classOf[c]
+}
+
+// mergeCounts folds the right counting map into the left, the merge step
+// of the parallel counting passes. Addition commutes, so the merged map
+// equals the serial count at every worker count.
+func mergeCounts[K comparable](a, b map[K]int) map[K]int {
+	for k, n := range b {
+		a[k] += n
+	}
+	return a
+}
+
+// rebuildFromIndex runs the counting passes of Algorithm 1 over the
+// training-set index and emits the rules. The two O(|TS| x segments)
+// counting passes fan out over cfg.Workers via par.ReduceChunks with
+// per-chunk count maps merged in chunk order.
+func rebuildFromIndex(ctx context.Context, cfg LearnerConfig, props []rdf.Term, idx *tsIndex, segStats *segment.Stats) (*Model, error) {
+	n := len(idx.facts)
+	if n == 0 {
+		return nil, ErrEmptyTrainingSet
+	}
+	minCount := cfg.SupportThreshold * float64(n)
+
+	premiseCount, err := par.ReduceChunks(ctx, cfg.Workers, 0, idx.facts,
+		func() map[propertySegment]int { return map[propertySegment]int{} },
+		func(acc map[propertySegment]int, lf linkFacts) map[propertySegment]int {
+			for p, set := range lf.segs {
+				for a := range set {
+					acc[propertySegment{p, a}]++
+				}
+			}
+			return acc
+		},
+		mergeCounts[propertySegment])
+	if err != nil {
+		return nil, err
+	}
+	frequentPremise := map[propertySegment]int{}
+	selectedSegments := map[string]struct{}{}
+	for ps, cnt := range premiseCount {
+		if float64(cnt) > minCount {
+			frequentPremise[ps] = cnt
+			selectedSegments[ps.segment] = struct{}{}
+		}
+	}
+	frequentClass := map[rdf.Term]int{}
+	for c, cnt := range idx.classOf {
+		if float64(cnt) > minCount {
+			frequentClass[c] = cnt
+		}
+	}
+	// frequentPremise and frequentClass are complete and read-only from
+	// here on, so the conjunction pass can share them across workers.
+	jointCount, err := par.ReduceChunks(ctx, cfg.Workers, 0, idx.facts,
+		func() map[conjunction]int { return map[conjunction]int{} },
+		func(acc map[conjunction]int, lf linkFacts) map[conjunction]int {
+			for p, set := range lf.segs {
+				for a := range set {
+					ps := propertySegment{p, a}
+					if _, ok := frequentPremise[ps]; !ok {
+						continue
+					}
+					for _, c := range lf.classes {
+						if _, ok := frequentClass[c]; !ok {
+							continue
+						}
+						acc[conjunction{ps, c}]++
+					}
+				}
+			}
+			return acc
+		},
+		mergeCounts[conjunction])
+	if err != nil {
+		return nil, err
+	}
+	rules := RuleSet{}
+	classesWithRules := map[rdf.Term]struct{}{}
+	for conj, cnt := range jointCount {
+		if float64(cnt) <= minCount {
+			continue
+		}
+		rules.Rules = append(rules.Rules, Rule{
+			Property:     conj.ps.property,
+			Segment:      conj.ps.segment,
+			Class:        conj.c,
+			PremiseCount: frequentPremise[conj.ps],
+			JointCount:   cnt,
+			ClassCount:   idx.classOf[conj.c],
+			TSSize:       n,
+		})
+		classesWithRules[conj.c] = struct{}{}
+	}
+	rules.Sort()
+
+	selectedOcc := 0
+	for seg := range selectedSegments {
+		selectedOcc += segStats.Count(seg)
+	}
+	return &Model{
+		Rules:  rules,
+		Config: cfg,
+		Stats: LearnStats{
+			TSSize:                     n,
+			Properties:                 len(props),
+			DistinctSegments:           segStats.Distinct(),
+			SegmentOccurrences:         segStats.Occurrences(),
+			SelectedSegmentOccurrences: selectedOcc,
+			FrequentPairs:              len(frequentPremise),
+			CandidateClasses:           len(idx.classOf),
+			FrequentClasses:            len(frequentClass),
+			RuleCount:                  rules.Len(),
+			ClassesWithRules:           len(classesWithRules),
+		},
+		index: idx,
+	}, nil
 }

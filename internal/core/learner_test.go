@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/ontology"
@@ -308,5 +309,27 @@ func TestFromGraphToGraphRoundTrip(t *testing.T) {
 		if _, ok := want[l]; !ok {
 			t.Errorf("unexpected link %v", l)
 		}
+	}
+}
+
+// sortLinks orders links by external, then local term.
+func sortLinks(ls []Link) {
+	sort.Slice(ls, func(i, j int) bool {
+		if c := ls[i].External.Compare(ls[j].External); c != 0 {
+			return c < 0
+		}
+		return ls[i].Local.Compare(ls[j].Local) < 0
+	})
+}
+
+func TestSortLinksDeterministic(t *testing.T) {
+	links := []Link{
+		{External: iri("b"), Local: iri("2")},
+		{External: iri("a"), Local: iri("2")},
+		{External: iri("a"), Local: iri("1")},
+	}
+	sortLinks(links)
+	if links[0].External != iri("a") || links[0].Local != iri("1") {
+		t.Errorf("sortLinks order: %v", links)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/ontology"
@@ -74,38 +73,6 @@ func TestLearnDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if got.Stats != want.Stats {
 			t.Errorf("Workers=%d: stats differ: got %+v, want %+v", workers, got.Stats, want.Stats)
-		}
-	}
-}
-
-// TestExtendDeterministicAcrossWorkers covers the shared counting passes
-// through the incremental path: extending a parallel model matches
-// relearning on the union, at several worker counts.
-func TestExtendDeterministicAcrossWorkers(t *testing.T) {
-	ts, se, sl, ol := parallelFixture(t, 400)
-	half := TrainingSet{Links: ts.Links[:200]}
-	rest := ts.Links[200:]
-	cfg := LearnerConfig{SupportThreshold: 0.01, Workers: 1}
-	full, err := Learn(cfg, ts, se, sl, ol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes := ruleBytes(t, full)
-	for _, workers := range []int{1, 8} {
-		cfg.Workers = workers
-		base, err := Learn(cfg, half, se, sl, ol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ext, err := base.Extend(rest, se, sl, ol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ruleBytes(t, ext), wantBytes) {
-			t.Errorf("Workers=%d: extended rule set differs from full relearn", workers)
-		}
-		if !reflect.DeepEqual(ext.Stats, full.Stats) {
-			t.Errorf("Workers=%d: extended stats differ", workers)
 		}
 	}
 }

@@ -55,6 +55,9 @@ func (nr *NTriplesReader) Next() (Triple, error) {
 	}
 	for nr.sc.Scan() {
 		nr.lineNo++
+		if err := checkUTF8(nr.sc.Bytes(), nr.lineNo); err != nil {
+			return Triple{}, err
+		}
 		line := strings.TrimSpace(nr.sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -67,6 +70,30 @@ func (nr *NTriplesReader) Next() (Triple, error) {
 		nr.err = io.EOF
 	}
 	return Triple{}, nr.err
+}
+
+// checkUTF8 returns a *ParseError at the first byte of b that is not
+// valid UTF-8, with b's first byte at line line, column 1, or nil when b
+// is valid. RDF text is UTF-8, and a term holding an invalid byte would
+// not survive a write: the writers would put it out as U+FFFD.
+func checkUTF8(b []byte, line int) error {
+	if utf8.Valid(b) {
+		return nil
+	}
+	col := 1
+	for i := 0; i < len(b); {
+		r, n := utf8.DecodeRune(b[i:])
+		switch {
+		case r == utf8.RuneError && n == 1:
+			return &ParseError{Line: line, Col: col, Msg: "invalid UTF-8"}
+		case b[i] == '\n':
+			line, col = line+1, 1
+		default:
+			col += n
+		}
+		i += n
+	}
+	return nil
 }
 
 // ReadNTriples parses N-Triples from r into a new graph. Comment lines
@@ -178,7 +205,7 @@ func (p *ntParser) iri() (Term, error) {
 	}
 	raw := p.input[start:p.pos]
 	p.pos++ // consume '>'
-	iri, err := unescapeUCHAR(raw)
+	iri, err := unescapeIRI(raw)
 	if err != nil {
 		return Term{}, p.errf("bad IRI escape: %v", err)
 	}
@@ -290,7 +317,7 @@ func decodeEscape(s string) (rune, int, error) {
 			return 0, 0, fmt.Errorf("truncated \\u escape")
 		}
 		v, err := strconv.ParseUint(s[2:6], 16, 32)
-		if err != nil {
+		if err != nil || !utf8.ValidRune(rune(v)) {
 			return 0, 0, fmt.Errorf("bad \\u escape %q", s[:6])
 		}
 		return rune(v), 6, nil
@@ -299,7 +326,7 @@ func decodeEscape(s string) (rune, int, error) {
 			return 0, 0, fmt.Errorf("truncated \\U escape")
 		}
 		v, err := strconv.ParseUint(s[2:10], 16, 32)
-		if err != nil || v > utf8.MaxRune {
+		if err != nil || !utf8.ValidRune(rune(v)) {
 			return 0, 0, fmt.Errorf("bad \\U escape %q", s[:10])
 		}
 		return rune(v), 10, nil
@@ -308,7 +335,39 @@ func decodeEscape(s string) (rune, int, error) {
 	}
 }
 
-// unescapeUCHAR resolves \uXXXX and \UXXXXXXXX escapes inside IRIs.
+// unescapeIRI resolves the \uXXXX and \UXXXXXXXX escapes of an IRI.
+// An escape may not stand for a character the IRIREF production
+// excludes (controls, space and <>"{}|^`\): the writers put IRIs out
+// unescaped, so such a character would not read back as itself.
+func unescapeIRI(s string) (string, error) {
+	if !strings.Contains(s, "\\") {
+		return s, nil
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); {
+		if s[i] != '\\' {
+			b.WriteByte(s[i])
+			i++
+			continue
+		}
+		if i+1 < len(s) && s[i+1] != 'u' && s[i+1] != 'U' {
+			return "", fmt.Errorf("escape \\%c in an IRI", s[i+1])
+		}
+		r, n, err := decodeEscape(s[i:])
+		if err != nil {
+			return "", err
+		}
+		if r <= ' ' || strings.ContainsRune("<>\"{}|^`\\", r) {
+			return "", fmt.Errorf("escape %q stands for a character IRIs exclude", s[i:i+n])
+		}
+		b.WriteRune(r)
+		i += n
+	}
+	return b.String(), nil
+}
+
+// unescapeUCHAR resolves every string escape in s, as a long Turtle
+// literal holds them.
 func unescapeUCHAR(s string) (string, error) {
 	if !strings.Contains(s, "\\") {
 		return s, nil

@@ -23,6 +23,9 @@ func ReadTurtle(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rdf: reading turtle: %w", err)
 	}
+	if err := checkUTF8(data, 1); err != nil {
+		return nil, err
+	}
 	p := &turtleParser{
 		input:    string(data),
 		line:     1,
@@ -350,7 +353,7 @@ func (p *turtleParser) iriRef() (string, error) {
 	}
 	raw := p.input[start:p.pos]
 	p.advance() // '>'
-	iri, err := unescapeUCHAR(raw)
+	iri, err := unescapeIRI(raw)
 	if err != nil {
 		return "", p.errf("bad IRI escape: %v", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	datalink "repro"
 	"repro/internal/rdf"
@@ -188,6 +189,12 @@ func (s *Service) bulkNDJSON(c *bulkChunker, body io.Reader, side datalink.Side)
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
+			continue
+		}
+		if !utf8.Valid(raw) {
+			// encoding/json would turn the bytes into U+FFFD; reject the
+			// line as an N-Triples body does.
+			c.rep.addError(line, "invalid UTF-8")
 			continue
 		}
 		var spec bulkLine

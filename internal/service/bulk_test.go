@@ -148,6 +148,38 @@ func TestBulkNTriplesIngest(t *testing.T) {
 	}
 }
 
+// TestBulkRejectsInvalidUTF8 sends the same three items as an N-Triples
+// and as an NDJSON body, the second with a byte that is not UTF-8. Both
+// formats must skip that line as a per-line error naming it, and ingest
+// the other two.
+func TestBulkRejectsInvalidUTF8(t *testing.T) {
+	bodies := map[string]string{
+		"application/n-triples": strings.Join([]string{
+			`<http://ex.org/e/u1> <` + pnProp + `> "RES-9101-X" .`,
+			`<http://ex.org/e/u2> <` + pnProp + `> "RES-9102-` + "\x80" + `" .`,
+			`<http://ex.org/e/u3> <` + pnProp + `> "RES-9103-X" .`,
+		}, "\n"),
+		"application/x-ndjson": strings.Join([]string{
+			`{"id":"http://ex.org/e/u1","properties":{"` + pnProp + `":["RES-9101-X"]}}`,
+			`{"id":"http://ex.org/e/u2","properties":{"` + pnProp + `":["RES-9102-` + "\x80" + `"]}}`,
+			`{"id":"http://ex.org/e/u3","properties":{"` + pnProp + `":["RES-9103-X"]}}`,
+		}, "\n"),
+	}
+	for ct, body := range bodies {
+		s := corpusService(t)
+		var rep BulkReport
+		if rec := rawCall(t, s.Handler(), "/v1/items/bulk?side=external", ct, body, &rep); rec.Code != http.StatusOK {
+			t.Fatalf("%s: bulk: %d %s", ct, rec.Code, rec.Body)
+		}
+		if rep.Upserted != 2 || rep.Errors != 1 || len(rep.ErrorReport) != 1 || rep.ErrorReport[0].Line != 2 {
+			t.Errorf("%s: report %+v, want 2 upserted and one error on line 2", ct, rep)
+		}
+		if n := triplesOf(s, datalink.ExternalSide, "http://ex.org/e/u2"); n != 0 {
+			t.Errorf("%s: the invalid line's item has %d triples", ct, n)
+		}
+	}
+}
+
 // TestBulkMixedOrderPreserved checks that upserts and removes of the
 // same item inside one chunk apply in stream order: the last statement
 // about an item wins, exactly as if each line were its own request.

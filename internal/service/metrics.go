@@ -29,6 +29,10 @@ type serviceMetrics struct {
 	// work holds the link-query work counters, keyed by the trace count
 	// name LinkTopK adds (datalink.CountLink*).
 	work map[string]*obs.Counter
+	// indexBuilds counts catalog index builds; learnedUnix is when the
+	// served model was installed.
+	indexBuilds *obs.Counter
+	learnedUnix *obs.Gauge
 }
 
 func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
@@ -51,6 +55,10 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"Pipeline stage durations (engine, blocking, scoring, learn, publish).",
 			obs.DefBuckets(), "stage"),
 		work: map[string]*obs.Counter{},
+		indexBuilds: reg.Counter("linkrules_catalog_index_builds_total",
+			"Catalog index builds (instance index and default engine): the first learn, recovery's boot relearn, and compactions."),
+		learnedUnix: reg.Gauge("linkrules_model_learned_unix",
+			"When the served model was installed (unix seconds; 0 = never)."),
 	}
 	for name, help := range map[string]string{
 		datalink.CountLinkCandidates:  "Local candidates expanded by link queries: the sum of the items' reduced-space sizes.",
@@ -163,6 +171,31 @@ func (s *Service) registerFlightMetrics() {
 			st := fr.Stats()
 			return float64(st.KeptSlow + st.KeptError + st.KeptSampled)
 		})
+}
+
+// registerModelMetrics exposes the served model and the catalog indexes
+// as scrape-time Func collectors reading the published query state, the
+// one a link request loads. Each reads 0 before the first learn. Called
+// once, from New.
+func (s *Service) registerModelMetrics() {
+	gauge := func(name, help string, fn func(v *datalink.QueryView) int) {
+		s.reg.GaugeFunc(name, help, func() float64 {
+			if v := s.state.Load().view; v != nil {
+				return float64(fn(v))
+			}
+			return 0
+		})
+	}
+	gauge("linkrules_model_rules", "Rules of the served model.",
+		func(v *datalink.QueryView) int { return v.Model().Rules.Len() })
+	gauge("linkrules_model_classes", "Classes the served model's rules predict.",
+		func(v *datalink.QueryView) int { return v.Model().Stats.ClassesWithRules })
+	gauge("linkrules_model_training_links", "Distinct training links the served model was learned from.",
+		func(v *datalink.QueryView) int { return v.Model().Stats.TSSize })
+	gauge("linkrules_catalog_ids", "Catalog IDs assigned, including those of removed items (IDs are never reused).",
+		func(v *datalink.QueryView) int { return v.Instances().IDs().Len() })
+	gauge("linkrules_catalog_instances", "Typed catalog items in the instance index.",
+		func(v *datalink.QueryView) int { return v.Instances().Total() })
 }
 
 // registerStoreMetrics exposes the durability store's point-in-time

@@ -360,15 +360,16 @@ func TestRequestIDs(t *testing.T) {
 	}
 }
 
-// TestConcurrentScrapeUnderLoad hammers queries, mutations and scrapes
+// TestConcurrentScrapeUnderLoad hammers queries, relearns and scrapes
 // concurrently; run under -race this pins the lock-free observe path
-// against the locked exposition path.
+// against the locked exposition path, and the model and catalog gauges
+// against learns that swap the model.
 func TestConcurrentScrapeUnderLoad(t *testing.T) {
 	h := corpusService(t).Handler()
 	if rec := call(t, h, "POST", "/v1/learn", learnBody(10), nil); rec.Code != http.StatusOK {
 		t.Fatalf("learn: %d %s", rec.Code, rec.Body)
 	}
-	const workers, rounds = 6, 25
+	const workers, rounds = 8, 25
 	var wg sync.WaitGroup
 	errs := make(chan string, workers*rounds)
 	for w := 0; w < workers; w++ {
@@ -376,7 +377,7 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				switch w % 3 {
+				switch w % 4 {
 				case 0:
 					rec := call(t, h, "POST", "/v1/link",
 						linkRequest{Items: []string{fmt.Sprintf("http://ex.org/e/r%d", i%10)}, TopK: 1}, nil)
@@ -388,6 +389,12 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 					h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 					if rec.Code != http.StatusOK {
 						errs <- fmt.Sprintf("metrics: %d", rec.Code)
+					}
+				case 3:
+					body := learnBody(5 + i%5)
+					body.Replace = true
+					if rec := call(t, h, "POST", "/v1/learn", body, nil); rec.Code != http.StatusOK {
+						errs <- fmt.Sprintf("learn: %d", rec.Code)
 					}
 				default:
 					rec := httptest.NewRecorder()
@@ -437,5 +444,74 @@ func TestAccessLog(t *testing.T) {
 	}
 	if !strings.Contains(line, `"client":"`+hashKey("super-secret-key")+`"`) {
 		t.Errorf("access log missing hashed client key: %s", line)
+	}
+}
+
+// TestModelAndCatalogMetrics checks the model and catalog gauges against
+// the served state before and after learns, and that only the first
+// learn builds the catalog indexes: a second learn without catalog churn
+// leaves linkrules_catalog_index_builds_total at 1. A durable restart
+// builds them once more, in its boot relearn.
+func TestModelAndCatalogMetrics(t *testing.T) {
+	seed := corpusSeed(t)
+	s := New(seed.External, seed.Local, seed.Ontology, durableOpts())
+	h := s.Handler()
+	text := scrapeMetrics(t, h, "")
+	for _, series := range []string{
+		"linkrules_model_rules", "linkrules_model_classes", "linkrules_model_training_links",
+		"linkrules_model_learned_unix", "linkrules_catalog_ids", "linkrules_catalog_instances",
+		"linkrules_catalog_index_builds_total",
+	} {
+		if v := metricValue(t, text, series); v != 0 {
+			t.Errorf("before any learn: %s = %v, want 0", series, v)
+		}
+	}
+
+	before := time.Now().Unix()
+	check := func(step string, links int) {
+		t.Helper()
+		var lr learnResponse
+		body := learnRequest{Replace: true}
+		for _, l := range seed.Training[:links] {
+			body.Links = append(body.Links, linkSpec{External: l.External.Value, Local: l.Local.Value})
+		}
+		if rec := call(t, h, http.MethodPost, "/v1/learn", body, &lr); rec.Code != http.StatusOK {
+			t.Fatalf("%s: learn: %d %s", step, rec.Code, rec.Body)
+		}
+		text := scrapeMetrics(t, h, "")
+		m := s.state.Load().view.Model()
+		for series, want := range map[string]float64{
+			"linkrules_model_rules":                float64(lr.Rules),
+			"linkrules_model_classes":              float64(m.Stats.ClassesWithRules),
+			"linkrules_model_training_links":       float64(links),
+			"linkrules_catalog_ids":                40,
+			"linkrules_catalog_instances":          40,
+			"linkrules_catalog_index_builds_total": 1,
+		} {
+			if got := metricValue(t, text, series); got != want {
+				t.Errorf("%s: %s = %v, want %v", step, series, got, want)
+			}
+		}
+		if m.Stats.ClassesWithRules != 2 {
+			t.Errorf("%s: the model's rules predict %d classes, want 2", step, m.Stats.ClassesWithRules)
+		}
+		if got := metricValue(t, text, "linkrules_model_learned_unix"); got < float64(before) {
+			t.Errorf("%s: linkrules_model_learned_unix = %v, before the learn at %d", step, got, before)
+		}
+	}
+	check("first learn", len(seed.Training))
+	check("second learn", len(seed.Training)/2)
+
+	// A restart rebuilds the indexes in its boot relearn.
+	dir := t.TempDir()
+	sopts := store.Options{Fsync: store.FsyncNever}
+	d := restoreService(t, dir, corpusSeed(t), sopts)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d = restoreService(t, dir, nil, sopts)
+	defer d.Close()
+	if got := metricValue(t, scrapeMetrics(t, d.Handler(), ""), "linkrules_catalog_index_builds_total"); got != 1 {
+		t.Errorf("after a restart: linkrules_catalog_index_builds_total = %v, want 1", got)
 	}
 }

@@ -19,6 +19,12 @@
 // link query never delays a concurrent upsert, and an upsert never
 // waits for a query.
 //
+// The catalog indexes are built once, at the first learn (or at
+// recovery's boot relearn), and a relearn keeps them: it swaps the
+// model and classifier only. The one exception is compaction: IDs are
+// never reused, so a learn rebuilds both indexes once more than a
+// quarter of the IDs name no typed catalog item (Pipeline.SetModel).
+//
 // The isolation contract: classification, candidate expansion and
 // scoring of one link request all observe the one published state the
 // request loaded, end to end; the next request sees the new state.
@@ -197,6 +203,7 @@ func New(se, sl *datalink.Graph, ol *datalink.Ontology, opts Options) *Service {
 	s.met = newServiceMetrics(s.reg)
 	s.flight = obs.NewFlightRecorder(opts.Recorder)
 	s.registerFlightMetrics()
+	s.registerModelMetrics()
 	obs.RegisterRuntime(s.reg)
 	s.res = newResilience(opts.Resilience, s.met, opts.AccessLog)
 	s.res.flight = s.flight
@@ -267,19 +274,23 @@ type learnBasis struct {
 	links  []datalink.Link
 }
 
-// learnLocked (re)learns the model from the accumulated links and swaps
-// in a fresh pipeline. Callers must hold the write lock and publish
-// afterwards.
+// learnLocked (re)learns the model from the accumulated links and
+// installs it (see learnBasisLocked). Callers must hold the write lock
+// and publish afterwards.
 func (s *Service) learnLocked(ctx context.Context) error {
 	return s.learnBasisLocked(ctx, &learnBasis{se: s.se.Snapshot(), sl: s.sl.Snapshot(), links: s.links})
 }
 
 // learnBasisLocked learns the model from an explicit basis — the live
 // state for ordinary learns, a snapshot's persisted basis for durable
-// recovery — and installs a pipeline over the live graphs. Learning is
-// deterministic in the basis, so equal bases yield equal models. On
-// failure the previous model and basis stay in place. Callers must hold
-// the write lock.
+// recovery — and installs it over the live graphs. Learning is
+// deterministic in the basis, so equal bases yield equal models. The
+// first learn, and recovery's boot relearn, build the pipeline and with
+// it the catalog indexes: the instance index and the default linker's
+// engine. Every later learn swaps only the model and keeps the indexes,
+// which item mutations keep current, unless Pipeline.SetModel's
+// compaction rule rebuilds them. On failure the previous model, basis
+// and indexes stay in place. Callers must hold the write lock.
 func (s *Service) learnBasisLocked(ctx context.Context, b *learnBasis) error {
 	done := s.timeStage(ctx, "learn")
 	ts := datalink.TrainingSet{Links: append([]datalink.Link(nil), b.links...)}
@@ -288,13 +299,22 @@ func (s *Service) learnBasisLocked(ctx context.Context, b *learnBasis) error {
 		return err
 	}
 	done()
-	s.pipe = datalink.NewPipelineWithModel(m, s.se, s.sl, s.ol)
+	built := true
+	if s.pipe == nil {
+		s.pipe = datalink.NewPipelineWithModel(m, s.se, s.sl, s.ol)
+	} else {
+		built = s.pipe.SetModel(m)
+	}
+	if built {
+		s.met.indexBuilds.Inc()
+	}
 	s.basis = b
+	s.met.learnedUnix.Set(time.Now().Unix())
 	// Build the engine for the default comparators on the write path,
 	// so every published view scores default-config queries with its
-	// snapshot instead of compiling a value index per request. An
-	// invalid default config is surfaced on the first query that relies
-	// on it, not here.
+	// snapshot instead of compiling a value index per request. A no-op
+	// while the engine exists. An invalid default config is surfaced on
+	// the first query that relies on it, not here.
 	if len(s.opts.DefaultLinker.Comparators) > 0 {
 		_ = s.pipe.EnsureLinker(s.opts.DefaultLinker)
 	}

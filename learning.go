@@ -116,13 +116,6 @@ func NewNGramSplitter(n int, pad bool, opts SplitterOptions) Splitter {
 // AverageLift returns the mean lift of a rule slice.
 func AverageLift(rules []Rule) float64 { return core.AverageLift(rules) }
 
-// ExtendModel incrementally incorporates newly validated links into a
-// model, producing the same result as relearning on the union; the input
-// model is unchanged so callers can hot-swap rule sets.
-func ExtendModel(m *Model, newLinks []Link, se, sl *Graph, ol *Ontology) (*Model, error) {
-	return m.Extend(newLinks, se, sl, ol)
-}
-
 // RuleEvidence is the expert-facing audit of one rule: supporting
 // training links and counterexamples.
 type RuleEvidence = core.RuleEvidence

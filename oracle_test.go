@@ -176,7 +176,12 @@ type oracleFixture struct {
 	nLoc        int
 	removed     []Term
 	externalIDs []Term
+	links       []Link
 }
+
+// oracleLearner is the learner configuration of every oracle fixture
+// model.
+var oracleLearner = LearnerConfig{SupportThreshold: 0.01}
 
 func newOracleFixture(t *testing.T, seed int64) *oracleFixture {
 	t.Helper()
@@ -282,25 +287,16 @@ func (f *oracleFixture) build(t *testing.T, nExt, nLoc int) *Pipeline {
 		}
 		f.setLocal(f.local(i), class)
 	}
-	var links []Link
 	for i := 0; i < nExt; i++ {
-		e := NewIRI(fmt.Sprintf("http://ex.org/e/%d", i))
-		f.externalIDs = append(f.externalIDs, e)
 		if i >= nExt/2 {
+			e := NewIRI(fmt.Sprintf("http://ex.org/e/%d", i))
+			f.externalIDs = append(f.externalIDs, e)
 			f.setExternal(e)
 			continue
 		}
-		// A training item: its local twin shares its class and values.
-		class := i % len(f.classes)
-		l := NewIRI(fmt.Sprintf("http://ex.org/twin/%d", i))
-		f.se.Add(T(e, f.pn, NewLiteral(f.value(f.prefixes[class]))))
-		f.sl.Add(T(l, RDFType, f.classes[class]))
-		for _, o := range f.se.Objects(e, f.pn) {
-			f.sl.Add(T(l, f.pn, o))
-		}
-		links = append(links, Link{External: e, Local: l})
+		f.addTrainingPair(i % len(f.classes))
 	}
-	p, err := NewPipeline(LearnerConfig{SupportThreshold: 0.01}, TrainingSet{Links: links}, f.se, f.sl, f.ol)
+	p, err := NewPipeline(oracleLearner, TrainingSet{Links: f.links}, f.se, f.sl, f.ol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,6 +304,46 @@ func (f *oracleFixture) build(t *testing.T, nExt, nLoc int) *Pipeline {
 		t.Fatal("fixture learned no rules")
 	}
 	return p
+}
+
+// addTrainingPair adds a provider item and its local twin, which shares
+// its class and values, to the graphs and a link between them to the
+// training links, and returns the twin.
+func (f *oracleFixture) addTrainingPair(class int) Term {
+	i := len(f.externalIDs)
+	e := NewIRI(fmt.Sprintf("http://ex.org/e/%d", i))
+	l := NewIRI(fmt.Sprintf("http://ex.org/twin/%d", i))
+	f.externalIDs = append(f.externalIDs, e)
+	f.se.Add(T(e, f.pn, NewLiteral(f.value(f.prefixes[class]))))
+	f.sl.Add(T(l, RDFType, f.classes[class]))
+	for _, o := range f.se.Objects(e, f.pn) {
+		f.sl.Add(T(l, f.pn, o))
+	}
+	f.links = append(f.links, Link{External: e, Local: l})
+	return l
+}
+
+// relearn drops about a quarter of the training links, adds three new
+// training pairs, and learns a model from the resulting links.
+func (f *oracleFixture) relearn(t *testing.T, p *Pipeline) *Model {
+	t.Helper()
+	var kept []Link
+	for _, l := range f.links {
+		if f.rng.Intn(4) != 0 {
+			kept = append(kept, l)
+		}
+	}
+	f.links = kept
+	var twins []Term
+	for n := 0; n < 3; n++ {
+		twins = append(twins, f.addTrainingPair(f.rng.Intn(len(f.classes))))
+	}
+	p.ApplyPatches([]Patch{{Side: LocalSide, Items: twins}})
+	m, err := Learn(oracleLearner, TrainingSet{Links: f.links}, f.se, f.sl, f.ol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // mutate applies one random batch of catalog and provider changes to
@@ -362,25 +398,34 @@ func (f *oracleFixture) mutate(p *Pipeline) {
 	p.ApplyPatches(patches)
 }
 
+// publishedConfig is the fixture's linker configuration for the
+// pipeline's own engine, with its oracle twin.
+func (f *oracleFixture) publishedConfig() oracleConfig {
+	return oracleConfig{
+		cfg: LinkerConfig{Comparators: []Comparator{
+			{ExternalProperty: f.pn, LocalProperty: f.pn, Measure: Levenshtein, Weight: 2},
+			{ExternalProperty: f.label, LocalProperty: f.label, Measure: Jaccard, Weight: 1},
+		}},
+		comps: []oracleComparator{{f.pn, 2, refLevenshtein}, {f.label, 1, refJaccard}},
+	}
+}
+
 // TestLinkTopKMatchesOracle drives seeded random corpora through rounds
 // of catalog mutations and checks, for every external item, threshold
 // in {0, 0.5} and k in {0, 1, 3}, that QueryView.LinkTopK equals the
-// naive oracle on the view's own frozen state — for the current view
-// and for every earlier view, which the writer's later copy-on-write
-// pages must leave untouched. Each view is also queried with comparators
-// of its own, which builds a request-scoped engine.
+// naive oracle on the view's own frozen state and model — for the
+// current view and for every earlier view, which the writer's later
+// copy-on-write pages must leave untouched. Odd rounds also relearn
+// with training links added and dropped, and install the model with
+// SetModel, which keeps the instance index and the engine. Each view is
+// also queried with comparators of its own, which builds a
+// request-scoped engine.
 func TestLinkTopKMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			f := newOracleFixture(t, seed)
 			p := f.build(t, 30, 300)
-			published := oracleConfig{
-				cfg: LinkerConfig{Comparators: []Comparator{
-					{ExternalProperty: f.pn, LocalProperty: f.pn, Measure: Levenshtein, Weight: 2},
-					{ExternalProperty: f.label, LocalProperty: f.label, Measure: Jaccard, Weight: 1},
-				}},
-				comps: []oracleComparator{{f.pn, 2, refLevenshtein}, {f.label, 1, refJaccard}},
-			}
+			published := f.publishedConfig()
 			scoped := oracleConfig{
 				cfg: LinkerConfig{Comparators: []Comparator{
 					{ExternalProperty: f.pn, LocalProperty: f.pn, Measure: Levenshtein, Weight: 1},
@@ -395,15 +440,89 @@ func TestLinkTopKMatchesOracle(t *testing.T) {
 				if round > 0 {
 					f.mutate(p)
 				}
+				if round%2 == 1 {
+					p.SetModel(f.relearn(t, p))
+				}
 				views = append(views, p.Snapshot())
-				// The first view must still answer from its own state after
-				// every later round's writes.
-				checkOracle(t, fmt.Sprintf("round %d, first view", round), views[0], f, published)
-				v := views[len(views)-1]
-				checkOracle(t, fmt.Sprintf("round %d", round), v, f, published)
-				checkOracle(t, fmt.Sprintf("round %d, request-scoped engine", round), v, f, scoped)
+				// Earlier views must still answer from their own state and
+				// model after every later round's writes and learns.
+				for i, v := range views {
+					checkOracle(t, fmt.Sprintf("round %d, view %d", round, i), v, f, published)
+				}
+				checkOracle(t, fmt.Sprintf("round %d, request-scoped engine", round), views[round], f, scoped)
 			}
 		})
+	}
+}
+
+// TestSetModelCompactsChurnedCatalog churns the catalog through rounds
+// that add and remove distinct items, with a learn after each round.
+// IDs are never reused, so without compaction the IDs naming no typed
+// item would grow every round. After every learn the table must satisfy
+// SetModel's bound, the indexes must be kept unless SetModel reports a
+// rebuild, at least one learn must rebuild, and the kept pipeline must
+// answer exactly like one built fresh on the same graphs and model.
+func TestSetModelCompactsChurnedCatalog(t *testing.T) {
+	f := newOracleFixture(t, 3)
+	p := f.build(t, 30, 300)
+	cfg := f.publishedConfig().cfg
+	if err := p.EnsureLinker(cfg); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	next, rebuilds := 0, 0 // next is the oldest catalog item not yet removed
+	for round := 0; round < 8; round++ {
+		var patches []Patch
+		for n := 0; n < 40; n++ {
+			l := f.local(f.nLoc)
+			f.nLoc++
+			f.setLocal(l, f.rng.Intn(len(f.classes)))
+			patches = append(patches, Patch{Side: LocalSide, Items: []Term{l}})
+			l = f.local(next)
+			next++
+			for _, tr := range f.sl.Find(l, Term{}, Term{}) {
+				f.sl.Remove(tr)
+			}
+			patches = append(patches, Patch{Side: LocalSide, Remove: true, Items: []Term{l}})
+		}
+		p.ApplyPatches(patches)
+		m := f.relearn(t, p)
+		kept := p.Instances
+		rebuilt := p.SetModel(m)
+		if rebuilt == (p.Instances == kept) {
+			t.Fatalf("round %d: SetModel reported rebuilt=%v, but the instance index kept=%v", round, rebuilt, p.Instances == kept)
+		}
+		if rebuilt {
+			rebuilds++
+		}
+		ids, typed := p.Instances.IDs().Len(), p.Instances.Total()
+		if ids-typed > ids/4 {
+			t.Fatalf("round %d: %d of %d IDs name no typed item, above a quarter", round, ids-typed, ids)
+		}
+		fresh := NewPipelineWithModel(m, f.se, f.sl, f.ol)
+		if err := fresh.EnsureLinker(cfg); err != nil {
+			t.Fatal(err)
+		}
+		v, want := p.Snapshot(), fresh.Snapshot()
+		for _, threshold := range []float64{0, 0.5} {
+			cfg.Threshold = threshold
+			for _, k := range []int{0, 3} {
+				got, err := v.LinkTopK(ctx, f.externalIDs, cfg, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exp, err := want.LinkTopK(ctx, f.externalIDs, cfg, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, exp) {
+					t.Fatalf("round %d, threshold %g, k %d: the kept pipeline answers unlike a fresh one", round, threshold, k)
+				}
+			}
+		}
+	}
+	if rebuilds == 0 {
+		t.Fatal("no learn compacted the churned catalog")
 	}
 }
 

@@ -76,6 +76,11 @@ var ErrLinkerConfig = linkage.ErrConfig
 // every query from exactly that one published state while the pipeline
 // keeps mutating — internal/service publishes one per mutation via an
 // atomic pointer.
+//
+// The model is the only part that depends on the training links. The
+// instance index and the engine's value columns depend on the catalog,
+// the ontology and the comparators alone, so a relearn installs its
+// model with SetModel and keeps them.
 type Pipeline struct {
 	Model      *Model
 	Classifier *Classifier
@@ -83,6 +88,7 @@ type Pipeline struct {
 
 	se *Graph
 	sl *Graph
+	ol *Ontology
 	// classes are the model's rule classes, whose instance sets Snapshot
 	// warms before it freezes the instance index: frozen indexes never
 	// write their memo.
@@ -111,18 +117,46 @@ func NewPipeline(cfg LearnerConfig, ts TrainingSet, se, sl *Graph, ol *Ontology)
 // (possibly later-mutated) current graphs — matching a live service
 // whose items changed after its last learn.
 func NewPipelineWithModel(m *Model, se, sl *Graph, ol *Ontology) *Pipeline {
+	p := &Pipeline{Instances: NewInstanceIndex(sl, ol), se: se, sl: sl, ol: ol}
+	p.installModel(m)
+	return p
+}
+
+// SetModel installs a newly learned model and its classifier, and keeps
+// the instance index and the engine: ApplyPatches has kept both current
+// with the catalog, and neither depends on the model. The next Snapshot
+// warms the new rule classes. Must be serialized with ApplyPatches.
+//
+// IDs are never reused, so a catalog item that loses its last class
+// keeps an ID that names no typed item; so does an untyped item the
+// engine numbered for its values. When more than a quarter of the IDs
+// name no typed item, SetModel compacts: it rebuilds the instance index
+// over a fresh ID table, and the engine over that table, as
+// NewPipelineWithModel and EnsureLinker would. It reports whether it
+// did. Answers do not depend on which IDs the items hold.
+func (p *Pipeline) SetModel(m *Model) (rebuilt bool) {
+	p.installModel(m)
+	if n := p.Instances.IDs().Len(); n-p.Instances.Total() <= n/4 {
+		return false
+	}
+	p.Instances = NewInstanceIndex(p.sl, p.ol)
+	if p.linker != nil {
+		// The engine shares the old table, so it cannot be kept. Its
+		// config passed validation when it was built, so the rebuild
+		// cannot fail.
+		p.linker = nil
+		_ = p.EnsureLinker(p.linkerCfg)
+	}
+	return true
+}
+
+// installModel sets the model, its classifier and its rule classes.
+func (p *Pipeline) installModel(m *Model) {
 	classes := make([]Term, 0, m.Rules.Len())
 	for _, r := range m.Rules.Rules {
 		classes = append(classes, r.Class)
 	}
-	return &Pipeline{
-		Model:      m,
-		Classifier: NewClassifier(&m.Rules, m.Config.Splitter),
-		Instances:  NewInstanceIndex(sl, ol),
-		se:         se,
-		sl:         sl,
-		classes:    classes,
-	}
+	p.Model, p.Classifier, p.classes = m, NewClassifier(&m.Rules, m.Config.Splitter), classes
 }
 
 // External returns the pipeline's live external graph. Mutate it only
