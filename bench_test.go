@@ -17,8 +17,9 @@ import (
 	"repro/internal/store"
 )
 
-// Benchmarks cover every experiment of DESIGN.md's index (E1-E6) plus the
-// hot paths underneath them. Experiment benches run on the small-scale
+// Benchmarks cover the paper's experiments E1-E6 (the experiment index
+// is in the linkrules command's usage, cmd/linkrules) plus the hot paths
+// underneath them. Experiment benches run on the small-scale
 // corpus so `go test -bench=.` stays fast; the CLI (`linkrules`)
 // regenerates the paper-scale numbers.
 
@@ -388,28 +389,6 @@ func BenchmarkScorePairsParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkLinkBestParallel exercises the one-to-one greedy linker on
-// the same fixture.
-func BenchmarkLinkBestParallel(b *testing.B) {
-	se, sl, pairs, cfg := linkageBenchFixture(500, 500, 8)
-	cands := map[rdf.Term][]rdf.Term{}
-	for _, p := range pairs {
-		cands[p[0]] = append(cands[p[0]], p[1])
-	}
-	eng, err := linkage.New(cfg, se, sl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(pairs)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(eng.LinkBest(cands)) == 0 {
-			b.Fatal("no links")
-		}
-	}
-}
-
 // paperPipeline builds a pipeline on the paper-scale corpus (a
 // 30,000-item catalog) with the default linker's engine, and a model
 // learned from 70% of the expert links, shuffled at seed 42. It returns
@@ -760,19 +739,6 @@ func BenchmarkJaroWinkler(b *testing.B) {
 	}
 }
 
-func BenchmarkTFIDF(b *testing.B) {
-	m := similarity.NewTFIDF()
-	corpus := make([]string, 200)
-	for i := range corpus {
-		corpus[i] = fmt.Sprintf("acme part %d resistor %d ohm", i, i*7%100)
-	}
-	m.Fit(corpus)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Similarity("acme part 10 resistor 70 ohm", "acme part 11 resistor 77 ohm")
-	}
-}
-
 func benchRecords(n int) []blocking.Record {
 	out := make([]blocking.Record, n)
 	for i := range out {
@@ -947,7 +913,7 @@ func BenchmarkSnapshotDecodeEager(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g.Predicates()                                               // materialize POS
+			g.Subjects(rdf.TypeTerm, obj)                                // materialize POS
 			g.Match(rdf.Term{}, rdf.Term{}, obj, func(rdf.Triple) bool { // materialize OSP
 				return true
 			})

@@ -2,7 +2,7 @@
 // learning for data linking" (Pernelle & Saïs, LWDM @ EDBT 2012):
 // synthetic corpus generation, rule learning, classification, and every
 // experiment of the paper's Section 5 plus the extension experiments
-// indexed in DESIGN.md.
+// E3-E8 indexed below.
 //
 // Usage:
 //
@@ -18,6 +18,8 @@
 //	splitters   separator vs n-gram splitting ablation (E5b)
 //	ordering    rule-ordering ablation (E5c)
 //	generalize  subsumption generalization experiment (E6)
+//	holdout     k-fold held-out evaluation (E7)
+//	link        in-space linking through the served path (E8)
 //	toponyms    secondary-domain demo (geographic labels)
 //	datagen     write a generated corpus to N-Triples files
 //	learn       learn rules from corpus files and save them
@@ -129,7 +131,7 @@ func usage() {
 
 usage: linkrules <command> [flags]
 
-experiments (see DESIGN.md for the experiment index):
+experiments (E1-E8):
   table1      Table 1 + Section 5 statistics        (E1, E2)
   stats       Section 5 corpus statistics only      (E2)
   reduction   linking-space reduction per band      (E3)
@@ -139,7 +141,8 @@ experiments (see DESIGN.md for the experiment index):
   ordering    rule-ordering ablation                (E5c)
   generalize  subsumption generalization            (E6)
   holdout     k-fold held-out evaluation            (E7)
-  link        in-space linking, serial vs parallel  (E8)
+  link        in-space linking on the served path   (E8)
+              (pairs/s times classify+expand+score)
   rules       inspect top rules with expert evidence
   keys        discover (almost-)key constraints in the catalog
   toponyms    secondary-domain demo

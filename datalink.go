@@ -27,7 +27,8 @@
 //   - the experiment harness regenerating the paper's Table 1 and the
 //     Section 5 statistics
 //   - the synthetic corpus generator standing in for the proprietary
-//     Thales catalog (see DESIGN.md for the substitution argument)
+//     Thales catalog (the internal/datagen package comment gives the
+//     substitution argument)
 //
 // Start with Pipeline for the end-to-end flow (learn, then query a
 // Snapshot of it), or see examples/.

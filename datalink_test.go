@@ -70,18 +70,18 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("reduction factor = %v", rf)
 	}
 
-	// Link inside the reduced space.
-	matches, err := view.LinkWithinCtx(context.Background(), []Term{newItem}, LinkerConfig{
+	// Link inside the reduced space: the item's best match is its top 1.
+	top, err := view.LinkTopK(context.Background(), []Term{newItem}, LinkerConfig{
 		Comparators: []Comparator{{
 			ExternalProperty: pn, LocalProperty: pn,
 			Measure: JaroWinkler, Weight: 1,
 		}},
 		Threshold: 0.3,
-	})
+	}, 1)
 	if err != nil {
-		t.Fatalf("LinkWithinCtx: %v", err)
+		t.Fatalf("LinkTopK: %v", err)
 	}
-	if len(matches) != 1 {
+	if matches := top[newItem]; len(matches) != 1 {
 		t.Fatalf("matches = %v", matches)
 	}
 }
@@ -220,11 +220,11 @@ func TestLinkWithinCacheInvalidation(t *testing.T) {
 	}
 	link := func(item Term) []Match {
 		t.Helper()
-		ms, err := p.Snapshot().LinkWithinCtx(context.Background(), []Term{item}, cfg)
+		top, err := p.Snapshot().LinkTopK(context.Background(), []Term{item}, cfg, 1)
 		if err != nil {
-			t.Fatalf("LinkWithinCtx: %v", err)
+			t.Fatalf("LinkTopK: %v", err)
 		}
-		return ms
+		return top[item]
 	}
 
 	item1 := NewIRI("http://ex.org/ext/inc1")

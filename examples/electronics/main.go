@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -84,47 +85,27 @@ func main() {
 	fmt.Printf("  reduced space: %d of %d (%.0fx)\n", sr.UnionSize, sr.CatalogSize, sr.ReductionFactor())
 
 	// Link inside the reduced space with a Jaro-Winkler matcher on the
-	// part-number property.
-	pipeline := &matcherPipeline{corpus: corpus, ds: ds}
-	best, found := pipeline.linkOne(item)
-	if !found {
+	// part-number property, on a snapshot of a pipeline over the corpus:
+	// the item's best match at or above 0.85 is its top 1.
+	pipeline := datalink.NewPipelineWithModel(corpus.Model, ds.External, ds.Local, ds.Ontology)
+	top, err := pipeline.Snapshot().LinkTopK(context.Background(), []datalink.Term{item}, datalink.LinkerConfig{
+		Comparators: []datalink.Comparator{{
+			ExternalProperty: datalink.PartNumberProperty, LocalProperty: datalink.PartNumberProperty,
+			Measure: datalink.JaroWinkler, Weight: 1,
+		}},
+		Threshold: 0.85,
+	}, 1)
+	if err != nil {
+		log.Fatalf("linking: %v", err)
+	}
+	if len(top[item]) == 0 {
 		fmt.Println("  no match above threshold inside the reduced space")
 		return
 	}
+	best := top[item][0]
 	status := "WRONG"
 	if best.Local == truth {
 		status = "correct"
 	}
 	fmt.Printf("  linked to %s (score %.3f) — %s\n", best.Local.Value, best.Score, status)
-}
-
-// matcherPipeline wraps the in-space matcher for one-off linking.
-type matcherPipeline struct {
-	corpus *datalink.Corpus
-	ds     *datalink.Dataset
-}
-
-func (mp *matcherPipeline) linkOne(item datalink.Term) (datalink.Match, bool) {
-	preds := mp.corpus.Classifier.Classify(item, mp.ds.External)
-	sr := datalink.Space(item, preds, mp.corpus.Instances)
-	pairs := datalink.CandidatePairs(sr, mp.corpus.Instances)
-	if len(pairs) == 0 {
-		return datalink.Match{}, false
-	}
-	extPN := firstLiteral(mp.ds.External, item, datalink.PartNumberProperty)
-	best := datalink.Match{External: item, Score: -1}
-	for _, pr := range pairs {
-		locPN := firstLiteral(mp.ds.Local, pr[1], datalink.PartNumberProperty)
-		if s := datalink.JaroWinkler.Similarity(extPN, locPN); s > best.Score {
-			best = datalink.Match{External: item, Local: pr[1], Score: s}
-		}
-	}
-	return best, best.Score >= 0.85
-}
-
-func firstLiteral(g *datalink.Graph, item, prop datalink.Term) string {
-	if v, ok := g.FirstObject(item, prop); ok && v.IsLiteral() {
-		return v.Value
-	}
-	return ""
 }

@@ -61,21 +61,22 @@ func main() {
 	se.Add(datalink.T(newItem, pn, datalink.NewLiteral("RN55.ohm.77")))
 	se.Add(datalink.T(newItem, label, datalink.NewLiteral("RN55 precision metal film resistor, 1% tolerance")))
 
-	// Queries run on a snapshot of the pipeline, taken after the arrival.
-	matches, err := pipeline.Snapshot().LinkWithinCtx(context.Background(), []datalink.Term{newItem}, datalink.LinkerConfig{
+	// Queries run on a snapshot of the pipeline, taken after the arrival;
+	// the item's best match inside its reduced space is its top 1.
+	top, err := pipeline.Snapshot().LinkTopK(context.Background(), []datalink.Term{newItem}, datalink.LinkerConfig{
 		Comparators: []datalink.Comparator{{
 			ExternalProperty: pn, LocalProperty: pn,
 			Measure: datalink.JaroWinkler, Weight: 1,
 		}},
 		Threshold: 0.9,
-	})
+	}, 1)
 	if err != nil {
 		log.Fatalf("linking: %v", err)
 	}
-	if len(matches) == 0 {
+	if len(top[newItem]) == 0 {
 		log.Fatal("no match found inside the reduced space")
 	}
-	m := matches[0]
+	m := top[newItem][0]
 	fmt.Printf("linked %s\n    -> %s (score %.3f)\n\n", m.External.Value, m.Local.Value, m.Score)
 
 	// Fuse: keep the catalog part number, take the longest label, union

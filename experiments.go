@@ -1,9 +1,14 @@
 package datalink
 
 import (
+	"context"
+	"fmt"
+	"time"
+
 	"repro/internal/blocking"
 	"repro/internal/datagen"
 	"repro/internal/eval"
+	"repro/internal/obs"
 )
 
 // Corpus bundles a generated dataset with its learned model, classifier
@@ -11,7 +16,8 @@ import (
 type Corpus = eval.Corpus
 
 // CorpusConfig controls synthetic corpus generation (the stand-in for
-// the paper's proprietary Thales catalog; see DESIGN.md §2).
+// the paper's proprietary Thales catalog; the internal/datagen package
+// comment gives the substitution argument).
 type CorpusConfig = datagen.Config
 
 // Dataset is a generated corpus: ontology, catalog, provider documents,
@@ -165,10 +171,44 @@ func DefaultLinkingConfig() LinkerConfig { return eval.DefaultLinkingConfig() }
 func LinkingWorkerCounts() []int { return eval.LinkingWorkerCounts() }
 
 // LinkingExperiment runs the matcher inside the rule-reduced linking
-// spaces at each worker count (E8): quality is identical across rows;
-// the throughput column shows the parallel engine's scaling.
+// spaces at each worker count (E8), on the path a /v1/link query takes:
+// a pipeline over the corpus's model and graphs links every distinct
+// training external item to its best candidate through
+// QueryView.LinkTopK at k = 1, and the links are scored against the
+// training links. A row's Pairs is the candidates LinkTopK expanded
+// (CountLinkCandidates), and its Elapsed times the whole call —
+// classification, expansion and scoring. Quality is identical across
+// rows. cfg's Workers field is overridden per row.
 func LinkingExperiment(c *Corpus, cfg LinkerConfig, workers []int) ([]LinkingRow, error) {
-	return eval.Linking(c, cfg, workers)
+	ds := c.Dataset
+	p := NewPipelineWithModel(c.Model, ds.External, ds.Local, ds.Ontology)
+	if err := p.EnsureLinker(cfg); err != nil {
+		return nil, fmt.Errorf("datalink: building linker: %w", err)
+	}
+	view, items := p.Snapshot(), ds.ExternalItems()
+	rows := make([]LinkingRow, 0, len(workers))
+	for _, w := range workers {
+		cfg.Workers = w
+		tr := obs.NewTrace(nil)
+		start := time.Now()
+		best, err := view.LinkTopK(obs.WithTrace(context.Background(), tr), items, cfg, 1)
+		elapsed := time.Since(start)
+		if err != nil {
+			return nil, err
+		}
+		var links []Match
+		for _, ms := range best {
+			links = append(links, ms...)
+		}
+		row := LinkingRow{Workers: w, Matches: len(links), Result: EvaluateLinks(links, ds.Training.Links), Elapsed: elapsed}
+		for _, n := range tr.Counts() {
+			if n.Name == CountLinkCandidates {
+				row.Pairs = int(n.N)
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // LinkingExperimentTable renders the linking experiment.
@@ -181,11 +221,6 @@ type ToponymConfig = datagen.ToponymConfig
 // scenario (labels embedding place-type words).
 func GenerateToponyms(cfg ToponymConfig) (*Dataset, error) {
 	return datagen.GenerateToponyms(cfg)
-}
-
-// GeneralizeModel applies the subsumption extension to a model.
-func GeneralizeModel(m *Model, ol *Ontology, opts GeneralizeOptions) RuleSet {
-	return m.Generalize(ol, opts)
 }
 
 // HoldoutRow is one fold of the cross-validation experiment (E7).

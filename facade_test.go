@@ -133,7 +133,7 @@ func TestFacadeGeneralizeModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := GeneralizeModel(m, ol, GeneralizeOptions{})
+	rs := m.Generalize(ol, GeneralizeOptions{})
 	if rs.Len() < m.Rules.Len() {
 		t.Errorf("generalized set smaller without ReplaceChildren: %d < %d", rs.Len(), m.Rules.Len())
 	}

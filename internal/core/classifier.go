@@ -134,15 +134,6 @@ func (c *Classifier) ClassifySegments(segments map[rdf.Term][]string) []Predicti
 	return out
 }
 
-// Best returns the top prediction, if any.
-func (c *Classifier) Best(item rdf.Term, se *rdf.Graph) (Prediction, bool) {
-	preds := c.Classify(item, se)
-	if len(preds) == 0 {
-		return Prediction{}, false
-	}
-	return preds[0], true
-}
-
 // FiredRules returns every distinct rule that fires on the given
 // segments, without per-class deduplication or ranking — raw material for
 // alternative ordering policies (the E5 ablation).
@@ -435,9 +426,6 @@ func (ix *InstanceIndex) Instances(c rdf.Term) []rdf.Term {
 	return ix.ids.Items(ix.set(c))
 }
 
-// Count returns |Instances(c)|: the popcount of the class set.
-func (ix *InstanceIndex) Count(c rdf.Term) int { return ix.set(c).Len() }
-
 // Contains reports whether inst is an instance of c (or of a descendant
 // of c): one ID lookup and one bit test.
 func (ix *InstanceIndex) Contains(c, inst rdf.Term) bool {
@@ -586,7 +574,8 @@ func Space(item rdf.Term, preds []Prediction, ix *InstanceIndex) SpaceReport {
 
 // CandidatePairs expands a space report into (external, local) pairs for
 // a downstream matcher, deduplicated and sorted. ix must be the index
-// the report was computed on, or a later state of it.
+// the report was computed on, or a later state of it. Its caller is
+// linkbench's reference path; queries score SpaceReport.Candidates.
 func CandidatePairs(sr SpaceReport, ix *InstanceIndex) [][2]rdf.Term {
 	cands := ix.ids.Items(sr.cands)
 	out := make([][2]rdf.Term, 0, len(cands))

@@ -78,9 +78,6 @@ func TestClassifyNoRuleFires(t *testing.T) {
 	if preds := cl.Classify(item, se); preds != nil {
 		t.Errorf("predictions = %v, want nil", preds)
 	}
-	if _, ok := cl.Best(item, se); ok {
-		t.Error("Best reported ok with no rules fired")
-	}
 }
 
 func TestClassifyValuesWithoutGraph(t *testing.T) {
@@ -134,17 +131,17 @@ func TestInstanceIndex(t *testing.T) {
 	if ix.Total() != 18 {
 		t.Errorf("Total = %d, want 18", ix.Total())
 	}
-	if got := ix.Count(clsFFR); got != 10 {
+	if got := instanceCount(ix, clsFFR); got != 10 {
 		t.Errorf("Count(FFR) = %d", got)
 	}
 	// Parent class includes subclass instances.
-	if got := ix.Count(clsRes); got != 15 {
+	if got := instanceCount(ix, clsRes); got != 15 {
 		t.Errorf("Count(Resistor) = %d, want 15", got)
 	}
-	if got := ix.Count(clsProd); got != 18 {
+	if got := instanceCount(ix, clsProd); got != 18 {
 		t.Errorf("Count(Product) = %d, want 18", got)
 	}
-	if got := ix.Count(clsCer); got != 0 {
+	if got := instanceCount(ix, clsCer); got != 0 {
 		t.Errorf("Count(Ceramic) = %d, want 0", got)
 	}
 	// Memoized class set identity on repeat calls.
@@ -226,7 +223,7 @@ func TestInstanceIndexFreeze(t *testing.T) {
 	sl := buildCatalog(t, map[rdf.Term]int{clsFFR: 3, clsTant: 2})
 	ix := NewInstanceIndex(sl, ol)
 	ix.Freeze([]rdf.Term{clsFFR, clsRes, clsProd})
-	if got := ix.Count(clsRes); got != 3 {
+	if got := instanceCount(ix, clsRes); got != 3 {
 		t.Errorf("Count after Freeze = %d", got)
 	}
 }

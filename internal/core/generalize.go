@@ -144,35 +144,3 @@ func (m *Model) ruleForClass(ps propertySegment, cls rdf.Term, ol *ontology.Onto
 		Generalized:  true,
 	}
 }
-
-// GeneralizationReport compares a base rule set with its generalized
-// variant for the E6 ablation.
-type GeneralizationReport struct {
-	BaseRules        int
-	GeneralizedRules int
-	// AddedParentRules counts rules marked Generalized in the output.
-	AddedParentRules int
-	// CompressionRatio is GeneralizedRules / BaseRules (< 1 when
-	// ReplaceChildren shrinks the set).
-	CompressionRatio float64
-}
-
-// CompareGeneralization summarizes base vs generalized rule sets.
-func CompareGeneralization(base, gen *RuleSet) GeneralizationReport {
-	added := 0
-	for _, r := range gen.Rules {
-		if r.Generalized {
-			added++
-		}
-	}
-	ratio := 0.0
-	if base.Len() > 0 {
-		ratio = float64(gen.Len()) / float64(base.Len())
-	}
-	return GeneralizationReport{
-		BaseRules:        base.Len(),
-		GeneralizedRules: gen.Len(),
-		AddedParentRules: added,
-		CompressionRatio: ratio,
-	}
-}

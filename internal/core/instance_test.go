@@ -12,6 +12,9 @@ import (
 )
 
 // instFixtureOntology builds Part <- {Resistor <- SMDResistor, Capacitor}.
+// instanceCount is |ix.Instances(c)|: the popcount of the class set.
+func instanceCount(ix *InstanceIndex, c rdf.Term) int { return ix.set(c).Len() }
+
 func instFixtureOntology(t *testing.T) (*ontology.Ontology, map[string]rdf.Term) {
 	t.Helper()
 	classes := map[string]rdf.Term{
@@ -134,18 +137,18 @@ func TestInstanceIndexAncestorInvalidation(t *testing.T) {
 	ix := NewInstanceIndex(sl, ol)
 	// Memoize the whole chain.
 	for _, n := range []string{"Part", "Resistor", "SMDResistor"} {
-		if got := ix.Count(classes[n]); got != 1 {
+		if got := instanceCount(ix, classes[n]); got != 1 {
 			t.Fatalf("Count(%s) = %d, want 1", n, got)
 		}
 	}
 	// A new SMD resistor must surface through every memoized ancestor.
 	ix.UpsertInstance(inst(2), []rdf.Term{classes["SMDResistor"]})
 	for _, n := range []string{"Part", "Resistor", "SMDResistor"} {
-		if got := ix.Count(classes[n]); got != 2 {
+		if got := instanceCount(ix, classes[n]); got != 2 {
 			t.Fatalf("after upsert: Count(%s) = %d, want 2", n, got)
 		}
 	}
-	if got := ix.Count(classes["Capacitor"]); got != 0 {
+	if got := instanceCount(ix, classes["Capacitor"]); got != 0 {
 		t.Fatalf("Count(Capacitor) = %d, want 0", got)
 	}
 }
@@ -192,11 +195,11 @@ func TestInstanceIndexSnapshotImmutable(t *testing.T) {
 	}
 	// Unmemoized class on the frozen snapshot: computed per call, no
 	// memo write, and it sees the snapshot-time state (zero capacitors).
-	if got := snap.Count(classes["Capacitor"]); got != 0 {
+	if got := instanceCount(snap, classes["Capacitor"]); got != 0 {
 		t.Fatalf("snapshot Count(Capacitor) = %d, want 0", got)
 	}
 	// The live index meanwhile reflects everything.
-	if got := ix.Count(classes["Capacitor"]); got != 5 {
+	if got := instanceCount(ix, classes["Capacitor"]); got != 5 {
 		t.Fatalf("live Count(Capacitor) = %d, want 5", got)
 	}
 	if ix.Total() != wantTotal+10-3 {
@@ -215,7 +218,7 @@ func TestInstanceIndexSnapshotConcurrentReads(t *testing.T) {
 	ix := NewInstanceIndex(sl, ol)
 	ix.Freeze([]rdf.Term{classes["Part"]})
 	snap := ix.Snapshot()
-	want := snap.Count(classes["Part"])
+	want := instanceCount(snap, classes["Part"])
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -229,7 +232,7 @@ func TestInstanceIndexSnapshotConcurrentReads(t *testing.T) {
 					return
 				default:
 				}
-				if got := snap.Count(classes["Part"]); got != want {
+				if got := instanceCount(snap, classes["Part"]); got != want {
 					t.Errorf("snapshot read tore: %d, want %d", got, want)
 					return
 				}
@@ -268,11 +271,11 @@ func TestInstanceIndexSnapshotColdOntologyConcurrentReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if got := snap.Count(classes["Part"]); got != 30 {
+				if got := instanceCount(snap, classes["Part"]); got != 30 {
 					t.Errorf("Count(Part) = %d, want 30", got)
 					return
 				}
-				snap.Count(classes["Resistor"])
+				instanceCount(snap, classes["Resistor"])
 			}
 		}()
 	}

@@ -289,15 +289,6 @@ func (m *Model) SegmentsOf(i int, p rdf.Term) []string {
 	return out
 }
 
-// ClassFrequency returns how many training links carry class c on their
-// local side.
-func (m *Model) ClassFrequency(c rdf.Term) int {
-	if m.index == nil {
-		return 0
-	}
-	return m.index.classOf[c]
-}
-
 // mergeCounts folds the right counting map into the left, the merge step
 // of the parallel counting passes. Addition commutes, so the merged map
 // equals the serial count at every worker count.

@@ -21,6 +21,10 @@ var (
 )
 
 // testOntology builds Product > {Resistor > {FFR, WWR}, Capacitor > {Tant, Cer}}.
+// classFrequency is how many training links carry class c, most
+// specific, on their local side.
+func classFrequency(m *Model, c rdf.Term) int { return m.index.classOf[c] }
+
 func testOntology(t testing.TB) *ontology.Ontology {
 	t.Helper()
 	o := ontology.New()
@@ -186,15 +190,12 @@ func TestLearnPropertyDiscovery(t *testing.T) {
 	if m.Stats.Properties != 2 {
 		t.Errorf("discovered properties = %d, want 2", m.Stats.Properties)
 	}
-	props := m.Rules.Properties()
 	foundMf := false
-	for _, p := range props {
-		if p == mfProp {
-			foundMf = true
-		}
+	for _, r := range m.Rules.Rules {
+		foundMf = foundMf || r.Property == mfProp
 	}
 	if !foundMf {
-		t.Errorf("no rule used discovered property manufacturer; properties in rules: %v", props)
+		t.Errorf("no rule used discovered property manufacturer: %v", m.Rules.Rules)
 	}
 	// Manufacturer rules must rank below the high-confidence partNumber
 	// rules — the paper's reason for ignoring manufacturer.
@@ -253,16 +254,16 @@ func TestLearnMostSpecificClassOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Learn: %v", err)
 	}
-	if m.ClassFrequency(clsProd) != 0 {
-		t.Errorf("Product counted %d times, want 0 (not most specific)", m.ClassFrequency(clsProd))
+	if classFrequency(m, clsProd) != 0 {
+		t.Errorf("Product counted %d times, want 0 (not most specific)", classFrequency(m, clsProd))
 	}
-	if m.ClassFrequency(clsFFR) != 4 {
-		t.Errorf("FFR frequency = %d, want 4", m.ClassFrequency(clsFFR))
+	if classFrequency(m, clsFFR) != 4 {
+		t.Errorf("FFR frequency = %d, want 4", classFrequency(m, clsFFR))
 	}
 	// Resistor IS most specific for capacitor links? No — capacitor links
 	// have Tant/Cer below Capacitor, and Resistor is incomparable, so it
 	// stays. Verify it is counted for the 6 non-resistor links only.
-	if got := m.ClassFrequency(clsRes); got != 6 {
+	if got := classFrequency(m, clsRes); got != 6 {
 		t.Errorf("Resistor frequency = %d, want 6 (kept where incomparable)", got)
 	}
 }

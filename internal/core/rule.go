@@ -66,27 +66,6 @@ func (r Rule) Lift() float64 {
 	return r.Confidence() / classRate
 }
 
-// Coverage is PremiseCount / |TS|: how much of the training set the
-// premise fires on (an auxiliary measure from the quality-measures
-// literature the paper cites).
-func (r Rule) Coverage() float64 {
-	if r.TSSize == 0 {
-		return 0
-	}
-	return float64(r.PremiseCount) / float64(r.TSSize)
-}
-
-// Specificity is the proportion of non-class items the premise correctly
-// avoids: |{¬premise ∧ ¬class}| / |{¬class}|.
-func (r Rule) Specificity() float64 {
-	nonClass := r.TSSize - r.ClassCount
-	if nonClass <= 0 {
-		return 0
-	}
-	premiseNonClass := r.PremiseCount - r.JointCount
-	return float64(nonClass-premiseNonClass) / float64(nonClass)
-}
-
 // String renders the rule in the paper's notation with its measures.
 func (r Rule) String() string {
 	return fmt.Sprintf("%s(X,Y) ∧ subsegment(Y,%q) ⇒ %s(X) [sup=%.4f conf=%.3f lift=%.1f]",
@@ -150,46 +129,6 @@ func (rs *RuleSet) ConfidenceBand(lo, hi float64) []Rule {
 			out = append(out, r)
 		}
 	}
-	return out
-}
-
-// MinConfidence returns the rules with confidence >= min, preserving
-// order.
-func (rs *RuleSet) MinConfidence(min float64) []Rule {
-	var out []Rule
-	for _, r := range rs.Rules {
-		if r.Confidence() >= min {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Classes returns the distinct conclusion classes, sorted.
-func (rs *RuleSet) Classes() []rdf.Term {
-	set := map[rdf.Term]struct{}{}
-	for _, r := range rs.Rules {
-		set[r.Class] = struct{}{}
-	}
-	out := make([]rdf.Term, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
-// Properties returns the distinct premise properties, sorted.
-func (rs *RuleSet) Properties() []rdf.Term {
-	set := map[rdf.Term]struct{}{}
-	for _, r := range rs.Rules {
-		set[r.Property] = struct{}{}
-	}
-	out := make([]rdf.Term, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -34,18 +33,11 @@ func TestRuleMeasuresKnownValues(t *testing.T) {
 	if got := r.Lift(); got != 3.0 {
 		t.Errorf("Lift = %v, want 3.0", got)
 	}
-	if got := r.Coverage(); got != 0.2 {
-		t.Errorf("Coverage = %v, want 0.2", got)
-	}
-	// Specificity: non-class = 75, premise∧non-class = 5 → 70/75.
-	if got := r.Specificity(); math.Abs(got-70.0/75.0) > 1e-12 {
-		t.Errorf("Specificity = %v, want %v", got, 70.0/75.0)
-	}
 }
 
 func TestRuleMeasuresZeroDenominators(t *testing.T) {
 	var r Rule
-	if r.Support() != 0 || r.Confidence() != 0 || r.Lift() != 0 || r.Coverage() != 0 || r.Specificity() != 0 {
+	if r.Support() != 0 || r.Confidence() != 0 || r.Lift() != 0 {
 		t.Error("zero rule must not divide by zero")
 	}
 }
@@ -112,23 +104,6 @@ func TestRuleSetSortAndBands(t *testing.T) {
 	}
 	if got := rs.ConfidenceBand(0.4, 0.8); len(got) != 2 {
 		t.Errorf("band [0.4,0.8) = %d rules, want 2", len(got))
-	}
-	if got := rs.MinConfidence(0.7); len(got) != 3 {
-		t.Errorf("MinConfidence(0.7) = %d rules, want 3", len(got))
-	}
-}
-
-func TestRuleSetClassesProperties(t *testing.T) {
-	rs := &RuleSet{Rules: []Rule{
-		{Property: iri("p1"), Class: iri("A"), Segment: "x"},
-		{Property: iri("p1"), Class: iri("B"), Segment: "y"},
-		{Property: iri("p2"), Class: iri("A"), Segment: "z"},
-	}}
-	if got := rs.Classes(); len(got) != 2 {
-		t.Errorf("Classes = %v", got)
-	}
-	if got := rs.Properties(); len(got) != 2 {
-		t.Errorf("Properties = %v", got)
 	}
 }
 

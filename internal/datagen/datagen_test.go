@@ -51,8 +51,16 @@ func TestGenerateTaxonomyShape(t *testing.T) {
 	if got := len(ds.Ontology.Leaves()); got != cfg.LeafClasses {
 		t.Errorf("leaves = %d, want %d", got, cfg.LeafClasses)
 	}
-	if got := len(ds.Ontology.Roots()); got != 1 {
-		t.Errorf("roots = %d, want 1", got)
+	// One root: a parentless ancestor of a leaf that every other class
+	// descends from.
+	var root rdf.Term
+	for _, a := range ds.Ontology.Ancestors(ds.Leaves[0]) {
+		if len(ds.Ontology.Parents(a)) == 0 {
+			root = a
+		}
+	}
+	if got := len(ds.Ontology.Descendants(root)); got != cfg.TotalClasses-1 {
+		t.Errorf("root %v has %d descendants, want every other class (%d)", root, got, cfg.TotalClasses-1)
 	}
 	if err := ds.Ontology.Validate(); err != nil {
 		t.Errorf("taxonomy has cycles: %v", err)

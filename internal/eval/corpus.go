@@ -1,7 +1,10 @@
 // Package eval is the experiment harness: it regenerates every
 // quantitative result of the paper's Section 5 (Table 1 plus the inline
-// corpus statistics) and the extension experiments DESIGN.md indexes
-// (space reduction, blocking baselines, ablations, rule generalization).
+// corpus statistics) and the extension experiments the linkrules
+// command indexes as E3-E7 (space reduction, blocking baselines,
+// ablations, rule generalization, held-out evaluation). E8, in-space
+// linking, runs on a pipeline in the root package; this package renders
+// its rows.
 // Each experiment returns typed rows and can render a fixed-width text
 // table whose columns mirror the paper's.
 package eval

@@ -334,38 +334,3 @@ func TestRenderAlignsColumns(t *testing.T) {
 }
 
 var _ = blocking.Cartesian{} // keep the import explicit for the comparison test
-
-func TestLinkingExperiment(t *testing.T) {
-	c := smallCorpus(t)
-	rows, err := Linking(c, DefaultLinkingConfig(), []int{1, 2, 4})
-	if err != nil {
-		t.Fatalf("Linking: %v", err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	base := rows[0]
-	if base.Pairs == 0 || base.Matches == 0 {
-		t.Fatalf("degenerate experiment: %d pairs, %d matches", base.Pairs, base.Matches)
-	}
-	if base.Result.Recall() == 0 {
-		t.Error("zero recall linking inside correct candidate spaces")
-	}
-	for _, r := range rows[1:] {
-		// Quality metrics must not depend on the worker count.
-		if r.Pairs != base.Pairs || r.Matches != base.Matches || r.Result != base.Result {
-			t.Errorf("workers=%d row diverges from serial: %+v vs %+v", r.Workers, r, base)
-		}
-	}
-	tbl := LinkingTable(rows)
-	var sb strings.Builder
-	if err := tbl.Render(&sb); err != nil {
-		t.Fatalf("render: %v", err)
-	}
-	if !strings.Contains(sb.String(), "workers") {
-		t.Error("table missing workers column")
-	}
-	if len(LinkingWorkerCounts()) == 0 {
-		t.Error("empty default worker ladder")
-	}
-}

@@ -5,31 +5,32 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/linkage"
-	"repro/internal/rdf"
 	"repro/internal/similarity"
 )
 
-// LinkingRow is one line of the in-space linking experiment (E8): the
-// downstream matcher runs inside the rule-reduced linking spaces at a
-// given worker count. Quality metrics are identical across rows by the
-// engine's determinism guarantee; the throughput column shows how the
-// parallel engine scales.
+// LinkingRow is one line of the in-space linking experiment (E8), which
+// the root package's LinkingExperiment runs: the downstream matcher runs
+// inside the rule-reduced linking spaces at a given worker count.
+// Quality metrics are identical across rows by the engine's determinism
+// guarantee; the throughput column shows how the served path scales.
 type LinkingRow struct {
 	Workers int
 	// Pairs is the number of candidate pairs the reduced spaces contain.
 	Pairs int
-	// Matches is the number of one-to-one links declared by LinkBest.
+	// Matches is the number of items linked: each to its best match at
+	// or above the threshold.
 	Matches int
 	// Result scores the declared links against the training links.
 	Result linkage.Result
-	// Elapsed is the wall time of scoring every candidate pair.
+	// Elapsed is the wall time of the served path over every item:
+	// classification, expansion and scoring.
 	Elapsed time.Duration
 }
 
-// PairsPerSec is the scoring throughput of this run.
+// PairsPerSec is the throughput of this run: candidate pairs per second
+// of the whole served path.
 func (r LinkingRow) PairsPerSec() float64 {
 	if r.Elapsed <= 0 {
 		return 0
@@ -62,66 +63,6 @@ func LinkingWorkerCounts() []int {
 		out = append(out, w)
 	}
 	return append(out, max)
-}
-
-// Linking runs the in-space linking experiment: the reduced linking
-// space of every training-set external item is expanded into candidate
-// pairs, the matcher scores them at each worker count, and the declared
-// one-to-one links are evaluated against the training links. cfg's
-// Workers field is overridden per row.
-func Linking(c *Corpus, cfg linkage.Config, workerCounts []int) ([]LinkingRow, error) {
-	pairs, cands := linkingCandidates(c)
-	truth := c.Dataset.Training.Links
-	base, err := linkage.New(cfg, c.Dataset.External, c.Dataset.Local)
-	if err != nil {
-		return nil, fmt.Errorf("eval: building linking engine: %w", err)
-	}
-	rows := make([]LinkingRow, 0, len(workerCounts))
-	for _, w := range workerCounts {
-		// The value index is worker-independent; share it across rows.
-		eng, err := base.WithOptions(cfg.Threshold, w)
-		if err != nil {
-			return nil, fmt.Errorf("eval: building linking engine: %w", err)
-		}
-		start := time.Now()
-		eng.ScorePairs(pairs)
-		elapsed := time.Since(start)
-		links := eng.LinkBest(cands)
-		rows = append(rows, LinkingRow{
-			Workers: w,
-			Pairs:   len(pairs),
-			Matches: len(links),
-			Result:  linkage.Evaluate(links, truth),
-			Elapsed: elapsed,
-		})
-	}
-	return rows, nil
-}
-
-// linkingCandidates expands every training-set external item's reduced
-// space into the flat pair list and per-item candidate map the engine
-// consumes.
-func linkingCandidates(c *Corpus) ([][2]rdf.Term, map[rdf.Term][]rdf.Term) {
-	var pairs [][2]rdf.Term
-	cands := map[rdf.Term][]rdf.Term{}
-	for _, link := range c.Dataset.Training.Links {
-		if _, seen := cands[link.External]; seen {
-			continue
-		}
-		preds := c.Classifier.Classify(link.External, c.Dataset.External)
-		sr := core.Space(link.External, preds, c.Instances)
-		ps := core.CandidatePairs(sr, c.Instances)
-		if len(ps) == 0 {
-			continue
-		}
-		pairs = append(pairs, ps...)
-		locs := make([]rdf.Term, len(ps))
-		for i, p := range ps {
-			locs[i] = p[1]
-		}
-		cands[link.External] = locs
-	}
-	return pairs, cands
 }
 
 // LinkingTable renders the experiment.

@@ -35,12 +35,14 @@ type IndexPatch struct {
 
 // ApplyPatches applies an ordered sequence of upsert/remove patches to
 // the writer's local value columns. An upsert re-reads each item's
-// values from the local graph, giving a new item the next ID of the
-// engine's table; an item with no remaining values, and a removed one,
-// keeps its ID and loses its values. External-side patches need no
-// work: external items are resolved from the graph at query time, so
-// the caller's contract is only to mutate the external graph before the
-// next Snapshot. Panics on a snapshot.
+// values from the local graph; a numbered engine (New) gives a new item
+// the next ID of its table, and an engine over a shared table
+// (NewWithIDs) skips an item the table does not know. An item with no
+// remaining values, and a removed one, keeps its ID and loses its
+// values. External-side patches need no work: external items are
+// resolved from the graph at query time, so the caller's contract is
+// only to mutate the external graph before the next Snapshot. Panics on
+// a snapshot.
 func (e *Engine) ApplyPatches(patches []IndexPatch) {
 	ix := e.ix
 	if ix.mut == nil {
@@ -52,6 +54,9 @@ func (e *Engine) ApplyPatches(patches []IndexPatch) {
 		}
 		for _, item := range p.Items {
 			id := ix.idOf(item)
+			if id == noID && !ix.numbered {
+				continue // no class set of the table can name it
+			}
 			for ci := range ix.cols {
 				var vals []value
 				if !p.Remove {

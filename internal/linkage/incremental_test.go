@@ -1,7 +1,6 @@
 package linkage
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/rdf"
 	"repro/internal/similarity"
 )
@@ -92,6 +92,34 @@ func TestUpsertMatchesRebuild(t *testing.T) {
 	rebuildEqual(t, eng, se, sl, augmented)
 }
 
+// TestNewWithIDsNumbersNothing: an engine over a shared writer's table
+// indexes only the items the table knows. It gives an item the table's
+// owner has not numbered no ID, at build or at a patch, and picks the
+// item's values up at the first patch after the owner numbers it.
+func TestNewWithIDsNumbersNothing(t *testing.T) {
+	se, sl := testGraphs(t)
+	ids := core.NewIDTable()
+	l1, lNew := item("l", "1"), item("l", "new")
+	ids.Assign(l1)
+	eng, err := NewWithIDs(defaultConfig(), se, sl, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// e/1's own values: lNew scores 1.
+	sl.Add(rdf.T(lNew, pn, rdf.NewLiteral("CRCW0805-100")))
+	sl.Add(rdf.T(lNew, label, rdf.NewLiteral("chip resistor")))
+	upsertLocal(eng, lNew)
+	if n := ids.Len(); n != 1 {
+		t.Fatalf("the engine numbered %d items, want only the owner's 1", n)
+	}
+	id := ids.Assign(lNew)
+	upsertLocal(eng, lNew)
+	ms, _ := eng.Snapshot().TopKIDs(item("e", "1"), core.IDSet{1<<0 | 1<<id}, 0)
+	if len(ms) != 2 || ms[0].Local != lNew {
+		t.Fatalf("TopKIDs = %+v, want l/new first, then l/1", ms)
+	}
+}
+
 // TestRemoveDropsItems checks a local remove patch without graph
 // mutation (soft delete) and its equivalence to scoring an absent item.
 func TestRemoveDropsItems(t *testing.T) {
@@ -107,7 +135,7 @@ func TestRemoveDropsItems(t *testing.T) {
 	e0 := rdf.NewIRI("http://ex.org/e/0")
 	l0 := rdf.NewIRI("http://ex.org/l/0")
 	eng.ApplyPatches([]IndexPatch{{Side: LocalSide, Remove: true, Items: []rdf.Term{l0}}})
-	if got := eng.Score(e0, l0); got != 0 {
+	if got := score(t, eng, e0, l0); got != 0 {
 		t.Fatalf("score of a removed item = %v, want 0", got)
 	}
 	for _, p := range pairs {
@@ -115,14 +143,14 @@ func TestRemoveDropsItems(t *testing.T) {
 			continue
 		}
 		// Untouched pairs must be unaffected.
-		if got, want := eng.Score(p[0], p[1]), fresh.Score(p[0], p[1]); got != want {
+		if got, want := score(t, eng, p[0], p[1]), score(t, fresh, p[0], p[1]); got != want {
 			t.Fatalf("remove disturbed unrelated pair %v: %v != %v", p, got, want)
 		}
 	}
 	// Re-adding via an upsert patch restores the item from the intact
 	// graph.
 	upsertLocal(eng, l0)
-	if got, want := eng.Score(e0, l0), fresh.Score(e0, l0); got != want {
+	if got, want := score(t, eng, e0, l0), score(t, fresh, e0, l0); got != want {
 		t.Fatalf("upsert after remove: %v != %v", got, want)
 	}
 }
@@ -139,7 +167,7 @@ func TestUpsertSharedWithOptions(t *testing.T) {
 	}
 	e0 := rdf.NewIRI("http://ex.org/e/0")
 	l0 := rdf.NewIRI("http://ex.org/l/0")
-	before := eng.Score(e0, l0)
+	before := score(t, eng, e0, l0)
 	derived, err := eng.WithOptions(0.1, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -156,10 +184,10 @@ func TestUpsertSharedWithOptions(t *testing.T) {
 		se.Remove(rdf.T(e0, pn, o))
 	}
 	se.Add(rdf.T(e0, pn, rdf.NewLiteral("SHARED-1")))
-	if s := eng.Score(e0, l0); s < 0.6 {
+	if s := score(t, eng, e0, l0); s < 0.6 {
 		t.Fatalf("writer's engine does not see the upsert: score %v", s)
 	}
-	if s := derived.Score(e0, l0); s != before {
+	if s := score(t, derived, e0, l0); s != before {
 		t.Fatalf("derived engine saw a later upsert: score %v, was %v", s, before)
 	}
 }
@@ -240,14 +268,9 @@ func TestConcurrentQueryUnderUpdate(t *testing.T) {
 				}
 				switch r % 3 {
 				case 0:
-					check("LinkBest", b.eng.LinkBest(cands), ref.LinkBest(cands))
+					check("best per item", linkBest(b.eng, cands), linkBest(ref, cands))
 				case 1:
-					got, err := b.eng.ScorePairsCtx(context.Background(), pairs)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					check("ScorePairs", got, ref.ScorePairs(pairs))
+					check("ScorePairs", b.eng.ScorePairs(pairs), ref.ScorePairs(pairs))
 				default:
 					for ext, locs := range cands {
 						check("TopK", b.eng.TopK(ext, locs, 3), ref.TopK(ext, locs, 3))

@@ -41,13 +41,9 @@ type compiledComparator struct {
 	tokenSets similarity.TokenSetScored
 	// prepared is non-nil when the measure can precompile one side of a
 	// comparison; the external value of a query is then prepared once
-	// and scored against every candidate, the fastest path of all.
+	// and scored against every candidate's string, the fastest path of
+	// all.
 	prepared similarity.PreparedMeasure
-	// localPrepared is set when the prepared measure also reads the
-	// local side's prepared form, as TF-IDF reads its vector. The edit
-	// distances read only the local string (similarity.LeftPrepared), so
-	// their local values are never prepared.
-	localPrepared bool
 }
 
 // compileComparators resolves every comparator's measure capabilities.
@@ -68,8 +64,6 @@ func compileComparators(cfg Config) []compiledComparator {
 			cc.tokenSets, _ = cmp.Measure.(similarity.TokenSetScored)
 		}
 		cc.prepared, _ = cmp.Measure.(similarity.PreparedMeasure)
-		_, leftOnly := cmp.Measure.(similarity.LeftPrepared)
-		cc.localPrepared = cc.prepared != nil && !leftOnly
 		comps[i] = cc
 	}
 	return comps
@@ -82,7 +76,7 @@ func (c *compiledComparator) derive(s string, local bool) value {
 	v := value{s: s, runeLen: utf8.RuneCountInString(s)}
 	switch {
 	case c.prepared != nil:
-		if !local || c.localPrepared {
+		if !local {
 			v.prepared = c.prepared.Prepare(s)
 		}
 	case c.tokenSets != nil:
@@ -100,8 +94,6 @@ func (c *compiledComparator) derive(s string, local bool) value {
 // similarity scores one value pair: ev external, lv local.
 func (c *compiledComparator) similarity(ev, lv *value) float64 {
 	switch {
-	case c.localPrepared:
-		return ev.prepared.SimilarityPrepared(lv.prepared)
 	case c.prepared != nil:
 		return ev.prepared.Similarity(lv.s)
 	case c.tokenSets != nil:
@@ -211,11 +203,11 @@ func (c *column) set(tok *mutToken, id uint32, vals []value) {
 }
 
 // build indexes every comparator's local values into its column, in one
-// pass per comparator over the local graph's predicate index. Items the
-// table does not know get IDs in rdf.Term order, so that the IDs do not
-// depend on map iteration; over a frozen table (no writer token) only
-// the items it knows are indexed. Columns are filled in ID order, so a
-// scan in ID order reads them sequentially.
+// pass per comparator over the local graph's predicate index. In a
+// numbered engine, items the table does not know get IDs in rdf.Term
+// order, so that the IDs do not depend on map iteration; otherwise only
+// the items the table knows are indexed. Columns are filled in ID order,
+// so a scan in ID order reads them sequentially.
 func (ix *index) build(sl *rdf.Graph) {
 	// item -> its literal values, per comparator
 	objs := map[rdf.Term][][]rdf.Term{}
@@ -243,7 +235,7 @@ func (ix *index) build(sl *rdf.Graph) {
 	for item, per := range objs {
 		if id, ok := ix.ids.ID(item); ok {
 			entries = append(entries, entry{id, per})
-		} else if ix.mut != nil {
+		} else if ix.numbered {
 			unknown = append(unknown, item)
 		}
 	}

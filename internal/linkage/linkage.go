@@ -16,8 +16,9 @@
 // never hashes, sorts or allocates a catalog term:
 //
 //   - One ID space. Every local item has a dense uint32 ID from a
-//     core.IDTable. New builds a private table; NewWithIDs builds over a
-//     given one, which is how a pipeline's engine shares the table of its
+//     core.IDTable. New builds and numbers a private table; NewWithIDs
+//     builds over a given one and indexes only the items it knows, which
+//     is how a pipeline's engine shares the table of its
 //     core.InstanceIndex, so the bits of a class set
 //     (core.SpaceReport.Candidates) address the engine's columns
 //     directly.
@@ -25,12 +26,11 @@
 //   - Value columns. Each comparator keeps its local values in a column
 //     indexed by ID (internal/linkage/index.go): per value the string and
 //     its rune length, plus the one derived form the measure reads from
-//     the local side — a token list or token set for the token measures,
-//     a prepared vector for TF-IDF. The edit distances read only the
-//     local string (similarity.LeftPrepared), so no local value carries a
-//     Myers table. The external item of a query is resolved once per call
-//     from the engine's external graph, with its prepared forms built for
-//     that call only.
+//     the local side — a token list or token set for the token measures.
+//     The edit distances read only the local string, so no local value
+//     carries a Myers table. The external item of a query is resolved
+//     once per call from the engine's external graph, with its prepared
+//     forms built for that call only.
 //
 //   - One scoring loop. A ranker offers each candidate ID in turn: it
 //     first sums the candidate's bound, the weighted
@@ -41,21 +41,17 @@
 //     it scores the candidate, taking per comparator the best value pair
 //     and skipping value pairs whose length bound cannot beat it. The k
 //     best are kept in a bounded heap under the total order ScorePairs
-//     sorts by, so nothing sorts the passing matches beyond k. TopKIDs
-//     runs the loop over a bitset of IDs; the term API (Score, TopK,
-//     ScorePairs, LinkBest) maps each term to its ID once and runs the
-//     same loop.
+//     sorts by, so nothing sorts the passing matches beyond k.
 //
-//   - Parallel scoring. ScorePairs and LinkBest fan work out across
-//     Config.Workers goroutines (default: all cores) using the chunked
-//     work-stealing scaffold of internal/par — an atomic cursor hands
-//     fixed-size chunks to idle workers, each worker writes its chunk's
-//     matches into a dedicated result slot, and the chunks are
-//     concatenated in order and sorted under the same total order as the
-//     serial path. Output is byte-identical to Workers=1 on the same
-//     input. The Ctx variants additionally observe context cancellation
-//     between chunks, so a dropped service request stops in-flight
-//     scoring.
+//   - One entry point. TopKIDs runs the loop over a bitset of IDs; it is
+//     what a pipeline's query view calls for every item, and the views
+//     parallelize across items. TopK and ScorePairs take terms instead,
+//     map each to its ID once and run the same loop; they serve the
+//     repository benchmark (linkbench) as its reference path, and no
+//     product path calls them. ScorePairs fans its pairs out across
+//     Config.Workers goroutines in chunks (internal/par) and sorts the
+//     passing matches under the same total order, so its output is
+//     identical at every worker count.
 //
 // # Live engines and snapshots
 //
@@ -104,9 +100,9 @@ type Config struct {
 	// Threshold is the minimum weighted score for a pair to be declared
 	// a match, in [0, 1].
 	Threshold float64
-	// Workers is the number of goroutines ScorePairs and LinkBest fan
-	// out across. 0 means runtime.GOMAXPROCS(0); 1 forces the serial
-	// path. Output is identical for every worker count.
+	// Workers is the number of goroutines ScorePairs, and a query
+	// view's LinkTopK, fan out across. 0 means runtime.GOMAXPROCS(0); 1
+	// forces the serial path. Output is identical for every worker count.
 	Workers int
 }
 
@@ -163,6 +159,10 @@ type index struct {
 	se *rdf.Graph
 	// ids maps local items to the IDs the columns are indexed by.
 	ids *core.IDTable
+	// numbered is set when the engine owns ids (New): it then gives
+	// every local item with values an ID. An engine over a shared table
+	// indexes only the items the table knows.
+	numbered bool
 	// cols holds each comparator's local values, by comparator.
 	cols []column
 
@@ -174,26 +174,33 @@ type index struct {
 }
 
 // New builds an engine over the external and local graphs, indexing the
-// local values under a private ID table (see the package comment).
-// Later mutations of the local graph are observed only once the mutated
-// items are passed to ApplyPatches; external items are read from se at
-// query time.
+// local values under a private ID table that it numbers itself (see the
+// package comment). Later mutations of the local graph are observed only
+// once the mutated items are passed to ApplyPatches; external items are
+// read from se at query time. Its caller is linkbench's reference path.
 func New(cfg Config, se, sl *rdf.Graph) (*Engine, error) {
-	return NewWithIDs(cfg, se, sl, core.NewIDTable())
+	return build(cfg, se, sl, core.NewIDTable(), true)
 }
 
 // NewWithIDs is New over a given ID table, such as the one a
 // core.InstanceIndex owns, so that TopKIDs scores the IDs of that
-// index's class sets. Over a writer's table the engine assigns IDs to
-// local items the table does not know yet, and its ApplyPatches must be
-// serialized with the table's other writer. Over a frozen table the
-// engine indexes only the items the table knows — every candidate a
-// class set of that table can name — and is itself a frozen snapshot.
+// index's class sets. The engine indexes only the items the table knows
+// — every candidate a class set of that table can name — and never
+// numbers one: the table's owner does, and ApplyPatches, which must
+// then be serialized with that owner's writes, picks an item's values
+// up once the owner has given it an ID. Over a frozen table the engine
+// is itself a frozen snapshot.
 func NewWithIDs(cfg Config, se, sl *rdf.Graph, ids *core.IDTable) (*Engine, error) {
+	return build(cfg, se, sl, ids, false)
+}
+
+// build compiles an engine over ids; numbered is set when the engine
+// owns the table and gives every local item with values an ID.
+func build(cfg Config, se, sl *rdf.Graph, ids *core.IDTable, numbered bool) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ix := &index{comps: compileComparators(cfg), se: se, ids: ids}
+	ix := &index{comps: compileComparators(cfg), se: se, ids: ids, numbered: numbered}
 	if !ids.Frozen() {
 		ix.sl, ix.mut = sl, &mutToken{}
 	}
@@ -218,23 +225,12 @@ func (e *Engine) WithOptions(threshold float64, workers int) (*Engine, error) {
 	return &Engine{cfg: cfg, ix: e.Snapshot().ix}, nil
 }
 
-// workers resolves Config.Workers: 0 means all cores.
-func (e *Engine) workers() int { return par.Workers(e.cfg.Workers) }
-
-// chunkSize is the number of items a worker claims at a time.
-const chunkSize = par.DefaultChunk
-
-// Score computes the weighted similarity of one pair in [0, 1]. For a
+// scoreAbove is the hot path: it scores the resolved external item q
+// against local item id, a weighted similarity in [0, 1]. For a
 // multi-valued property the best-scoring value pair counts. Comparators
 // whose properties are absent on either side score 0 but keep their
-// weight in the denominator, penalizing missing information.
-func (e *Engine) Score(ext, loc rdf.Term) float64 {
-	s, _ := e.ix.scoreAbove(e.ix.resolve(ext), e.ix.idOf(loc), 0)
-	return s
-}
-
-// scoreAbove is the hot path: it scores the resolved external item q
-// against local item id, unless the candidate's bound — the weighted sum
+// weight in the denominator, penalizing missing information. It skips
+// the candidate unless the candidate's bound — the weighted sum
 // of its comparators' length bounds — is strictly below bar, in which
 // case it reports false without scoring. The bound is summed in the
 // score's comparator order, so rounding keeps the score at or below it.
@@ -272,18 +268,10 @@ type Work struct {
 
 // ScorePairs scores candidate pairs and returns those at or above the
 // threshold, sorted by descending score (ties broken deterministically).
-// The work is spread across Config.Workers goroutines; output is
-// identical for every worker count.
+// Each distinct external item is resolved once before the pairs fan out
+// across Config.Workers goroutines; output is identical for every
+// worker count. Its caller is linkbench's reference path.
 func (e *Engine) ScorePairs(pairs [][2]rdf.Term) []Match {
-	out, _ := e.ScorePairsCtx(context.Background(), pairs)
-	return out
-}
-
-// ScorePairsCtx is ScorePairs with cooperative cancellation: when ctx is
-// cancelled mid-run, in-flight chunks finish, the rest are skipped, and
-// ctx.Err() is returned with a nil slice. Each distinct external item is
-// resolved once before the pairs fan out.
-func (e *Engine) ScorePairsCtx(ctx context.Context, pairs [][2]rdf.Term) ([]Match, error) {
 	ix, threshold := e.ix, e.cfg.Threshold
 	exts := map[rdf.Term][][]value{}
 	for _, p := range pairs {
@@ -291,52 +279,19 @@ func (e *Engine) ScorePairsCtx(ctx context.Context, pairs [][2]rdf.Term) ([]Matc
 			exts[p[0]] = ix.resolve(p[0])
 		}
 	}
-	out, err := par.MapChunks(ctx, e.workers(), chunkSize, pairs, func(p [2]rdf.Term) (Match, bool) {
+	// Without a cancellable context MapChunks cannot fail.
+	out, _ := par.MapChunks(context.Background(), par.Workers(e.cfg.Workers), par.DefaultChunk, pairs, func(p [2]rdf.Term) (Match, bool) {
 		s, ok := ix.scoreAbove(exts[p[0]], ix.idOf(p[1]), threshold)
 		return Match{External: p[0], Local: p[1], Score: s}, ok && s >= threshold
 	})
-	if err != nil {
-		return nil, err
-	}
 	sortMatches(out)
-	return out, nil
-}
-
-// LinkBest performs one-to-one greedy linking: every external item is
-// linked to its best-scoring candidate at or above the threshold. The
-// candidates map gives each external item's reduced linking space. The
-// per-item searches are spread across Config.Workers goroutines; output
-// is identical for every worker count.
-func (e *Engine) LinkBest(candidates map[rdf.Term][]rdf.Term) []Match {
-	out, _ := e.LinkBestCtx(context.Background(), candidates)
 	return out
-}
-
-// LinkBestCtx is LinkBest with cooperative cancellation, following the
-// contract of ScorePairsCtx.
-func (e *Engine) LinkBestCtx(ctx context.Context, candidates map[rdf.Term][]rdf.Term) ([]Match, error) {
-	exts := make([]rdf.Term, 0, len(candidates))
-	for ext := range candidates {
-		exts = append(exts, ext)
-	}
-	out, err := par.MapChunks(ctx, e.workers(), chunkSize, exts, func(ext rdf.Term) (Match, bool) {
-		r := e.ix.ranker(ext, e.cfg.Threshold, 1)
-		r.offerTerms(candidates[ext])
-		if len(r.heap) == 0 {
-			return Match{}, false
-		}
-		return r.heap[0], true
-	})
-	if err != nil {
-		return nil, err
-	}
-	sortMatches(out)
-	return out, nil
 }
 
 // TopK scores ext against every candidate in locs and returns up to k
 // matches at or above the threshold, best first under the same total
-// order ScorePairs sorts by. k <= 0 means no limit.
+// order ScorePairs sorts by. k <= 0 means no limit. Its caller is
+// linkbench's traced replay.
 func (e *Engine) TopK(ext rdf.Term, locs []rdf.Term, k int) []Match {
 	r := e.ix.ranker(ext, e.cfg.Threshold, k)
 	r.offerTerms(locs)

@@ -65,14 +65,29 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// score returns e's score of one pair: TopK's one match for it under
+// threshold 0, which every score reaches.
+func score(t testing.TB, e *Engine, ext, loc rdf.Term) float64 {
+	t.Helper()
+	z, err := e.WithOptions(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := z.TopK(ext, []rdf.Term{loc}, 1)
+	if len(ms) != 1 {
+		t.Fatalf("TopK at threshold 0 kept %d matches for one pair", len(ms))
+	}
+	return ms[0].Score
+}
+
 func TestScore(t *testing.T) {
 	se, sl := testGraphs(t)
 	e, err := New(defaultConfig(), se, sl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := e.Score(item("e", "1"), item("l", "1"))
-	diff := e.Score(item("e", "1"), item("l", "3"))
+	same := score(t, e, item("e", "1"), item("l", "1"))
+	diff := score(t, e, item("e", "1"), item("l", "3"))
 	if same <= diff {
 		t.Errorf("Score(same product)=%v <= Score(different)=%v", same, diff)
 	}
@@ -80,11 +95,11 @@ func TestScore(t *testing.T) {
 		t.Errorf("Score(same product)=%v unexpectedly low", same)
 	}
 	// Missing label on e2 keeps the label weight in the denominator.
-	s2 := e.Score(item("e", "2"), item("l", "2"))
+	s2 := score(t, e, item("e", "2"), item("l", "2"))
 	if s2 >= 1 {
 		t.Errorf("missing property should cap score below 1, got %v", s2)
 	}
-	if got := e.Score(item("e", "404"), item("l", "404")); got != 0 {
+	if got := score(t, e, item("e", "404"), item("l", "404")); got != 0 {
 		t.Errorf("Score(absent items) = %v", got)
 	}
 }
@@ -118,6 +133,20 @@ func TestScorePairs(t *testing.T) {
 	}
 }
 
+// linkBest links every item of cands to its best candidate at or above
+// the threshold: its TopK with k = 1, the answer a query view gives at
+// top_k 1, in match order.
+func linkBest(e *Engine, cands map[rdf.Term][]rdf.Term) []Match {
+	var out []Match
+	for ext, locs := range cands {
+		out = append(out, e.TopK(ext, locs, 1)...)
+	}
+	sortMatches(out)
+	return out
+}
+
+// TestLinkBest: TopK with k = 1 links each item to its best candidate,
+// and an item with no candidate at or above the threshold to nothing.
 func TestLinkBest(t *testing.T) {
 	se, sl := testGraphs(t)
 	cfg := defaultConfig()
@@ -128,9 +157,8 @@ func TestLinkBest(t *testing.T) {
 		item("e", "2"): {item("l", "2"), item("l", "3")},
 		item("e", "3"): {item("l", "3")}, // nothing similar
 	}
-	ms := e.LinkBest(cands)
 	got := map[rdf.Term]rdf.Term{}
-	for _, m := range ms {
+	for _, m := range linkBest(e, cands) {
 		got[m.External] = m.Local
 	}
 	if got[item("e", "1")] != item("l", "1") {
@@ -193,7 +221,7 @@ func TestEndToEndReducedSpaceLinking(t *testing.T) {
 		item("e", "2"): {item("l", "2")},
 		item("e", "3"): {item("l", "3")},
 	}
-	res := Evaluate(e.LinkBest(cands), truth)
+	res := Evaluate(linkBest(e, cands), truth)
 	if res.Recall() != 1 {
 		t.Errorf("recall = %v, want 1 within correct candidate sets", res.Recall())
 	}

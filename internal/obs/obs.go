@@ -174,21 +174,6 @@ func SizeBuckets() []float64 {
 	return []float64{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
 }
 
-// ExponentialBuckets returns count bucket bounds starting at start,
-// multiplying by factor. Panics on a non-positive start, a factor <= 1
-// or count < 1 — registration-time errors, like the Registry's own.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	if start <= 0 || factor <= 1 || count < 1 {
-		panic(fmt.Sprintf("obs: invalid exponential buckets (start %g, factor %g, count %d)", start, factor, count))
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // metricType is the TYPE line value.
 type metricType string
 

@@ -31,8 +31,9 @@ type Ontology struct {
 	closureValid bool
 	ancestors    map[Class]map[Class]struct{}
 	descendants  map[Class]map[Class]struct{}
-	depths       map[Class]int
 
+	// disjoint holds the declared owl:disjointWith pairs, both ways, so
+	// that ToGraph writes back what FromGraph read.
 	disjoint map[Class]map[Class]struct{}
 }
 
@@ -52,9 +53,6 @@ func New() *Ontology {
 
 // ErrCycle reports that the subClassOf graph is not a DAG.
 var ErrCycle = errors.New("ontology: subClassOf cycle")
-
-// ErrUnknownClass reports a query about a class never declared.
-var ErrUnknownClass = errors.New("ontology: unknown class")
 
 // AddClass declares a class; it is a no-op if already declared.
 func (o *Ontology) AddClass(c Class) {
@@ -178,16 +176,6 @@ func (o *Ontology) Has(c Class) bool {
 	return ok
 }
 
-// Classes returns all declared classes, sorted.
-func (o *Ontology) Classes() []Class {
-	out := make([]Class, 0, len(o.nodes))
-	for c := range o.nodes {
-		out = append(out, c)
-	}
-	sortClasses(out)
-	return out
-}
-
 // Parents returns the direct superclasses of c, sorted.
 func (o *Ontology) Parents(c Class) []Class {
 	n, ok := o.nodes[c]
@@ -195,27 +183,6 @@ func (o *Ontology) Parents(c Class) []Class {
 		return nil
 	}
 	return setToSorted(n.parents)
-}
-
-// Children returns the direct subclasses of c, sorted.
-func (o *Ontology) Children(c Class) []Class {
-	n, ok := o.nodes[c]
-	if !ok {
-		return nil
-	}
-	return setToSorted(n.children)
-}
-
-// Roots returns the classes with no declared superclass, sorted.
-func (o *Ontology) Roots() []Class {
-	var out []Class
-	for c, n := range o.nodes {
-		if len(n.parents) == 0 {
-			out = append(out, c)
-		}
-	}
-	sortClasses(out)
-	return out
 }
 
 // Leaves returns the classes with no subclasses, sorted. These are the
@@ -271,15 +238,14 @@ func (o *Ontology) Validate() error {
 	return nil
 }
 
-// buildClosure computes ancestor/descendant sets and depths for all
-// classes in one pass each.
+// buildClosure computes ancestor and descendant sets for all classes in
+// one pass each.
 func (o *Ontology) buildClosure() {
 	if o.closureValid {
 		return
 	}
 	o.ancestors = make(map[Class]map[Class]struct{}, len(o.nodes))
 	o.descendants = make(map[Class]map[Class]struct{}, len(o.nodes))
-	o.depths = make(map[Class]int, len(o.nodes))
 
 	var upward func(c Class) map[Class]struct{}
 	upward = func(c Class) map[Class]struct{} {
@@ -311,24 +277,9 @@ func (o *Ontology) buildClosure() {
 		}
 		return acc
 	}
-	var depth func(c Class) int
-	depth = func(c Class) int {
-		if d, ok := o.depths[c]; ok {
-			return d
-		}
-		best := 0
-		for p := range o.nodes[c].parents {
-			if d := depth(p) + 1; d > best {
-				best = d
-			}
-		}
-		o.depths[c] = best
-		return best
-	}
 	for c := range o.nodes {
 		upward(c)
 		downward(c)
-		depth(c)
 	}
 	o.closureValid = true
 }
@@ -367,16 +318,6 @@ func (o *Ontology) Subsumes(super, sub Class) bool {
 	return ok
 }
 
-// Depth returns the length of the longest path from a root to c, and
-// false when c is unknown.
-func (o *Ontology) Depth(c Class) (int, bool) {
-	if _, ok := o.nodes[c]; !ok {
-		return 0, false
-	}
-	o.buildClosure()
-	return o.depths[c], true
-}
-
 // MostSpecific filters cs down to the classes that are not strict
 // ancestors of any other class in cs. Duplicates and unknown classes are
 // dropped. The result is sorted.
@@ -406,63 +347,6 @@ func (o *Ontology) MostSpecific(cs []Class) []Class {
 	}
 	sortClasses(out)
 	return out
-}
-
-// LCA returns the deepest common ancestor of a and b (either argument
-// itself qualifies when one subsumes the other), and false when the two
-// classes share no ancestor.
-func (o *Ontology) LCA(a, b Class) (Class, bool) {
-	if !o.Has(a) || !o.Has(b) {
-		return Class{}, false
-	}
-	o.buildClosure()
-	candidates := map[Class]struct{}{a: {}}
-	for x := range o.ancestors[a] {
-		candidates[x] = struct{}{}
-	}
-	var best Class
-	bestDepth := -1
-	consider := func(c Class) {
-		if _, ok := candidates[c]; !ok {
-			return
-		}
-		if d := o.depths[c]; d > bestDepth || (d == bestDepth && c.Compare(best) < 0) {
-			best, bestDepth = c, d
-		}
-	}
-	consider(b)
-	for x := range o.ancestors[b] {
-		consider(x)
-	}
-	if bestDepth < 0 {
-		return Class{}, false
-	}
-	return best, true
-}
-
-// Disjoint reports whether a and b are declared (or inherited) disjoint:
-// a pair is disjoint when any ancestor-or-self of a is declared disjoint
-// with any ancestor-or-self of b.
-func (o *Ontology) Disjoint(a, b Class) bool {
-	if !o.Has(a) || !o.Has(b) {
-		return false
-	}
-	o.buildClosure()
-	as := map[Class]struct{}{a: {}}
-	for x := range o.ancestors[a] {
-		as[x] = struct{}{}
-	}
-	for x := range as {
-		for y := range o.disjoint[x] {
-			if y == b {
-				return true
-			}
-			if _, ok := o.ancestors[b][y]; ok {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Siblings returns the classes sharing at least one direct parent with c,

@@ -62,9 +62,8 @@ func TestParentsChildren(t *testing.T) {
 	if len(p) != 1 || p[0] != cls("Passive") {
 		t.Errorf("Parents(Resistor) = %v", p)
 	}
-	ch := o.Children(cls("Resistor"))
-	if len(ch) != 2 {
-		t.Errorf("Children(Resistor) = %v", ch)
+	if ch := o.Descendants(cls("Resistor")); len(ch) != 2 {
+		t.Errorf("Descendants(Resistor) = %v", ch)
 	}
 	if got := o.Parents(cls("Nope")); got != nil {
 		t.Errorf("Parents(unknown) = %v, want nil", got)
@@ -73,10 +72,6 @@ func TestParentsChildren(t *testing.T) {
 
 func TestRootsLeaves(t *testing.T) {
 	o := buildElectronics(t)
-	roots := o.Roots()
-	if len(roots) != 1 || roots[0] != cls("Product") {
-		t.Errorf("Roots = %v", roots)
-	}
 	leaves := o.Leaves()
 	if len(leaves) != 5 {
 		t.Errorf("Leaves = %v, want 5 leaves", leaves)
@@ -126,28 +121,6 @@ func TestSubsumesReflexiveAndNegative(t *testing.T) {
 	}
 }
 
-func TestDepth(t *testing.T) {
-	o := buildElectronics(t)
-	tests := []struct {
-		c    string
-		want int
-	}{
-		{"Product", 0},
-		{"Passive", 1},
-		{"Resistor", 2},
-		{"FixedFilmResistor", 3},
-	}
-	for _, tc := range tests {
-		d, ok := o.Depth(cls(tc.c))
-		if !ok || d != tc.want {
-			t.Errorf("Depth(%s) = %d,%v want %d,true", tc.c, d, ok, tc.want)
-		}
-	}
-	if _, ok := o.Depth(cls("Ghost")); ok {
-		t.Error("Depth(unknown) reported ok")
-	}
-}
-
 func TestMostSpecific(t *testing.T) {
 	o := buildElectronics(t)
 	got := o.MostSpecific([]Class{cls("Product"), cls("Resistor"), cls("FixedFilmResistor")})
@@ -166,47 +139,6 @@ func TestMostSpecific(t *testing.T) {
 	}
 	if got := o.MostSpecific(nil); len(got) != 0 {
 		t.Errorf("MostSpecific(nil) = %v", got)
-	}
-}
-
-func TestLCA(t *testing.T) {
-	o := buildElectronics(t)
-	tests := []struct {
-		a, b, want string
-	}{
-		{"FixedFilmResistor", "WirewoundResistor", "Resistor"},
-		{"FixedFilmResistor", "TantalumCapacitor", "Passive"},
-		{"FixedFilmResistor", "Diode", "Product"},
-		{"Resistor", "FixedFilmResistor", "Resistor"},
-		{"Diode", "Diode", "Diode"},
-	}
-	for _, tc := range tests {
-		got, ok := o.LCA(cls(tc.a), cls(tc.b))
-		if !ok || got != cls(tc.want) {
-			t.Errorf("LCA(%s,%s) = %v,%v want %s", tc.a, tc.b, got, ok, tc.want)
-		}
-	}
-	o2 := New()
-	o2.AddClass(cls("X"))
-	o2.AddClass(cls("Y"))
-	if _, ok := o2.LCA(cls("X"), cls("Y")); ok {
-		t.Error("LCA of unrelated roots reported ok")
-	}
-}
-
-func TestDisjointInheritance(t *testing.T) {
-	o := buildElectronics(t)
-	if !o.Disjoint(cls("Passive"), cls("Active")) {
-		t.Error("declared disjointness lost")
-	}
-	if !o.Disjoint(cls("FixedFilmResistor"), cls("Diode")) {
-		t.Error("disjointness must be inherited by subclasses")
-	}
-	if o.Disjoint(cls("Resistor"), cls("Capacitor")) {
-		t.Error("sibling classes are not disjoint unless declared")
-	}
-	if o.Disjoint(cls("Ghost"), cls("Diode")) {
-		t.Error("unknown class cannot be disjoint")
 	}
 }
 
@@ -268,7 +200,7 @@ func TestGraphRoundTrip(t *testing.T) {
 	if o2.Len() != o.Len() {
 		t.Fatalf("round-trip Len = %d, want %d", o2.Len(), o.Len())
 	}
-	for _, c := range o.Classes() {
+	for c := range o.nodes {
 		if !o2.Has(c) {
 			t.Errorf("round-trip lost class %v", c)
 		}
@@ -276,7 +208,7 @@ func TestGraphRoundTrip(t *testing.T) {
 	if !o2.Subsumes(cls("Product"), cls("TantalumCapacitor")) {
 		t.Error("round-trip lost subsumption")
 	}
-	if !o2.Disjoint(cls("Passive"), cls("Active")) {
+	if !o2.ToGraph().Has(rdf.T(cls("Passive"), rdf.DisjointWithTerm, cls("Active"))) {
 		t.Error("round-trip lost disjointness")
 	}
 	if o2.Label(cls("Diode")) != "Diode (active component)" {

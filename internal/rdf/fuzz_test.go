@@ -98,6 +98,7 @@ func FuzzTurtle(f *testing.F) {
 	for _, b := range textSeeds(f, writeTurtle) {
 		f.Add(b)
 	}
+	f.Add([]byte(anonAfterLabelled))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzTextRoundTrip(t, data, ReadTurtle, writeTurtle)
 	})

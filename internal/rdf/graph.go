@@ -670,17 +670,6 @@ func (g *Graph) Add(t Triple) bool {
 	return true
 }
 
-// AddAll inserts every triple of ts and returns how many were new.
-func (g *Graph) AddAll(ts []Triple) int {
-	added := 0
-	for _, t := range ts {
-		if g.Add(t) {
-			added++
-		}
-	}
-	return added
-}
-
 // Remove deletes t, reporting whether it was present. Panics if g is a
 // frozen snapshot.
 func (g *Graph) Remove(t Triple) bool {
@@ -812,26 +801,6 @@ func (g *Graph) Subjects(p, o Term) []Term {
 		out = append(out, s)
 		return true
 	})
-	sortTerms(out)
-	return out
-}
-
-// SubjectCount returns the number of distinct subjects of (?s, p, o)
-// without materializing them.
-func (g *Graph) SubjectCount(p, o Term) int {
-	g.ensurePOS()
-	return g.pos.leaf(p, o).size()
-}
-
-// Predicates returns the distinct predicates used in the graph, sorted.
-func (g *Graph) Predicates() []Term {
-	g.ensurePOS()
-	out := make([]Term, 0, g.pos.firstLen())
-	for i := range g.pos.shards {
-		for p := range g.pos.shards[i].m {
-			out = append(out, p)
-		}
-	}
 	sortTerms(out)
 	return out
 }

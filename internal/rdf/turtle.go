@@ -48,6 +48,9 @@ type turtleParser struct {
 	prefixes map[string]string
 	base     string
 	blankSeq int
+	// docLabels are the labels the input writes after "_:", read on the
+	// first anonymous blank node; see anonLabel.
+	docLabels map[string]bool
 }
 
 func (p *turtleParser) errf(format string, args ...any) error {
@@ -380,8 +383,7 @@ func (p *turtleParser) blankLabel() (Term, error) {
 // blank node.
 func (p *turtleParser) blankPropertyList() (Term, error) {
 	p.advance() // '['
-	p.blankSeq++
-	node := NewBlank(fmt.Sprintf("gen%d", p.blankSeq))
+	node := NewBlank(p.anonLabel())
 	p.skipWS()
 	if p.peek() == ']' {
 		p.advance()
@@ -395,6 +397,35 @@ func (p *turtleParser) blankPropertyList() (Term, error) {
 		return Term{}, err
 	}
 	return node, nil
+}
+
+// anonLabel returns a fresh label for an anonymous blank node: genN for
+// the next N whose label the document does not write. Every "_:" of the
+// input counts, even one inside a literal, so an anonymous node never
+// merges with a labelled one.
+func (p *turtleParser) anonLabel() string {
+	if p.docLabels == nil {
+		p.docLabels = map[string]bool{}
+		for rest := p.input; ; {
+			i := strings.Index(rest, "_:")
+			if i < 0 {
+				break
+			}
+			rest = rest[i+2:]
+			n := 0
+			for n < len(rest) && isBlankLabelChar(rest[n]) {
+				n++
+			}
+			p.docLabels[rest[:n]] = true
+			rest = rest[n:]
+		}
+	}
+	for {
+		p.blankSeq++
+		if label := fmt.Sprintf("gen%d", p.blankSeq); !p.docLabels[label] {
+			return label
+		}
+	}
 }
 
 func (p *turtleParser) stringLiteral() (Term, error) {

@@ -124,6 +124,29 @@ ex:t ex:empty [] .
 	}
 }
 
+// anonAfterLabelled labels a blank node gen1 and then writes an
+// anonymous one, which the reader used to label gen1 as well.
+const anonAfterLabelled = `_:gen1 <http://p> "a" . [] <http://p> "b" .`
+
+// TestReadTurtleAnonymousNodesStayApart: an anonymous blank node never
+// takes a label the document writes, before or after it, so it never
+// merges with a labelled node.
+func TestReadTurtleAnonymousNodesStayApart(t *testing.T) {
+	for _, input := range []string{
+		anonAfterLabelled,
+		`[] <http://p> "b" . _:gen1 <http://p> "a" .`,
+		`_:gen1 <http://p> "a" . _:gen2 <http://p> "c" . [] <http://p> "b" . [] <http://p> "d" .`,
+	} {
+		g, err := ReadTurtle(strings.NewReader(input))
+		if err != nil {
+			t.Fatalf("ReadTurtle(%q): %v", input, err)
+		}
+		if subjects, triples := len(g.AllSubjects()), g.Len(); subjects != triples {
+			t.Errorf("ReadTurtle(%q): %d subjects for %d triples, want one each: %v", input, subjects, triples, g.Triples())
+		}
+	}
+}
+
 func TestReadTurtleComments(t *testing.T) {
 	input := `
 @prefix ex: <http://ex.org/> . # trailing comment

@@ -17,27 +17,12 @@ import (
 // Splitter decomposes a property value into segments. Implementations
 // must be deterministic and safe for concurrent use. Split returns
 // segments in order of occurrence, including duplicates; callers that
-// need the distinct set deduplicate (see Distinct).
+// need the distinct set deduplicate.
 type Splitter interface {
 	// Split returns the segments of value, possibly empty.
 	Split(value string) []string
 	// Name identifies the splitter configuration, for reports.
 	Name() string
-}
-
-// Distinct returns the set of distinct segments of values in first-seen
-// order.
-func Distinct(segs []string) []string {
-	seen := make(map[string]struct{}, len(segs))
-	out := segs[:0:0]
-	for _, s := range segs {
-		if _, dup := seen[s]; dup {
-			continue
-		}
-		seen[s] = struct{}{}
-		out = append(out, s)
-	}
-	return out
 }
 
 // Options configures normalization shared by the splitters.

@@ -117,21 +117,11 @@ func TestNGramSplitterNames(t *testing.T) {
 	}
 }
 
-func TestDistinct(t *testing.T) {
-	got := Distinct([]string{"b", "a", "b", "c", "a"})
-	if !reflect.DeepEqual(got, []string{"b", "a", "c"}) {
-		t.Errorf("Distinct = %v", got)
-	}
-	if got := Distinct(nil); len(got) != 0 {
-		t.Errorf("Distinct(nil) = %v", got)
-	}
-}
-
 func TestStats(t *testing.T) {
 	sp := NewSeparatorSplitter(Options{})
 	st := NewStats()
-	st.Observe(sp, "ohm 63V ohm")
-	st.Observe(sp, "ohm T83")
+	st.ObserveSegments(sp.Split("ohm 63V ohm"))
+	st.ObserveSegments(sp.Split("ohm T83"))
 	if st.Distinct() != 3 {
 		t.Errorf("Distinct = %d, want 3", st.Distinct())
 	}
@@ -140,15 +130,6 @@ func TestStats(t *testing.T) {
 	}
 	if st.Count("ohm") != 3 {
 		t.Errorf("Count(ohm) = %d, want 3", st.Count("ohm"))
-	}
-	if got := st.FrequentOccurrences(2); got != 3 {
-		t.Errorf("FrequentOccurrences(2) = %d, want 3", got)
-	}
-	if got := st.FrequentSegments(2); !reflect.DeepEqual(got, []string{"ohm"}) {
-		t.Errorf("FrequentSegments(2) = %v", got)
-	}
-	if got := st.Top(2); !reflect.DeepEqual(got, []string{"ohm", "63V"}) {
-		t.Errorf("Top(2) = %v", got)
 	}
 	st.ObserveSegments([]string{"x", "x"})
 	if st.Count("x") != 2 {

@@ -1,10 +1,8 @@
 package segment
 
-import "sort"
-
 // Stats accumulates segment frequency statistics over a corpus of values,
 // producing the counts Section 5 of the paper reports (distinct segments,
-// total occurrences, occurrences covered by frequent segments).
+// total occurrences, and per segment its occurrences).
 type Stats struct {
 	counts map[string]int
 	total  int
@@ -13,14 +11,6 @@ type Stats struct {
 // NewStats returns an empty accumulator.
 func NewStats() *Stats {
 	return &Stats{counts: map[string]int{}}
-}
-
-// Observe records every segment of one value split by sp.
-func (st *Stats) Observe(sp Splitter, value string) {
-	for _, seg := range sp.Split(value) {
-		st.counts[seg]++
-		st.total++
-	}
 }
 
 // ObserveSegments records pre-split segments.
@@ -39,43 +29,3 @@ func (st *Stats) Occurrences() int { return st.total }
 
 // Count returns the number of occurrences of one segment.
 func (st *Stats) Count(seg string) int { return st.counts[seg] }
-
-// FrequentOccurrences returns the number of occurrences covered by
-// segments appearing at least minCount times — the paper's "7058
-// occurrences of segments are selected" figure.
-func (st *Stats) FrequentOccurrences(minCount int) int {
-	sum := 0
-	for _, c := range st.counts {
-		if c >= minCount {
-			sum += c
-		}
-	}
-	return sum
-}
-
-// FrequentSegments returns the distinct segments appearing at least
-// minCount times, sorted by descending count then lexicographically.
-func (st *Stats) FrequentSegments(minCount int) []string {
-	var out []string
-	for seg, c := range st.counts {
-		if c >= minCount {
-			out = append(out, seg)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if st.counts[out[i]] != st.counts[out[j]] {
-			return st.counts[out[i]] > st.counts[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out
-}
-
-// Top returns up to k segments by descending count (ties lexicographic).
-func (st *Stats) Top(k int) []string {
-	all := st.FrequentSegments(1)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"unicode/utf8"
 
 	datalink "repro"
 	"repro/internal/obs"
@@ -77,13 +79,22 @@ func writeCommitErr(w http.ResponseWriter, err error) {
 // rejected, catching typo'd options early) under the service's size cap
 // (Options.MaxBodyBytes, default 8 MiB): http.MaxBytesReader stops
 // reading at the cap, so an oversized body is rejected with 413 instead
-// of being buffered into memory. The body must be exactly one JSON
-// value: trailing data after it — which json.Decoder would otherwise
-// silently ignore, accepting e.g. two concatenated objects and applying
-// only the first — is a 400.
+// of being read on. A body that is not valid UTF-8 is a 400, as on the
+// bulk path: encoding/json would store each invalid byte as U+FFFD. The
+// body must be exactly one JSON value: trailing data after it — which
+// json.Decoder would otherwise silently ignore, accepting e.g. two
+// concatenated objects and applying only the first — is a 400.
 func (s *Service) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	if err != nil {
+		writeDecodeErr(w, err, "reading request: %v", err)
+		return false
+	}
+	if !utf8.Valid(body) {
+		writeErr(w, http.StatusBadRequest, "decoding request: invalid UTF-8")
+		return false
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeDecodeErr(w, err, "decoding request: %v", err)

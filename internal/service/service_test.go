@@ -389,6 +389,34 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestJSONRejectsInvalidUTF8: upsert, learn and link answer 400 to a
+// JSON body holding a byte that is not UTF-8, which encoding/json would
+// read as U+FFFD, and the upsert stores nothing.
+func TestJSONRejectsInvalidUTF8(t *testing.T) {
+	svc := corpusService(t)
+	h := svc.Handler()
+	if rec := call(t, h, "POST", "/v1/learn", learnBody(20), nil); rec.Code != http.StatusOK {
+		t.Fatalf("learn: %d %s", rec.Code, rec.Body)
+	}
+	const bad = "\x80"
+	item := datalink.NewIRI("http://ex.org/l/bad")
+	for _, c := range []struct{ path, body string }{
+		{"/v1/items/upsert", `{"side":"local","items":[{"id":"` + item.Value + `","properties":{"` + pnProp + `":["A` + bad + `"]},"classes":["` + clsRes + `"]}]}`},
+		{"/v1/learn", `{"links":[{"external":"http://ex.org/e/r0","local":"http://ex.org/l/r0` + bad + `"}]}`},
+		{"/v1/link", `{"items":["http://ex.org/e/r0` + bad + `"]}`},
+	} {
+		req := httptest.NewRequest("POST", c.path, strings.NewReader(c.body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "invalid UTF-8") {
+			t.Errorf("%s %q: %d %s, want 400 invalid UTF-8", c.path, c.body, rec.Code, rec.Body)
+		}
+	}
+	if n := len(svc.state.Load().view.Local().Find(item, datalink.Term{}, datalink.Term{})); n != 0 {
+		t.Errorf("the rejected upsert stored %d triples", n)
+	}
+}
+
 // TestConcurrentTraffic hammers the service with interleaved upserts and
 // link queries; under -race this validates the full lock stack (service
 // RWMutex, pipeline cache mutex, engine RWMutex).

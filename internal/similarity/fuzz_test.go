@@ -35,10 +35,6 @@ func checkEditDistances(t *testing.T, a, b string) {
 	if got, want := (Damerau{}).Prepare(a).Similarity(b), (Damerau{}).Similarity(a, b); got != want {
 		t.Fatalf("prepared Damerau(%q, %q) = %v, plain = %v", a, b, got, want)
 	}
-	pa, pb := (Levenshtein{}).Prepare(a), (Levenshtein{}).Prepare(b)
-	if got, want := pa.SimilarityPrepared(pb), (Levenshtein{}).Similarity(a, b); got != want {
-		t.Fatalf("prepared-pair Levenshtein(%q, %q) = %v, plain = %v", a, b, got, want)
-	}
 }
 
 // FuzzEditDistance fuzzes the bit-parallel kernels against the DP

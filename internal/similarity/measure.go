@@ -5,9 +5,8 @@
 //
 // The paper does not prescribe a matcher — its contribution is reducing
 // the space the matcher runs on — so this package supplies the standard
-// record-linkage toolbox: edit-distance family, Jaro family, token/q-gram
-// set measures, a corpus-weighted TF-IDF cosine, and the Monge-Elkan
-// hybrid.
+// record-linkage toolbox: edit-distance family, Jaro family, token-set
+// Jaccard, the Monge-Elkan hybrid, Soundex and longest common substring.
 package similarity
 
 import "strings"
@@ -58,41 +57,24 @@ type TokenSetScored interface {
 
 // Prepared is one side of a comparison precompiled by a PreparedMeasure:
 // whatever per-value work the measure can hoist out of the pairwise loop
-// (Myers pattern bitmaps, TF-IDF weight vectors) done once. A Prepared
+// (the Myers pattern bitmap of the edit distances) done once. A Prepared
 // value is immutable and safe for concurrent use.
 type Prepared interface {
 	// Similarity scores the prepared left-hand value against b. Must
 	// equal the owning measure's Similarity(a, b) exactly.
 	Similarity(b string) float64
-	// SimilarityPrepared scores against another Prepared of the same
-	// measure, letting both sides' precomputation pay off. o must
-	// originate from the same measure's Prepare; handing it a foreign
-	// Prepared is a programming error (implementations score it 0).
-	SimilarityPrepared(o Prepared) float64
 }
 
-// PreparedMeasure is implemented by measures that can precompile one
-// side of a comparison. Callers that score the same values many times
-// (the linkage engine's value index) prepare each distinct value once
-// and reuse it across every pair it appears in. Implementations must
-// satisfy Prepare(a).Similarity(b) == Similarity(a, b) for all a, b.
+// PreparedMeasure is implemented by measures that can precompile the
+// left side of a comparison. Callers that score one value against many
+// (the linkage engine scoring a query item against its candidates)
+// prepare it once and score every right-hand string with it.
+// Implementations must satisfy Prepare(a).Similarity(b) ==
+// Similarity(a, b) for all a, b.
 type PreparedMeasure interface {
 	Measure
 	// Prepare precompiles a as the left-hand side of future comparisons.
 	Prepare(a string) Prepared
-}
-
-// LeftPrepared is implemented by PreparedMeasures whose prepared form
-// reads only the raw string of the right-hand side: SimilarityPrepared(o)
-// equals Similarity(b) for the string b that o was prepared from, as for
-// the edit distances, whose pattern bitmap is built from the left side
-// alone. Callers holding many right-hand values (the linkage engine's
-// local value columns) keep only the strings, score them with
-// Prepared.Similarity, and never build a preparation nobody reads.
-type LeftPrepared interface {
-	PreparedMeasure
-	// PreparesLeftOnly marks the measure; it does nothing.
-	PreparesLeftOnly()
 }
 
 // Func adapts a plain function to the Measure interface.

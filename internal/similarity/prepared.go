@@ -52,28 +52,11 @@ func (p *editPattern) Similarity(b string) float64 {
 	return Levenshtein{}.Similarity(p.value, b)
 }
 
-// SimilarityPrepared implements Prepared. Edit distances consume the
-// right-hand side as a raw string, so the other side's preparation
-// contributes only its already-extracted value.
-func (p *editPattern) SimilarityPrepared(o Prepared) float64 {
-	if op, ok := o.(*editPattern); ok {
-		return p.Similarity(op.value)
-	}
-	return 0
-}
-
 // Prepare implements PreparedMeasure.
 func (Levenshtein) Prepare(a string) Prepared { return newEditPattern(a, false) }
 
 // Prepare implements PreparedMeasure.
 func (Damerau) Prepare(a string) Prepared { return newEditPattern(a, true) }
-
-// PreparesLeftOnly implements LeftPrepared: an edit pattern reads only
-// the other side's value.
-func (Levenshtein) PreparesLeftOnly() {}
-
-// PreparesLeftOnly implements LeftPrepared.
-func (Damerau) PreparesLeftOnly() {}
 
 // runeLen counts runes without allocating.
 func runeLen(s string) int {

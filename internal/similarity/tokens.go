@@ -1,7 +1,6 @@
 package similarity
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"unicode"
@@ -29,10 +28,6 @@ func Tokenize(s string) []string {
 		out = append(out, lower[start:])
 	}
 	return out
-}
-
-func tokenSet(s string) map[string]struct{} {
-	return sliceSet(Tokenize(s))
 }
 
 func sliceSet(tokens []string) map[string]struct{} {
@@ -76,82 +71,6 @@ func (Jaccard) SimilarityTokenSets(sa, sb map[string]struct{}) float64 {
 
 // Name implements Measure.
 func (Jaccard) Name() string { return "jaccard" }
-
-// Dice is the q-gram Sørensen-Dice coefficient 2|A∩B| / (|A|+|B|) over
-// padded character q-grams.
-type Dice struct {
-	// Q is the gram size; 0 means 2 (bi-grams, as in the paper's related
-	// work).
-	Q int
-}
-
-// Similarity implements Measure.
-func (d Dice) Similarity(a, b string) float64 {
-	q := d.Q
-	if q == 0 {
-		q = 2
-	}
-	ga, gb := qgramSet(a, q), qgramSet(b, q)
-	if len(ga) == 0 && len(gb) == 0 {
-		return 1
-	}
-	if len(ga) == 0 || len(gb) == 0 {
-		return 0
-	}
-	inter := 0
-	for g := range ga {
-		if _, ok := gb[g]; ok {
-			inter++
-		}
-	}
-	return 2 * float64(inter) / float64(len(ga)+len(gb))
-}
-
-// Name implements Measure.
-func (d Dice) Name() string {
-	q := d.Q
-	if q == 0 {
-		q = 2
-	}
-	return fmt.Sprintf("dice(q=%d)", q)
-}
-
-// QGramOverlap is the q-gram overlap coefficient |A∩B| / min(|A|,|B|).
-type QGramOverlap struct {
-	// Q is the gram size; 0 means 2.
-	Q int
-}
-
-// Similarity implements Measure.
-func (o QGramOverlap) Similarity(a, b string) float64 {
-	q := o.Q
-	if q == 0 {
-		q = 2
-	}
-	ga, gb := qgramSet(a, q), qgramSet(b, q)
-	if len(ga) == 0 && len(gb) == 0 {
-		return 1
-	}
-	if len(ga) == 0 || len(gb) == 0 {
-		return 0
-	}
-	inter := 0
-	for g := range ga {
-		if _, ok := gb[g]; ok {
-			inter++
-		}
-	}
-	return float64(inter) / float64(minInt(len(ga), len(gb)))
-}
-
-// Name implements Measure.
-func (o QGramOverlap) Name() string {
-	q := o.Q
-	if q == 0 {
-		q = 2
-	}
-	return fmt.Sprintf("qgram-overlap(q=%d)", q)
-}
 
 // qgramSet returns the set of padded lower-case q-grams of s.
 func qgramSet(s string, q int) map[string]struct{} {

@@ -93,12 +93,6 @@ func Space(item Term, preds []Prediction, ix *InstanceIndex) SpaceReport {
 	return core.Space(item, preds, ix)
 }
 
-// CandidatePairs expands a space report into (external, local) candidate
-// pairs for a downstream matcher.
-func CandidatePairs(sr SpaceReport, ix *InstanceIndex) [][2]Term {
-	return core.CandidatePairs(sr, ix)
-}
-
 // ReadRules parses a rule set written by RuleSet.Write.
 func ReadRules(r io.Reader) (*RuleSet, error) { return core.ReadRules(r) }
 

@@ -526,6 +526,38 @@ func TestSetModelCompactsChurnedCatalog(t *testing.T) {
 	}
 }
 
+// TestSetModelKeepsIndexesWithUntypedItems adds 150 untyped catalog
+// items with values to the oracle fixture. No class set names them, so
+// the pipeline's engine gives them no ID: all IDs stay typed, and three
+// learns in a row keep both indexes and answer like the oracle. When the
+// engine numbered them, a learn here left 466 IDs, 306 of them typed, so
+// every learn rebuilt both indexes.
+func TestSetModelKeepsIndexesWithUntypedItems(t *testing.T) {
+	f := newOracleFixture(t, 4)
+	p := f.build(t, 30, 300)
+	published := f.publishedConfig()
+	if err := p.EnsureLinker(published.cfg); err != nil {
+		t.Fatal(err)
+	}
+	var untyped []Term
+	for n := 0; n < 150; n++ {
+		l := f.local(f.nLoc)
+		f.nLoc++
+		f.sl.Add(T(l, f.pn, NewLiteral(f.value("ZZZ"))))
+		untyped = append(untyped, l)
+	}
+	p.ApplyPatches([]Patch{{Side: LocalSide, Items: untyped}})
+	for learn := 0; learn < 3; learn++ {
+		if p.SetModel(f.relearn(t, p)) {
+			t.Fatalf("learn %d rebuilt the indexes: %d IDs, %d typed", learn, p.Instances.IDs().Len(), p.Instances.Total())
+		}
+		if ids, typed := p.Instances.IDs().Len(), p.Instances.Total(); ids != typed {
+			t.Fatalf("learn %d: %d IDs, %d typed", learn, ids, typed)
+		}
+		checkOracle(t, fmt.Sprintf("learn %d", learn), p.Snapshot(), f, published)
+	}
+}
+
 // oracleConfig is a linker configuration with its oracle twin.
 type oracleConfig struct {
 	cfg   LinkerConfig

@@ -127,9 +127,10 @@ func NewPipelineWithModel(m *Model, se, sl *Graph, ol *Ontology) *Pipeline {
 // with the catalog, and neither depends on the model. The next Snapshot
 // warms the new rule classes. Must be serialized with ApplyPatches.
 //
-// IDs are never reused, so a catalog item that loses its last class
-// keeps an ID that names no typed item; so does an untyped item the
-// engine numbered for its values. When more than a quarter of the IDs
+// Only the instance index numbers catalog items, and only typed ones;
+// the engine indexes the values of items the index has numbered. IDs
+// are never reused, so a catalog item that loses its last class keeps
+// an ID that names no typed item. When more than a quarter of the IDs
 // name no typed item, SetModel compacts: it rebuilds the instance index
 // over a fresh ID table, and the engine over that table, as
 // NewPipelineWithModel and EnsureLinker would. It reports whether it
@@ -201,10 +202,11 @@ func (p *Pipeline) ApplyPatches(patches []Patch) {
 // EnsureLinker builds the writer's engine for cfg's comparators unless
 // it already exists, so the views Snapshot publishes score with it
 // instead of compiling a value index per query. The engine shares the
-// instance index's ID table, so a view scores its class sets' IDs
-// directly. Queries with other comparators still work: the view builds
-// a request-scoped engine from its own frozen graphs and table. Must be
-// serialized with ApplyPatches.
+// instance index's ID table and indexes only the items it numbered, the
+// typed ones, so a view scores its class sets' IDs directly. Queries
+// with other comparators still work: the view builds a request-scoped
+// engine from its own frozen graphs and table. Must be serialized with
+// ApplyPatches.
 func (p *Pipeline) EnsureLinker(cfg LinkerConfig) error {
 	if p.linker != nil && reflect.DeepEqual(cfg.Comparators, p.linkerCfg.Comparators) {
 		return nil
@@ -297,16 +299,6 @@ func (v *QueryView) engineFor(cfg LinkerConfig) (*linkage.Engine, error) {
 	return linkage.NewWithIDs(cfg, v.se, v.sl, v.ix.IDs())
 }
 
-// candidates expands one item's reduced space into its local candidates.
-func (v *QueryView) candidates(item Term) []Term {
-	pairs := core.CandidatePairs(v.ReducedSpace(item), v.ix)
-	locs := make([]Term, 0, len(pairs))
-	for _, pr := range pairs {
-		locs = append(locs, pr[1])
-	}
-	return locs
-}
-
 // Work counters LinkTopK adds to the request's obs.Trace, one sum per
 // call. The service exports each as the counter
 // linkrules_<name>_total and returns them with ?debug=timings.
@@ -386,30 +378,4 @@ func (v *QueryView) LinkTopK(ctx context.Context, items []Term, cfg LinkerConfig
 	tr.Add(CountLinkPairsPruned, int64(pruned))
 	tr.Add(CountLinkItemsNoRule, int64(noRule))
 	return out, nil
-}
-
-// LinkWithinCtx runs the matcher over each item's reduced space and
-// returns the best match per item at or above cfg.Threshold, scoring
-// across cfg.Workers goroutines (0 = all cores); results are
-// deterministic for every worker count. A cancelled ctx stops in-flight
-// scoring (within one work chunk per worker) and returns ctx.Err().
-func (v *QueryView) LinkWithinCtx(ctx context.Context, items []Term, cfg LinkerConfig) ([]Match, error) {
-	eng, err := v.engineFor(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("datalink: building linker: %w", err)
-	}
-	cands := map[Term][]Term{}
-	for _, item := range items {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cands[item] = v.candidates(item)
-	}
-	return eng.LinkBestCtx(ctx, cands)
-}
-
-// Generalize applies the subsumption extension to the pipeline's model
-// and returns a new rule set (the pipeline itself is unchanged).
-func (p *Pipeline) Generalize(ol *Ontology, opts GeneralizeOptions) RuleSet {
-	return p.Model.Generalize(ol, opts)
 }
