@@ -389,27 +389,85 @@ func BenchmarkScorePairsParallel(b *testing.B) {
 	}
 }
 
-// paperPipeline builds a pipeline on the paper-scale corpus (a
-// 30,000-item catalog) with the default linker's engine, and a model
-// learned from 70% of the expert links, shuffled at seed 42. It returns
-// the pipeline, the corpus, and the training and held-out links.
-func paperPipeline(b *testing.B) (p *Pipeline, ds *Dataset, train, held []Link) {
-	b.Helper()
+// paperCorpus generates the paper-scale corpus (a 30,000-item catalog)
+// and splits its expert links, shuffled at seed 42, into 70% training
+// and 30% held-out links.
+func paperCorpus(tb testing.TB) (ds *Dataset, train, held []Link) {
+	tb.Helper()
 	ds, err := GenerateCorpus(PaperCorpusConfig(42))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	links := append([]Link(nil), ds.Training.Links...)
 	rand.New(rand.NewSource(42)).Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
 	cut := len(links) * 7 / 10
-	p, err = NewPipeline(LearnerConfig{}, TrainingSet{Links: links[:cut]}, ds.External, ds.Local, ds.Ontology)
+	return ds, links[:cut], links[cut:]
+}
+
+// paperPipeline builds a pipeline on paperCorpus with the default
+// linker's engine and a model learned from the training links. It
+// returns the pipeline, the corpus, and the training and held-out links.
+func paperPipeline(b *testing.B) (p *Pipeline, ds *Dataset, train, held []Link) {
+	b.Helper()
+	ds, train, held = paperCorpus(b)
+	p, err := NewPipeline(LearnerConfig{}, TrainingSet{Links: train}, ds.External, ds.Local, ds.Ontology)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if err := p.EnsureLinker(DefaultLinkingConfig()); err != nil {
 		b.Fatal(err)
 	}
-	return p, ds, links[:cut], links[cut:]
+	return p, ds, train, held
+}
+
+// firstLearn is a service's first learn below HTTP: it learns a model
+// from the training links, builds a pipeline around it (the instance
+// index), builds the default linker's engine and publishes a snapshot.
+func firstLearn(tb testing.TB, ds *Dataset, train []Link) {
+	m, err := LearnCtx(context.Background(), LearnerConfig{}, TrainingSet{Links: train}, ds.External, ds.Local, ds.Ontology)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := NewPipelineWithModel(m, ds.External, ds.Local, ds.Ontology)
+	if err := p.EnsureLinker(DefaultLinkingConfig()); err != nil {
+		tb.Fatal(err)
+	}
+	p.Snapshot()
+}
+
+// BenchmarkFirstLearn is firstLearn on paperCorpus. What it allocates
+// decides whether a garbage collection lands inside a service's first
+// learn; TestFirstLearnAllocation bounds it.
+func BenchmarkFirstLearn(b *testing.B) {
+	ds, train, _ := paperCorpus(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		firstLearn(b, ds, train)
+	}
+}
+
+// firstLearnAllocBound bounds what a first learn on paperCorpus may
+// allocate, the ontology's closure included. A service boot leaves
+// about 70 MB of corpus live, and the collector may start a cycle once
+// about 70% of that again has been allocated, so this number decides
+// whether a collection lands inside a first learn.
+const firstLearnAllocBound = 64 << 20
+
+// TestFirstLearnAllocation pins the bytes one first learn allocates,
+// by runtime.MemStats.TotalAlloc.
+func TestFirstLearnAllocation(t *testing.T) {
+	ds, train, _ := paperCorpus(t)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	firstLearn(t, ds, train)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a first learn allocated %.1f MB", float64(got)/(1<<20))
+	if got > firstLearnAllocBound {
+		t.Errorf("a first learn allocated %.1f MB, want at most %d MB", float64(got)/(1<<20), firstLearnAllocBound>>20)
+	}
 }
 
 // BenchmarkLinkTopK is the serving path of /v1/link below HTTP: each op
@@ -892,31 +950,3 @@ func benchWALAppend(b *testing.B, mode store.FsyncMode) {
 
 func BenchmarkWALAppend(b *testing.B)       { benchWALAppend(b, store.FsyncNever) }
 func BenchmarkWALAppendAlways(b *testing.B) { benchWALAppend(b, store.FsyncAlways) }
-
-// BenchmarkSnapshotDecodeEager additionally materializes the deferred
-// POS and OSP indexes, measuring the full cost a recovery pays if every
-// query path gets exercised (the plain Decode bench is the boot cost).
-func BenchmarkSnapshotDecodeEager(b *testing.B) {
-	se, sl := benchGraphs(b)
-	var seBuf, slBuf bytes.Buffer
-	if err := rdf.EncodeSnapshot(&seBuf, se); err != nil {
-		b.Fatal(err)
-	}
-	if err := rdf.EncodeSnapshot(&slBuf, sl); err != nil {
-		b.Fatal(err)
-	}
-	obj := rdf.NewLiteral("no-such-object")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, enc := range [][]byte{seBuf.Bytes(), slBuf.Bytes()} {
-			g, err := rdf.DecodeSnapshot(bytes.NewReader(enc))
-			if err != nil {
-				b.Fatal(err)
-			}
-			g.Subjects(rdf.TypeTerm, obj)                                // materialize POS
-			g.Match(rdf.Term{}, rdf.Term{}, obj, func(rdf.Triple) bool { // materialize OSP
-				return true
-			})
-		}
-	}
-}

@@ -91,7 +91,7 @@ func TestFacadeKeys(t *testing.T) {
 	for _, k := range found {
 		if len(k.Properties) == 1 && k.Properties[0] == PartNumberProperty {
 			sawPN = true
-			bk := KeyBlockingValue(ds.Local, ds.Local.InstancesOf(k.Class)[0], k.Properties)
+			bk := KeyBlockingValue(ds.Local, ds.Local.Subjects(RDFType, k.Class)[0], k.Properties)
 			if bk == "" {
 				t.Error("empty blocking key for a covered instance")
 			}

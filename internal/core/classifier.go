@@ -190,10 +190,11 @@ type InstanceIndex struct {
 	// Slices are treated as immutable values: updates install a fresh
 	// slice, so a snapshot sharing the old one never tears.
 	direct map[rdf.Term][]uint32
-	// types is the reverse map (instance -> its direct classes), the
+	// types is the reverse map, indexed by ID: an instance's sorted
+	// direct classes, nil for an ID that names no typed item. It is the
 	// state that makes diff-based upserts possible. Only the live index
-	// reads it, so snapshots share it without copying.
-	types map[rdf.Term][]rdf.Term
+	// reads it, so snapshots do not hold it.
+	types [][]rdf.Term
 	ont   *ontology.Ontology
 	total int
 	// memo maps a class to its instance set, descendants included; nil
@@ -215,35 +216,56 @@ func NewInstanceIndex(sl *rdf.Graph, ol *ontology.Ontology) *InstanceIndex {
 	ix := &InstanceIndex{
 		ids:    NewIDTable(),
 		direct: map[rdf.Term][]uint32{},
-		types:  map[rdf.Term][]rdf.Term{},
 		ont:    ol,
 		memo:   map[rdf.Term]IDSet{},
 	}
+	// Class declarations are not instances.
+	typed := func(t rdf.Triple) bool { return t.O != rdf.ClassTerm }
+	n := 0
 	sl.Match(rdf.Term{}, rdf.TypeTerm, rdf.Term{}, func(t rdf.Triple) bool {
-		if t.O == rdf.ClassTerm {
-			return true // class declarations are not instances
+		if typed(t) {
+			n++
 		}
-		ix.types[t.S] = append(ix.types[t.S], t.O)
 		return true
 	})
-	type typed struct {
-		inst    rdf.Term
-		classes []rdf.Term
+	pairs := make([][2]rdf.Term, 0, n) // (instance, class)
+	sl.Match(rdf.Term{}, rdf.TypeTerm, rdf.Term{}, func(t rdf.Triple) bool {
+		if typed(t) {
+			pairs = append(pairs, [2]rdf.Term{t.S, t.O})
+		}
+		return true
+	})
+	// Sorting pointers spares every comparison a copy of two pairs.
+	sorted := make([]*[2]rdf.Term, len(pairs))
+	for i := range pairs {
+		sorted[i] = &pairs[i]
 	}
-	insts := make([]typed, 0, len(ix.types))
-	for inst, cs := range ix.types {
-		sortTermSlice(cs)
-		insts = append(insts, typed{inst, cs})
-	}
-	slices.SortFunc(insts, func(a, b typed) int { return a.inst.Compare(b.inst) })
-	ix.ids.reserve(len(insts))
-	for _, t := range insts {
-		id := ix.ids.Assign(t.inst)
-		for _, c := range t.classes {
-			ix.direct[c] = append(ix.direct[c], id) // ascending IDs
+	slices.SortFunc(sorted, func(a, b *[2]rdf.Term) int {
+		if c := a[0].Compare(b[0]); c != 0 {
+			return c
+		}
+		return a[1].Compare(b[1])
+	})
+	insts := 0
+	for i := range sorted {
+		if i == 0 || sorted[i][0] != sorted[i-1][0] {
+			insts++
 		}
 	}
-	ix.total = len(ix.types)
+	ix.ids.reserve(insts)
+	ix.types = make([][]rdf.Term, insts)
+	classes := make([]rdf.Term, len(sorted)) // backs every types entry
+	for i := 0; i < len(sorted); {
+		id := ix.ids.Assign(sorted[i][0])
+		j := i
+		for ; j < len(sorted) && sorted[j][0] == sorted[i][0]; j++ {
+			classes[j] = sorted[j][1]
+			ix.direct[classes[j]] = append(ix.direct[classes[j]], id) // ascending IDs
+		}
+		ix.types[id] = classes[i:j:j]
+		i = j
+	}
+	ix.total = insts
 	return ix
 }
 
@@ -325,9 +347,12 @@ func (ix *InstanceIndex) UpsertInstance(inst rdf.Term, classes []rdf.Term) bool 
 		}
 		newClasses = append(newClasses, c)
 	}
-	sortTermSlice(newClasses)
+	slices.SortFunc(newClasses, rdf.Term.Compare)
 	newClasses = dedupSorted(newClasses)
-	old := ix.types[inst]
+	var old []rdf.Term
+	if id, ok := ix.ids.ID(inst); ok && int(id) < len(ix.types) {
+		old = ix.types[id]
+	}
 
 	added := diffSorted(newClasses, old)
 	removed := diffSorted(old, newClasses)
@@ -354,11 +379,10 @@ func (ix *InstanceIndex) UpsertInstance(inst rdf.Term, classes []rdf.Term) bool 
 	case len(old) > 0 && len(newClasses) == 0:
 		ix.total--
 	}
-	if len(newClasses) == 0 {
-		delete(ix.types, inst)
-	} else {
-		ix.types[inst] = newClasses
+	for int(id) >= len(ix.types) {
+		ix.types = append(ix.types, nil)
 	}
+	ix.types[id] = newClasses
 	for _, c := range added {
 		ix.invalidate(c)
 	}
@@ -583,8 +607,4 @@ func CandidatePairs(sr SpaceReport, ix *InstanceIndex) [][2]rdf.Term {
 		out = append(out, [2]rdf.Term{sr.Item, l})
 	}
 	return out
-}
-
-func sortTermSlice(ts []rdf.Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
 }

@@ -141,7 +141,7 @@ func (t *IDTable) Items(set IDSet) []rdf.Term {
 			w &= w - 1
 		}
 	}
-	sortTermSlice(out)
+	slices.SortFunc(out, rdf.Term.Compare)
 	return out
 }
 

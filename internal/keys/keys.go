@@ -13,6 +13,7 @@ package keys
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -87,23 +88,26 @@ func (c Config) withDefaults() Config {
 // ontology's leaves); nil means every class with typed instances.
 func Discover(sl *rdf.Graph, classes []rdf.Term, cfg Config) []Key {
 	cfg = cfg.withDefaults()
+	// One walk over the rdf:type triples groups the instances by class.
+	instances := map[rdf.Term][]rdf.Term{}
+	sl.Match(rdf.Term{}, rdf.TypeTerm, rdf.Term{}, func(t rdf.Triple) bool {
+		instances[t.O] = append(instances[t.O], t.S)
+		return true
+	})
 	if classes == nil {
-		set := map[rdf.Term]struct{}{}
-		sl.Match(rdf.Term{}, rdf.TypeTerm, rdf.Term{}, func(t rdf.Triple) bool {
-			if t.O != rdf.ClassTerm {
-				set[t.O] = struct{}{}
+		for c := range instances {
+			if c != rdf.ClassTerm {
+				classes = append(classes, c)
 			}
-			return true
-		})
-		for c := range set {
-			classes = append(classes, c)
 		}
-		sort.Slice(classes, func(i, j int) bool { return classes[i].Compare(classes[j]) < 0 })
+		slices.SortFunc(classes, rdf.Term.Compare)
 	}
 
 	var out []Key
 	for _, class := range classes {
-		out = append(out, discoverForClass(sl, class, cfg)...)
+		insts := instances[class]
+		slices.SortFunc(insts, rdf.Term.Compare)
+		out = append(out, discoverForClass(sl, class, insts, cfg)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if c := out[i].Class.Compare(out[j].Class); c != 0 {
@@ -117,8 +121,9 @@ func Discover(sl *rdf.Graph, classes []rdf.Term, cfg Config) []Key {
 	return out
 }
 
-func discoverForClass(sl *rdf.Graph, class rdf.Term, cfg Config) []Key {
-	instances := sl.InstancesOf(class)
+// discoverForClass finds the keys of one class, given its instances
+// sorted.
+func discoverForClass(sl *rdf.Graph, class rdf.Term, instances []rdf.Term, cfg Config) []Key {
 	if len(instances) < cfg.MinInstances {
 		return nil
 	}

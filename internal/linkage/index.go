@@ -1,9 +1,7 @@
 package linkage
 
 import (
-	"cmp"
 	"slices"
-	"sort"
 	"unicode/utf8"
 
 	"repro/internal/rdf"
@@ -202,50 +200,29 @@ func (c *column) set(tok *mutToken, id uint32, vals []value) {
 	c.pages[p].vals[id&pageMask] = vals
 }
 
-// build indexes every comparator's local values into its column, in one
-// pass per comparator over the local graph's predicate index. In a
-// numbered engine, items the table does not know get IDs in rdf.Term
+// build indexes every comparator's local values into its column,
+// walking the ID table in ID order and reading each item's literals by
+// subject, so columns fill sequentially. A numbered engine first gives
+// an ID to every local item that has a value and none yet, in rdf.Term
 // order, so that the IDs do not depend on map iteration; otherwise only
-// the items the table knows are indexed. Columns are filled in ID order,
-// so a scan in ID order reads them sequentially.
+// the items the table knows are indexed.
 func (ix *index) build(sl *rdf.Graph) {
-	// item -> its literal values, per comparator
-	objs := map[rdf.Term][][]rdf.Term{}
-	if sl != nil {
-		for ci := range ix.comps {
-			sl.Match(rdf.Term{}, ix.comps[ci].locProp, rdf.Term{}, func(t rdf.Triple) bool {
-				if t.O.IsLiteral() {
-					per := objs[t.S]
-					if per == nil {
-						per = make([][]rdf.Term, len(ix.comps))
-						objs[t.S] = per
-					}
-					per[ci] = append(per[ci], t.O)
+	var objs []rdf.Term // reused for every item's values
+	if sl != nil && ix.numbered {
+		for _, item := range sl.AllSubjects() {
+			if _, ok := ix.ids.ID(item); ok {
+				continue
+			}
+			for ci := range ix.comps {
+				if objs = literals(objs[:0], sl, item, ix.comps[ci].locProp); len(objs) > 0 {
+					ix.ids.Assign(item)
+					break
 				}
-				return true
-			})
+			}
 		}
 	}
-	type entry struct {
-		id  uint32
-		per [][]rdf.Term
-	}
-	entries := make([]entry, 0, len(objs))
-	var unknown []rdf.Term
-	for item, per := range objs {
-		if id, ok := ix.ids.ID(item); ok {
-			entries = append(entries, entry{id, per})
-		} else if ix.numbered {
-			unknown = append(unknown, item)
-		}
-	}
-	slices.SortFunc(unknown, rdf.Term.Compare)
-	for _, item := range unknown {
-		entries = append(entries, entry{ix.ids.Assign(item), objs[item]})
-	}
-	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
-
-	npages := (ix.ids.Len() + pageSize - 1) / pageSize
+	n := uint32(ix.ids.Len())
+	npages := (n + pageSize - 1) / pageSize
 	ix.cols = make([]column, len(ix.comps))
 	for ci := range ix.comps {
 		c := &ix.comps[ci]
@@ -253,23 +230,23 @@ func (ix *index) build(sl *rdf.Graph) {
 		for p := range col.pages {
 			col.pages[p] = &page{owner: ix.mut}
 		}
-		n := 0
-		for _, e := range entries {
-			n += len(e.per[ci])
+		total := 0
+		for id := uint32(0); id < n; id++ {
+			objs = literals(objs[:0], sl, ix.ids.Item(id), c.locProp)
+			total += len(objs)
 		}
-		flat := make([]value, n) // one allocation for the whole column
-		for _, e := range entries {
-			vs := e.per[ci]
-			if len(vs) == 0 {
+		flat := make([]value, total) // one allocation for the whole column
+		for id := uint32(0); id < n; id++ {
+			objs = literals(objs[:0], sl, ix.ids.Item(id), c.locProp)
+			if len(objs) == 0 {
 				continue
 			}
-			sortTerms(vs)
-			vals := flat[:len(vs):len(vs)]
-			flat = flat[len(vs):]
-			for j, o := range vs {
+			vals := flat[:len(objs):len(objs)]
+			flat = flat[len(objs):]
+			for j, o := range objs {
 				vals[j] = c.derive(o.Value, true)
 			}
-			col.pages[e.id>>pageBits].vals[e.id&pageMask] = vals
+			col.pages[id>>pageBits].vals[id&pageMask] = vals
 		}
 		ix.cols[ci] = col
 	}
@@ -279,7 +256,7 @@ func (ix *index) build(sl *rdf.Graph) {
 // writer's local graph; nil when it has none.
 func (ix *index) localValues(ci int, item rdf.Term) []value {
 	c := &ix.comps[ci]
-	objs := literals(ix.sl, item, c.locProp)
+	objs := literals(nil, ix.sl, item, c.locProp)
 	if len(objs) == 0 {
 		return nil
 	}
@@ -297,7 +274,7 @@ func (ix *index) resolve(ext rdf.Term) [][]value {
 	q := make([][]value, len(ix.comps))
 	for ci := range ix.comps {
 		c := &ix.comps[ci]
-		objs := literals(ix.se, ext, c.extProp)
+		objs := literals(nil, ix.se, ext, c.extProp)
 		if len(objs) == 0 {
 			continue
 		}
@@ -319,23 +296,19 @@ func (ix *index) idOf(item rdf.Term) uint32 {
 	return noID
 }
 
-// literals returns item's literal values under prop in g, ordered by
-// rdf.Term.Compare.
-func literals(g *rdf.Graph, item, prop rdf.Term) []rdf.Term {
+// literals appends item's literal values under prop in g to dst,
+// ordered by rdf.Term.Compare.
+func literals(dst []rdf.Term, g *rdf.Graph, item, prop rdf.Term) []rdf.Term {
 	if g == nil {
-		return nil
+		return dst
 	}
-	var objs []rdf.Term
+	n := len(dst)
 	g.Match(item, prop, rdf.Term{}, func(t rdf.Triple) bool {
 		if t.O.IsLiteral() {
-			objs = append(objs, t.O)
+			dst = append(dst, t.O)
 		}
 		return true
 	})
-	sortTerms(objs)
-	return objs
-}
-
-func sortTerms(ts []rdf.Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+	slices.SortFunc(dst[n:], rdf.Term.Compare)
+	return dst
 }

@@ -8,6 +8,8 @@
 // slots are concatenated in chunk order. Because the concatenation order
 // is the input order, the output is exactly what the serial loop would
 // produce — parallelism never changes results, only wall time.
+// ReduceChunks instead gives each worker one contiguous run of the
+// items and merges the runs in order, for the same guarantee.
 //
 // Cancellation is cooperative: workers observe the context between
 // chunks, so a cancelled context stops the fan-out within one chunk of
@@ -121,19 +123,21 @@ func MapChunks[T, R any](ctx context.Context, workers, chunk int, items []T, fn 
 	return out, nil
 }
 
-// ReduceChunks folds items into per-chunk accumulators in parallel and
-// merges the accumulators in chunk order: newAcc creates an empty
-// accumulator, fold absorbs one item and returns the (possibly
+// ReduceChunks folds items into one accumulator per worker in parallel
+// and merges the workers' accumulators in input order: newAcc creates
+// an empty accumulator, fold absorbs one item and returns the (possibly
 // replaced) accumulator, merge absorbs the right accumulator into the
-// left and returns the result. Because chunks cover the input in order
-// and the merge runs left-to-right over the chunk sequence, any fold
-// whose merge is associative over ordered chunks produces exactly the
-// serial fold's result — and commutative reductions (counting maps,
-// sums) are deterministic at every worker count by construction.
+// left and returns the result. Each worker folds one contiguous run of
+// the items, and the runs are merged left to right, so any fold whose
+// merge is associative produces exactly the serial fold's result — and
+// commutative reductions (counting maps, sums) are deterministic at
+// every worker count by construction. One accumulator per worker, not
+// per chunk, keeps a counting map's allocation near that of the serial
+// fold.
 //
-// Cancellation follows MapChunks: when ctx is cancelled mid-run,
-// claimed chunks finish, the rest are skipped, and ctx.Err() is
-// returned with the zero accumulator.
+// Cancellation follows MapChunks: workers check ctx once per chunk of
+// items, and when ctx is cancelled mid-run ctx.Err() is returned with
+// the zero accumulator.
 func ReduceChunks[T, A any](ctx context.Context, workers, chunk int, items []T, newAcc func() A, fold func(A, T) A, merge func(A, A) A) (A, error) {
 	if chunk <= 0 {
 		chunk = DefaultChunk
@@ -152,38 +156,26 @@ func ReduceChunks[T, A any](ctx context.Context, workers, chunk int, items []T, 
 		}
 		return acc, nil
 	}
-	nChunks := (len(items) + chunk - 1) / chunk
-	if workers > nChunks {
+	if nChunks := (len(items) + chunk - 1) / chunk; workers > nChunks {
 		workers = nChunks
 	}
-	accs := make([]A, nChunks)
-	var cursor atomic.Int64
+	accs := make([]A, workers)
 	var cancelled atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		run := items[len(items)*w/workers : len(items)*(w+1)/workers]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if ctx != nil && ctx.Err() != nil {
+			acc := newAcc()
+			for i, it := range run {
+				if ctx != nil && i%chunk == 0 && ctx.Err() != nil {
 					cancelled.Store(true)
 					return
 				}
-				c := int(cursor.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > len(items) {
-					hi = len(items)
-				}
-				acc := newAcc()
-				for _, it := range items[lo:hi] {
-					acc = fold(acc, it)
-				}
-				accs[c] = acc
+				acc = fold(acc, it)
 			}
+			accs[w] = acc
 		}()
 	}
 	wg.Wait()
@@ -192,8 +184,8 @@ func ReduceChunks[T, A any](ctx context.Context, workers, chunk int, items []T, 
 		return zero, ctx.Err()
 	}
 	out := accs[0]
-	for c := 1; c < nChunks; c++ {
-		out = merge(out, accs[c])
+	for _, acc := range accs[1:] {
+		out = merge(out, acc)
 	}
 	return out, nil
 }

@@ -15,10 +15,10 @@ import (
 //     encoded once and triples are three varint indexes;
 //   - triples sorted as packed integer keys (21 bits per term index),
 //     avoiding any Term comparison on the hot path;
-//   - a bulk graph loader on decode that builds the store's three
-//     copy-on-write indexes directly from sorted runs with exact-sized
-//     maps — no per-triple Add, no duplicate probing, no map growth — and
-//     backs every term string by one shared buffer.
+//   - a bulk graph loader on decode that builds the store's copy-on-write
+//     SPO index directly from the sorted keys with exact-sized maps — no
+//     per-triple Add, no duplicate probing, no map growth — and backs
+//     every term string by one shared buffer.
 //
 // Layout (all integers unsigned varints unless noted):
 //
@@ -405,40 +405,19 @@ func decodeUnpacked(r *binReader, table []Term, nTriples uint64) (*Graph, error)
 }
 
 // buildGraphBulk constructs a graph from packed (s,p,o) keys without
-// going through Add: the SPO index is filled from one integer sort with
-// every bucket allocated once at its exact final size, and the two
-// secondary indexes are deferred — the sorted keys are retained and POS
-// and OSP materialize on their first read (fillIndexLazy), or before
-// the first mutation. Recovery therefore pays for exactly the indexes
-// it touches.
+// going through Add: the SPO index is filled from the keys with every
+// bucket allocated once at its exact final size. The keys arrive
+// sorted, since the decoder rejects a decreasing one.
 func buildGraphBulk(table []Term, spo []uint64) *Graph {
 	g := NewGraph()
-	slices.Sort(spo)
 	n := fillIndexBulk(&g.spo, g.mut, table, spo)
 	g.n = n
 	g.ver = uint64(n)
-	if len(spo) > 0 {
-		bs := &bulkState{table: table, keys: spo}
-		g.lazyPOS.Store(bs)
-		g.lazyOSP.Store(bs)
-	}
 	return g
 }
 
-// fillIndexLazy materializes one deferred secondary index from the
-// retained bulk keys: repack each key's (first, second, third) positions
-// by the given shifts, sort, bulk-fill. Called with bs.mu held.
-func fillIndexLazy(ix *cowIndex, tok *mutToken, bs *bulkState, a, b, c uint) {
-	keys := make([]uint64, len(bs.keys))
-	for i, k := range bs.keys {
-		keys[i] = k>>a&termMask<<(2*termBits) | k>>b&termMask<<termBits | k>>c&termMask
-	}
-	slices.Sort(keys)
-	fillIndexBulk(ix, tok, bs.table, keys)
-}
-
-// fillIndexBulk fills one three-level index from sorted packed keys,
-// returning the number of distinct keys. Duplicates are adjacent after
+// fillIndexBulk fills the SPO index from sorted packed keys, returning
+// the number of distinct keys. Duplicates are adjacent after
 // sorting and collapse in the leaf sets. Bucket structs come out of two
 // slab allocations — one per level — instead of one allocation each.
 func fillIndexBulk(ix *cowIndex, tok *mutToken, table []Term, keys []uint64) int {
@@ -493,7 +472,7 @@ func fillIndexBulk(ix *cowIndex, tok *mutToken, table []Term, keys []uint64) int
 		}
 		b2 := &b2slab[0]
 		b2slab = b2slab[1:]
-		*b2 = bucket2{owner: tok, n: distinctB}
+		*b2 = bucket2{owner: tok}
 		if distinctB <= b2FewMax {
 			b2.few = entryArena[:0:distinctB]
 			entryArena = entryArena[distinctB:]

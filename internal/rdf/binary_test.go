@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -256,134 +255,4 @@ func genGraph(rng *rand.Rand, n int) *Graph {
 		g.Add(T(s, p, o))
 	}
 	return g
-}
-
-// TestDecodedGraphSecondaryIndexes exercises the lazily materialized
-// POS and OSP indexes of a bulk-loaded graph against an eagerly built
-// twin: every query path that touches a secondary index must agree.
-func TestDecodedGraphSecondaryIndexes(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	eager := genGraph(rng, 120)
-	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, eager); err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := DecodeSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	termsEq := func(a, b []Term) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !termsEq(predicates(eager), predicates(lazy)) {
-		t.Error("Predicates disagree (POS)")
-	}
-	for _, p := range predicates(eager) {
-		eager.Match(Term{}, p, Term{}, func(tr Triple) bool {
-			if !termsEq(eager.Subjects(tr.P, tr.O), lazy.Subjects(tr.P, tr.O)) {
-				t.Errorf("Subjects(%v, %v) disagree (POS)", tr.P, tr.O)
-			}
-			if !termsEq(predsOf(eager.Find(tr.S, Term{}, tr.O)), predsOf(lazy.Find(tr.S, Term{}, tr.O))) {
-				t.Errorf("Find(s, ?, o) disagrees (OSP) for %v", tr)
-			}
-			got := lazy.Find(Term{}, Term{}, tr.O)
-			want := eager.Find(Term{}, Term{}, tr.O)
-			if len(got) != len(want) {
-				t.Errorf("Find(?, ?, o) disagrees (OSP) for %v", tr.O)
-			}
-			return true
-		})
-	}
-}
-
-// predsOf projects triples onto predicates for compact comparison.
-func predsOf(ts []Triple) []Term {
-	out := make([]Term, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, t.P)
-	}
-	return out
-}
-
-// TestDecodedGraphLazyRace hammers a frozen bulk-loaded snapshot with
-// concurrent readers whose first accesses race to materialize POS and
-// OSP; run under -race this pins the double-checked publication.
-func TestDecodedGraphLazyRace(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	g := genGraph(rng, 200)
-	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := dec.Snapshot()
-	preds := predicates(g)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				p := preds[(w+i)%len(preds)]
-				if got, want := len(snap.Subjects(p, Term{})), 0; got != want {
-					_ = got // wildcard object: leaf lookup is empty, the point is the POS touch
-				}
-				snap.Match(Term{}, p, Term{}, func(tr Triple) bool {
-					if !snap.Has(tr) {
-						t.Errorf("worker %d: POS emitted %v not in SPO", w, tr)
-						return false
-					}
-					snap.Match(Term{}, Term{}, tr.O, func(u Triple) bool { return true })
-					return true
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	if !graphsEqual(snap, g) {
-		t.Error("snapshot diverged after lazy materialization")
-	}
-}
-
-// TestDecodedGraphMutateAfterDecode proves the first mutation on a
-// bulk-loaded graph materializes the deferred indexes before applying,
-// keeping all three consistent.
-func TestDecodedGraphMutateAfterDecode(t *testing.T) {
-	g := NewGraph()
-	s, p := NewIRI("http://ex.org/s"), NewIRI("http://ex.org/p")
-	g.Add(T(s, p, NewLiteral("old")))
-	g.Add(T(s, p, NewLiteral("keep")))
-	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Remove(T(s, p, NewLiteral("old"))) {
-		t.Fatal("remove failed")
-	}
-	dec.Add(T(s, p, NewLiteral("new")))
-	if subj := dec.Subjects(p, NewLiteral("old")); len(subj) != 0 {
-		t.Errorf("POS still lists removed triple: %v", subj)
-	}
-	if subj := dec.Subjects(p, NewLiteral("new")); len(subj) != 1 {
-		t.Errorf("POS misses added triple: %v", subj)
-	}
-	if got := dec.Find(Term{}, Term{}, NewLiteral("keep")); len(got) != 1 {
-		t.Errorf("OSP lookup after mutation: %v", got)
-	}
 }

@@ -1,14 +1,17 @@
 package rdf
 
 import (
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
-// Graph is an in-memory RDF triple store with three full indexes
-// (SPO, POS, OSP) so that every triple-pattern lookup touches only the
-// matching slice of the data.
+// Graph is an in-memory RDF triple store with one index, subject ->
+// predicate -> objects (SPO). Every read the linking pipeline serves
+// binds the subject: an item's description, the values of one of its
+// properties, its classes. Those reads touch only that subject's
+// entry. A pattern that leaves the subject open walks every subject;
+// only one-time passes (building the catalog indexes, loading an
+// ontology, discovering keys) make such walks.
 //
 // Graph is not safe for concurrent mutation, but it supports cheap
 // copy-on-write snapshots: Snapshot returns a frozen view that remains
@@ -18,20 +21,7 @@ import (
 // entirely outside a service's write lock.
 type Graph struct {
 	spo cowIndex
-	pos cowIndex
-	osp cowIndex
 	n   int
-	// lazyPOS/lazyOSP are non-nil on bulk-loaded graphs (DecodeSnapshot)
-	// whose secondary indexes have not materialized yet: the SPO index
-	// is always built eagerly, while POS and OSP derive on first use
-	// from the retained packed keys. Loading nil is the fast path on
-	// every secondary-index read; the release store in materialize
-	// orders the index write before the pointer clear, so concurrent
-	// readers of a frozen bulk-loaded snapshot are safe. Mutations
-	// materialize both first (writeToken), so live graphs never update
-	// a deferred index.
-	lazyPOS atomic.Pointer[bulkState]
-	lazyOSP atomic.Pointer[bulkState]
 	// ver counts successful mutations, letting callers that snapshot
 	// derived state (e.g. the linkage value index) detect staleness
 	// cheaply via Version.
@@ -55,11 +45,11 @@ type Graph struct {
 type mutToken struct{ _ byte }
 
 // fewMax is the inline-leaf capacity: leaf sets at or below it live in a
-// linear-scanned slice instead of a map. Most leaves are tiny (an
-// object per (subject, predicate), a predicate per (object, subject)),
-// and a small slice costs one allocation and no hashing where a map
-// costs two allocations plus hashing — the difference dominates bulk
-// loads and GC pressure on large graphs.
+// linear-scanned slice instead of a map. Most leaves are tiny (an item
+// holds one or a few values per property), and a small slice costs one
+// allocation and no hashing where a map costs two allocations plus
+// hashing — the difference dominates bulk loads and GC pressure on
+// large graphs.
 const fewMax = 8
 
 // bucket3 is a leaf set of third-position terms. Exactly one
@@ -168,23 +158,9 @@ func (b3 *bucket3) remove(t Term) bool {
 	return false
 }
 
-// b2ShardThreshold is the second-level size past which a bucket splits
-// into shards at its next copy-on-write. Small buckets (a subject's few
-// predicates) stay one flat map; skewed buckets (a predicate's thousands
-// of objects in the POS index) shard so the copy a mutation pays stays
-// O(n/shardCount).
-const b2ShardThreshold = 256
-
-// b2shard is one slice of a sharded second level.
-type b2shard struct {
-	owner *mutToken
-	m     map[Term]*bucket3
-}
-
 // b2FewMax is the inline capacity of a second-level bucket: up to this
-// many (second key, leaf) entries live in a linear-scanned slice, the
-// same trade as bucket3's few (a subject holds a handful of predicates;
-// an object is held by a handful of subjects).
+// many (predicate, leaf) entries live in a linear-scanned slice, the
+// same trade as bucket3's few (a subject holds a handful of predicates).
 const b2FewMax = 4
 
 // b2entry is one inline second-level entry.
@@ -193,128 +169,75 @@ type b2entry struct {
 	v *bucket3
 }
 
-// bucket2 is a second-level map: second key -> leaf bucket. At most one
-// of few/flat/shards is in use (all nil means an empty few bucket); n
-// counts the distinct second keys. Buckets grow monotonically through
-// the representations: few -> flat (past b2FewMax) -> shards (past
-// b2ShardThreshold, at the next copy-on-write).
+// bucket2 is a second-level map: predicate -> leaf bucket, one per
+// subject. At most one of few/flat is in use (both nil means an empty
+// few bucket); a bucket moves from few to flat once it outgrows
+// b2FewMax and never moves back. It holds one subject's predicates, so
+// the copy a mutation pays after a snapshot is bounded by that item's
+// own description.
 type bucket2 struct {
-	owner  *mutToken
-	n      int
-	few    []b2entry
-	flat   map[Term]*bucket3
-	shards *[shardCount]b2shard
+	owner *mutToken
+	few   []b2entry
+	flat  map[Term]*bucket3
 }
 
-// get returns the leaf bucket for second-key b, or nil.
+// get returns the leaf bucket for predicate b, or nil.
 func (b2 *bucket2) get(b Term) *bucket3 {
-	switch {
-	case b2.shards != nil:
-		return b2.shards[shardOf(b)].m[b]
-	case b2.flat != nil:
+	if b2.flat != nil {
 		return b2.flat[b]
-	default:
-		for i := range b2.few {
-			if b2.few[i].k == b {
-				return b2.few[i].v
-			}
-		}
-		return nil
 	}
+	for i := range b2.few {
+		if b2.few[i].k == b {
+			return b2.few[i].v
+		}
+	}
+	return nil
 }
 
-// each calls fn for every (second key, leaf) entry until fn returns
+// each calls fn for every (predicate, leaf) entry until fn returns
 // false; reports whether the iteration ran to completion.
 func (b2 *bucket2) each(fn func(Term, *bucket3) bool) bool {
-	switch {
-	case b2.shards != nil:
-		for i := range b2.shards {
-			for k, v := range b2.shards[i].m {
-				if !fn(k, v) {
-					return false
-				}
-			}
-		}
-		return true
-	case b2.flat != nil:
+	if b2.flat != nil {
 		for k, v := range b2.flat {
 			if !fn(k, v) {
 				return false
 			}
 		}
 		return true
-	default:
-		for i := range b2.few {
-			if !fn(b2.few[i].k, b2.few[i].v) {
-				return false
-			}
-		}
-		return true
 	}
+	for i := range b2.few {
+		if !fn(b2.few[i].k, b2.few[i].v) {
+			return false
+		}
+	}
+	return true
 }
 
 // copyFor returns b2 if tok already owns it, else a writable copy owned
-// by tok: few and flat buckets copy (flat splits into shards past the
-// threshold, a one-time O(n) after which copies are per-shard), sharded
-// buckets copy only the 64-entry shard header — individual shard maps
-// stay shared until slot touches them.
+// by tok. The leaves stay shared until mutableLeaf touches them.
 func (b2 *bucket2) copyFor(tok *mutToken) *bucket2 {
 	if b2.owner == tok {
 		return b2
 	}
-	c := &bucket2{owner: tok, n: b2.n}
-	switch {
-	case b2.shards != nil:
-		shards := *b2.shards
-		c.shards = &shards
-	case b2.flat == nil:
+	c := &bucket2{owner: tok}
+	if b2.flat != nil {
+		c.flat = make(map[Term]*bucket3, len(b2.flat)+1)
+		for k, v := range b2.flat {
+			c.flat[k] = v
+		}
+	} else {
 		// Fresh backing array: the snapshot must never see in-place
 		// leaf swaps or appends through a shared slice.
 		c.few = append(make([]b2entry, 0, len(b2.few)+1), b2.few...)
-	case b2.n >= b2ShardThreshold:
-		shards := new([shardCount]b2shard)
-		for k, v := range b2.flat {
-			s := &shards[shardOf(k)]
-			if s.m == nil {
-				s.m = make(map[Term]*bucket3)
-				s.owner = tok
-			}
-			s.m[k] = v
-		}
-		c.shards = shards
-	default:
-		m := make(map[Term]*bucket3, len(b2.flat)+1)
-		for k, v := range b2.flat {
-			m[k] = v
-		}
-		c.flat = m
 	}
 	return c
 }
 
-// slot returns the writable map holding second-key b for the flat and
-// sharded representations. b2 must already be owned by tok (see
-// copyFor) and must not be in few form (see mutableLeaf).
-func (b2 *bucket2) slot(tok *mutToken, b Term) map[Term]*bucket3 {
-	if b2.shards == nil {
-		return b2.flat
-	}
-	s := &b2.shards[shardOf(b)]
-	if s.owner != tok {
-		m := make(map[Term]*bucket3, len(s.m)+1)
-		for k, v := range s.m {
-			m[k] = v
-		}
-		s.m, s.owner = m, tok
-	}
-	return s.m
-}
-
-// mutableLeaf returns the writable leaf for second-key b of an owned
-// bucket, creating or path-copying it as needed; created reports a new
-// entry. A few bucket promotes to flat when it outgrows b2FewMax.
-func (b2 *bucket2) mutableLeaf(tok *mutToken, b Term, create bool) (b3 *bucket3, created bool) {
-	if b2.flat == nil && b2.shards == nil {
+// mutableLeaf returns the writable leaf for predicate b of an owned
+// bucket, creating or path-copying it as needed. A few bucket promotes
+// to flat when it outgrows b2FewMax.
+func (b2 *bucket2) mutableLeaf(tok *mutToken, b Term, create bool) *bucket3 {
+	if b2.flat == nil {
 		for i := range b2.few {
 			if b2.few[i].k == b {
 				b3 := b2.few[i].v
@@ -322,16 +245,16 @@ func (b2 *bucket2) mutableLeaf(tok *mutToken, b Term, create bool) (b3 *bucket3,
 					b3 = copyB3(tok, b3)
 					b2.few[i].v = b3
 				}
-				return b3, false
+				return b3
 			}
 		}
 		if !create {
-			return nil, false
+			return nil
 		}
 		if len(b2.few) < b2FewMax {
 			b3 := &bucket3{owner: tok}
 			b2.few = append(b2.few, b2entry{k: b, v: b3})
-			return b3, true
+			return b3
 		}
 		m := make(map[Term]*bucket3, len(b2.few)+1)
 		for _, e := range b2.few {
@@ -339,26 +262,34 @@ func (b2 *bucket2) mutableLeaf(tok *mutToken, b Term, create bool) (b3 *bucket3,
 		}
 		b2.flat, b2.few = m, nil
 	}
-	return mutableB3(tok, b2.slot(tok, b), b, create)
+	b3 := b2.flat[b]
+	switch {
+	case b3 == nil:
+		if !create {
+			return nil
+		}
+		b3 = &bucket3{owner: tok}
+		b2.flat[b] = b3
+	case b3.owner != tok:
+		b3 = copyB3(tok, b3)
+		b2.flat[b] = b3
+	}
+	return b3
 }
 
-// deleteLeaf drops second-key b from an owned bucket. The caller
-// adjusts n.
-func (b2 *bucket2) deleteLeaf(tok *mutToken, b Term) {
-	switch {
-	case b2.shards != nil:
-		delete(b2.slot(tok, b), b)
-	case b2.flat != nil:
+// deleteLeaf drops predicate b from an owned bucket.
+func (b2 *bucket2) deleteLeaf(b Term) {
+	if b2.flat != nil {
 		delete(b2.flat, b)
-	default:
-		for i := range b2.few {
-			if b2.few[i].k == b {
-				last := len(b2.few) - 1
-				b2.few[i] = b2.few[last]
-				b2.few[last] = b2entry{} // release the strings and leaf
-				b2.few = b2.few[:last]
-				return
-			}
+		return
+	}
+	for i := range b2.few {
+		if b2.few[i].k == b {
+			last := len(b2.few) - 1
+			b2.few[i] = b2.few[last]
+			b2.few[last] = b2entry{} // release the strings and leaf
+			b2.few = b2.few[:last]
+			return
 		}
 	}
 }
@@ -379,43 +310,24 @@ func copyB3(tok *mutToken, b3 *bucket3) *bucket3 {
 	return c
 }
 
-// mutableB3 returns the writable leaf for second-key b inside slot m,
-// creating or path-copying it as needed; created reports a new entry.
-func mutableB3(tok *mutToken, m map[Term]*bucket3, b Term, create bool) (b3 *bucket3, created bool) {
-	b3 = m[b]
-	switch {
-	case b3 == nil:
-		if !create {
-			return nil, false
-		}
-		b3 = &bucket3{owner: tok}
-		m[b] = b3
-		return b3, true
-	case b3.owner != tok:
-		b3 = copyB3(tok, b3)
-		m[b] = b3
-	}
-	return b3, false
-}
-
-// shardCount splits each index's top level so the copy a mutation pays
+// shardCount splits the index's top level so the copy a mutation pays
 // after a snapshot is O(n/shardCount), not O(n). Must be a power of two.
 const shardCount = 64
 
-// cowShard is one slice of an index's top level: first key -> second
+// cowShard is one slice of the index's top level: subject -> its
 // bucket, owned by a mutation token like every deeper level.
 type cowShard struct {
 	owner *mutToken
 	m     map[Term]*bucket2
 }
 
-// cowIndex is a three-level nested index (first key -> second key -> set
-// of third keys) in which every level carries the mutation token that
+// cowIndex is a three-level nested index (subject -> predicate -> set
+// of objects) in which every level carries the mutation token that
 // owns it. Writes go through add/remove, which path-copy any level not
 // owned by the current token before touching it; levels reachable from a
 // snapshot are therefore never written in place. The top level is
-// sharded by first-key hash, so the one unavoidable map copy per
-// mutate-after-snapshot touches a 1/shardCount slice of the keys.
+// sharded by subject hash, so the one unavoidable map copy per
+// mutate-after-snapshot touches a 1/shardCount slice of the subjects.
 type cowIndex struct {
 	shards [shardCount]cowShard
 }
@@ -432,12 +344,12 @@ func shardOf(t Term) uint32 {
 	return h & (shardCount - 1)
 }
 
-// top returns the shard map holding first-key a, for reads (may be nil).
-func (ix *cowIndex) top(a Term) map[Term]*bucket2 {
-	return ix.shards[shardOf(a)].m
+// bucket returns subject a's bucket, or nil.
+func (ix *cowIndex) bucket(a Term) *bucket2 {
+	return ix.shards[shardOf(a)].m[a]
 }
 
-// mutable returns first-key a's shard with its map writable, copying it
+// mutable returns subject a's shard with its map writable, copying it
 // first (shallow: keys and bucket pointers) if a snapshot still shares
 // it.
 func (ix *cowIndex) mutable(tok *mutToken, a Term) *cowShard {
@@ -452,7 +364,7 @@ func (ix *cowIndex) mutable(tok *mutToken, a Term) *cowShard {
 	return s
 }
 
-// mutableB2 returns the writable bucket for first-key a, creating or
+// mutableB2 returns the writable bucket for subject a, creating or
 // copy-on-writing it as needed. s must be a's writable shard.
 func (s *cowShard) mutableB2(tok *mutToken, a Term) *bucket2 {
 	b2 := s.m[a]
@@ -470,50 +382,36 @@ func (s *cowShard) mutableB2(tok *mutToken, a Term) *bucket2 {
 
 func (ix *cowIndex) add(tok *mutToken, a, b, c Term) bool {
 	s := ix.mutable(tok, a)
-	b2 := s.mutableB2(tok, a)
-	b3, created := b2.mutableLeaf(tok, b, true)
-	if created {
-		b2.n++
-	}
-	return b3.insert(c)
+	return s.mutableB2(tok, a).mutableLeaf(tok, b, true).insert(c)
 }
 
 func (ix *cowIndex) remove(tok *mutToken, a, b, c Term) bool {
-	if !ix.has(a, b, c) {
+	if !ix.leaf(a, b).has(c) {
 		return false
 	}
 	s := ix.mutable(tok, a)
 	b2 := s.mutableB2(tok, a)
-	b3, _ := b2.mutableLeaf(tok, b, false)
+	b3 := b2.mutableLeaf(tok, b, false)
 	b3.remove(c)
 	if b3.size() == 0 {
-		b2.deleteLeaf(tok, b)
-		b2.n--
-		if b2.n == 0 {
+		b2.deleteLeaf(b)
+		if len(b2.few) == 0 && len(b2.flat) == 0 {
 			delete(s.m, a)
 		}
 	}
 	return true
 }
 
-func (ix *cowIndex) has(a, b, c Term) bool {
-	b2 := ix.top(a)[a]
-	if b2 == nil {
-		return false
-	}
-	return b2.get(b).has(c)
-}
-
 // leaf returns the leaf under (a, b); a nil *bucket3 reads as empty.
 func (ix *cowIndex) leaf(a, b Term) *bucket3 {
-	b2 := ix.top(a)[a]
+	b2 := ix.bucket(a)
 	if b2 == nil {
 		return nil
 	}
 	return b2.get(b)
 }
 
-// firstLen returns the number of distinct first keys.
+// firstLen returns the number of distinct subjects.
 func (ix *cowIndex) firstLen() int {
 	n := 0
 	for i := range ix.shards {
@@ -541,14 +439,14 @@ func (g *Graph) Version() uint64 { return g.ver }
 func (g *Graph) Frozen() bool { return g.mut == nil }
 
 // Snapshot returns a frozen copy-on-write view of the graph: an O(1)
-// operation that shares the graph's indexes and freezes them by
-// refreshing the live graph's mutation token. Reads on the snapshot are
-// safe concurrently with any later mutation of the live graph — a
-// mutation path-copies the first/second-level buckets it touches instead
-// of writing shared state — and always observe exactly the triples
-// present at snapshot time. The first mutation through a given top-level
-// shard after a snapshot additionally re-copies that shard's map
-// (pointer-shallow, O(distinct first keys / 64)); subsequent mutations
+// operation that shares the graph's index and freezes it by refreshing
+// the live graph's mutation token. Reads on the snapshot are safe
+// concurrently with any later mutation of the live graph — a mutation
+// path-copies the subject bucket and leaf it touches instead of writing
+// shared state — and always observe exactly the triples present at
+// snapshot time. The first mutation through a given top-level shard
+// after a snapshot additionally re-copies that shard's map
+// (pointer-shallow, O(distinct subjects / 64)); subsequent mutations
 // pay only for the buckets they touch, until the next Snapshot.
 //
 // Snapshot must be serialized with mutations (call it from the writing
@@ -564,32 +462,6 @@ func (g *Graph) Snapshot() *Graph {
 		return g.snap
 	}
 	snap := &Graph{spo: g.spo, n: g.n, ver: g.ver}
-	// A still-deferred secondary index transfers to the snapshot: the
-	// retained keys match the frozen SPO state exactly as long as no
-	// mutation happened, and the first mutation materializes the live
-	// graph's indexes before touching anything. A concurrent READER may
-	// be materializing an index right now (ensurePOS/ensureOSP fill the
-	// shards under the bulk state's mutex before clearing the pointer),
-	// so each index copy and its pending-state load must happen under
-	// that same mutex — an unsynchronized copy could capture half-filled
-	// shards after the pointer already reads nil, leaving the snapshot's
-	// index permanently torn.
-	if bs := g.lazyPOS.Load(); bs != nil {
-		bs.mu.Lock()
-		snap.pos = g.pos
-		snap.lazyPOS.Store(g.lazyPOS.Load())
-		bs.mu.Unlock()
-	} else {
-		snap.pos = g.pos
-	}
-	if bs := g.lazyOSP.Load(); bs != nil {
-		bs.mu.Lock()
-		snap.osp = g.osp
-		snap.lazyOSP.Store(g.lazyOSP.Load())
-		bs.mu.Unlock()
-	} else {
-		snap.osp = g.osp
-	}
 	// Disown every bucket: the next mutation on the live graph copies
 	// before writing, so snap's view never changes.
 	g.mut = &mutToken{}
@@ -597,58 +469,12 @@ func (g *Graph) Snapshot() *Graph {
 	return snap
 }
 
-// bulkState is the deferred-construction state a bulk-loaded graph
-// carries until both secondary indexes materialize: the interned term
-// table and the sorted packed (s, p, o) keys. Both materializations
-// share one state and one mutex.
-type bulkState struct {
-	mu    sync.Mutex
-	table []Term
-	keys  []uint64
-}
-
-// ensurePOS materializes the POS index of a bulk-loaded graph. The nil
-// fast path makes this free on eagerly-built graphs; the slow path is
-// safe for concurrent readers of a frozen snapshot.
-func (g *Graph) ensurePOS() {
-	bs := g.lazyPOS.Load()
-	if bs == nil {
-		return
-	}
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if g.lazyPOS.Load() == nil { // built while we waited for the lock
-		return
-	}
-	fillIndexLazy(&g.pos, g.mut, bs, termBits, 0, 2*termBits) // p, o, s
-	g.lazyPOS.Store(nil)
-}
-
-// ensureOSP materializes the OSP index, like ensurePOS.
-func (g *Graph) ensureOSP() {
-	bs := g.lazyOSP.Load()
-	if bs == nil {
-		return
-	}
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if g.lazyOSP.Load() == nil {
-		return
-	}
-	fillIndexLazy(&g.osp, g.mut, bs, 0, 2*termBits, termBits) // o, s, p
-	g.lazyOSP.Store(nil)
-}
-
 // writeToken returns the token mutations must own, panicking on frozen
 // snapshots — silently dropping writes would corrupt derived state.
-// Deferred secondary indexes materialize here first: a mutation must
-// update all three indexes, so none may still be pending.
 func (g *Graph) writeToken() *mutToken {
 	if g.mut == nil {
 		panic("rdf: mutating a frozen graph snapshot")
 	}
-	g.ensurePOS()
-	g.ensureOSP()
 	return g.mut
 }
 
@@ -659,12 +485,9 @@ func (g *Graph) Add(t Triple) bool {
 	if t.Validate() != nil {
 		return false
 	}
-	tok := g.writeToken()
-	if !g.spo.add(tok, t.S, t.P, t.O) {
+	if !g.spo.add(g.writeToken(), t.S, t.P, t.O) {
 		return false
 	}
-	g.pos.add(tok, t.P, t.O, t.S)
-	g.osp.add(tok, t.O, t.S, t.P)
 	g.n++
 	g.ver++
 	return true
@@ -673,12 +496,9 @@ func (g *Graph) Add(t Triple) bool {
 // Remove deletes t, reporting whether it was present. Panics if g is a
 // frozen snapshot.
 func (g *Graph) Remove(t Triple) bool {
-	tok := g.writeToken()
-	if !g.spo.remove(tok, t.S, t.P, t.O) {
+	if !g.spo.remove(g.writeToken(), t.S, t.P, t.O) {
 		return false
 	}
-	g.pos.remove(tok, t.P, t.O, t.S)
-	g.osp.remove(tok, t.O, t.S, t.P)
 	g.n--
 	g.ver++
 	return true
@@ -686,71 +506,51 @@ func (g *Graph) Remove(t Triple) bool {
 
 // Has reports whether t is in the graph.
 func (g *Graph) Has(t Triple) bool {
-	return g.spo.has(t.S, t.P, t.O)
+	return g.spo.leaf(t.S, t.P).has(t.O)
 }
 
 // Match calls fn for every triple matching the pattern; a zero Term in a
 // position is a wildcard. Iteration stops early if fn returns false.
-// The most selective index available for the bound positions is used.
+// A pattern that binds the subject reads only that subject; any other
+// pattern walks every subject and narrows each one by the bound
+// predicate and object.
 func (g *Graph) Match(s, p, o Term, fn func(Triple) bool) {
-	switch {
-	case !s.IsZero() && !p.IsZero() && !o.IsZero():
-		if g.Has(Triple{s, p, o}) {
-			fn(Triple{s, p, o})
+	if !s.IsZero() {
+		if b2 := g.spo.bucket(s); b2 != nil {
+			matchSubject(s, b2, p, o, fn)
 		}
-	case !s.IsZero() && !p.IsZero():
-		g.spo.leaf(s, p).each(func(obj Term) bool {
-			return fn(Triple{s, p, obj})
-		})
-	case !s.IsZero() && !o.IsZero():
-		g.ensureOSP()
-		g.osp.leaf(o, s).each(func(pred Term) bool {
-			return fn(Triple{s, pred, o})
-		})
-	case !p.IsZero() && !o.IsZero():
-		g.ensurePOS()
-		g.pos.leaf(p, o).each(func(subj Term) bool {
-			return fn(Triple{subj, p, o})
-		})
-	case !s.IsZero():
-		if b2 := g.spo.top(s)[s]; b2 != nil {
-			b2.each(func(pred Term, objs *bucket3) bool {
-				return objs.each(func(obj Term) bool {
-					return fn(Triple{s, pred, obj})
-				})
-			})
-		}
-	case !p.IsZero():
-		g.ensurePOS()
-		if b2 := g.pos.top(p)[p]; b2 != nil {
-			b2.each(func(obj Term, subjs *bucket3) bool {
-				return subjs.each(func(subj Term) bool {
-					return fn(Triple{subj, p, obj})
-				})
-			})
-		}
-	case !o.IsZero():
-		g.ensureOSP()
-		if b2 := g.osp.top(o)[o]; b2 != nil {
-			b2.each(func(subj Term, preds *bucket3) bool {
-				return preds.each(func(pred Term) bool {
-					return fn(Triple{subj, pred, o})
-				})
-			})
-		}
-	default:
-		for i := range g.spo.shards {
-			for subj, b2 := range g.spo.shards[i].m {
-				if !b2.each(func(pred Term, objs *bucket3) bool {
-					return objs.each(func(obj Term) bool {
-						return fn(Triple{subj, pred, obj})
-					})
-				}) {
-					return
-				}
+		return
+	}
+	for i := range g.spo.shards {
+		for subj, b2 := range g.spo.shards[i].m {
+			if !matchSubject(subj, b2, p, o, fn) {
+				return
 			}
 		}
 	}
+}
+
+// matchSubject calls fn for the triples of subject s, held in b2, that
+// match p and o (zero terms are wildcards); it reports whether fn never
+// asked to stop.
+func matchSubject(s Term, b2 *bucket2, p, o Term, fn func(Triple) bool) bool {
+	if !p.IsZero() {
+		return matchLeaf(s, p, b2.get(p), o, fn)
+	}
+	return b2.each(func(pred Term, objs *bucket3) bool {
+		return matchLeaf(s, pred, objs, o, fn)
+	})
+}
+
+// matchLeaf calls fn for the triples (s, p, x) with x in objs that match
+// o; it reports whether fn never asked to stop.
+func matchLeaf(s, p Term, objs *bucket3, o Term, fn func(Triple) bool) bool {
+	if !o.IsZero() {
+		return !objs.has(o) || fn(Triple{s, p, o})
+	}
+	return objs.each(func(obj Term) bool {
+		return fn(Triple{s, p, obj})
+	})
 }
 
 // Find returns all triples matching the pattern (zero Term = wildcard),
@@ -773,7 +573,7 @@ func (g *Graph) Objects(s, p Term) []Term {
 		out = append(out, o)
 		return true
 	})
-	sortTerms(out)
+	slices.SortFunc(out, Term.Compare)
 	return out
 }
 
@@ -792,17 +592,16 @@ func (g *Graph) FirstObject(s, p Term) (Term, bool) {
 	return best, !first
 }
 
-// Subjects returns the distinct subjects of triples (?s, p, o), sorted.
+// Subjects returns the distinct subjects of triples (?s, p, o), sorted;
+// a zero term is a wildcard, as in Match. It walks every subject.
 func (g *Graph) Subjects(p, o Term) []Term {
-	g.ensurePOS()
-	subjs := g.pos.leaf(p, o)
-	out := make([]Term, 0, subjs.size())
-	subjs.each(func(s Term) bool {
-		out = append(out, s)
+	var out []Term
+	g.Match(Term{}, p, o, func(t Triple) bool {
+		out = append(out, t.S)
 		return true
 	})
-	sortTerms(out)
-	return out
+	slices.SortFunc(out, Term.Compare)
+	return slices.Compact(out)
 }
 
 // AllSubjects returns the distinct subjects appearing in the graph, sorted.
@@ -813,7 +612,7 @@ func (g *Graph) AllSubjects() []Term {
 			out = append(out, s)
 		}
 	}
-	sortTerms(out)
+	slices.SortFunc(out, Term.Compare)
 	return out
 }
 
@@ -847,8 +646,4 @@ func (g *Graph) Clone() *Graph {
 	c := NewGraph()
 	c.Merge(g)
 	return c
-}
-
-func sortTerms(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
 }

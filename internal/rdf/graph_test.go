@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -137,17 +138,18 @@ func TestGraphFirstObjectDeterministic(t *testing.T) {
 	}
 }
 
-// predicates returns the distinct predicates of g, read from its POS
-// index (materializing it), sorted.
+// predicates returns the distinct predicates of g, sorted.
 func predicates(g *Graph) []Term {
-	g.ensurePOS()
+	seen := map[Term]bool{}
 	var out []Term
-	for i := range g.pos.shards {
-		for p := range g.pos.shards[i].m {
-			out = append(out, p)
+	g.Match(Term{}, Term{}, Term{}, func(t Triple) bool {
+		if !seen[t.P] {
+			seen[t.P] = true
+			out = append(out, t.P)
 		}
-	}
-	sortTerms(out)
+		return true
+	})
+	slices.SortFunc(out, Term.Compare)
 	return out
 }
 
@@ -185,8 +187,8 @@ func TestGraphTypesInstances(t *testing.T) {
 	if types := g.TypesOf(ex("alice")); len(types) != 1 || types[0] != ex("Person") {
 		t.Errorf("TypesOf(alice) = %v", types)
 	}
-	if insts := g.InstancesOf(ex("Robot")); len(insts) != 1 || insts[0] != ex("carol") {
-		t.Errorf("InstancesOf(Robot) = %v", insts)
+	if insts := g.Subjects(TypeTerm, ex("Robot")); len(insts) != 1 || insts[0] != ex("carol") {
+		t.Errorf("Subjects(rdf:type, Robot) = %v", insts)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package rdf implements the RDF substrate the linking pipeline runs on: a
-// term model (IRIs, literals, blank nodes), triples, an in-memory indexed
-// triple store, and readers/writers for N-Triples and a Turtle subset.
+// term model (IRIs, literals, blank nodes), triples, an in-memory triple
+// store indexed by subject, and readers/writers for N-Triples and a
+// Turtle subset.
 //
 // The package is deliberately self-contained and stdlib-only. Terms are
 // small comparable value types so they can be used directly as map keys,
-// which the store's indexes rely on.
+// which the store's index relies on.
 package rdf
 
 import (

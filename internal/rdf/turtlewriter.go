@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -110,7 +111,7 @@ func WriteTurtle(w io.Writer, g *Graph, opts TurtleWriterOptions) error {
 			}
 			return true
 		})
-		sortTerms(preds)
+		slices.SortFunc(preds, Term.Compare)
 		// rdf:type first, by Turtle convention.
 		for i, p := range preds {
 			if p == TypeTerm && i != 0 {

@@ -37,6 +37,3 @@ var (
 
 // TypesOf returns the classes asserted for subject s via rdf:type, sorted.
 func (g *Graph) TypesOf(s Term) []Term { return g.Objects(s, TypeTerm) }
-
-// InstancesOf returns the subjects asserted to have class c, sorted.
-func (g *Graph) InstancesOf(c Term) []Term { return g.Subjects(TypeTerm, c) }

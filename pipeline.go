@@ -317,7 +317,8 @@ const (
 
 // LinkTopK returns, for every item, its k best-scoring candidates at or
 // above cfg.Threshold inside the item's reduced linking space (k <= 0
-// means all). The per-item slices follow the engine's match order.
+// means all). The per-item slices follow the engine's match order. An
+// item named more than once is expanded, scored and counted once.
 //
 // The reduced space is the union of the item's predicted classes'
 // instance sets, as IDs (SpaceReport.Candidates), and the engine scores
@@ -340,7 +341,12 @@ func (v *QueryView) LinkTopK(ctx context.Context, items []Term, cfg LinkerConfig
 	}
 	sp = obs.StartSpan(ctx, "blocking")
 	spaces := make([]SpaceReport, 0, len(items))
+	seen := make(map[Term]bool, len(items))
 	for _, item := range items {
+		if seen[item] {
+			continue
+		}
+		seen[item] = true
 		if err := ctx.Err(); err != nil {
 			sp.End()
 			return nil, err

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/linkage"
+	"repro/internal/obs"
 )
 
 // viewFixture builds a pipeline over a small typed corpus.
@@ -256,5 +257,36 @@ func TestQueryViewConfigError(t *testing.T) {
 	}
 	if !errors.Is(err, ErrLinkerConfig) {
 		t.Fatalf("error %v does not wrap ErrLinkerConfig", err)
+	}
+}
+
+// TestLinkTopKRepeatedItem: a request that names an item more than once
+// answers and counts as one that names it once, so the repeats are not
+// expanded or scored again.
+func TestLinkTopKRepeatedItem(t *testing.T) {
+	p, cfg := viewFixture(t)
+	view := p.Snapshot()
+	e3, e5 := NewIRI("http://ex.org/e/3"), NewIRI("http://ex.org/e/5")
+	link := func(items ...Term) (map[Term][]Match, []obs.Count) {
+		t.Helper()
+		tr := obs.NewTrace(nil)
+		got, err := view.LinkTopK(obs.WithTrace(context.Background(), tr), items, cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, tr.Counts()
+	}
+	for _, tc := range []struct{ repeated, once []Term }{
+		{[]Term{e3, e3, e3}, []Term{e3}},
+		{[]Term{e3, e5, e3, e5}, []Term{e3, e5}},
+	} {
+		want, wantCounts := link(tc.once...)
+		got, gotCounts := link(tc.repeated...)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("LinkTopK(%v) = %v, want %v", tc.repeated, got, want)
+		}
+		if !reflect.DeepEqual(gotCounts, wantCounts) {
+			t.Errorf("LinkTopK(%v) counted %v, want %v", tc.repeated, gotCounts, wantCounts)
+		}
 	}
 }
