@@ -256,3 +256,89 @@ func genGraph(rng *rand.Rand, n int) *Graph {
 	}
 	return g
 }
+
+// TestDecodedGraphSecondaryIndexes checks that a decoded graph answers
+// the patterns that leave the subject open (predicate-bound,
+// object-bound and predicate+object-bound) exactly as the graph it was
+// encoded from.
+func TestDecodedGraphSecondaryIndexes(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	built := genGraph(rng, 120)
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, built); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	termsEq := func(a, b []Term) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if !termsEq(predicates(built), predicates(decoded)) {
+		t.Error("Predicates disagree")
+	}
+	for _, p := range predicates(built) {
+		built.Match(Term{}, p, Term{}, func(tr Triple) bool {
+			if !termsEq(built.Subjects(tr.P, tr.O), decoded.Subjects(tr.P, tr.O)) {
+				t.Errorf("Subjects(%v, %v) disagree", tr.P, tr.O)
+			}
+			if !termsEq(predsOf(built.Find(tr.S, Term{}, tr.O)), predsOf(decoded.Find(tr.S, Term{}, tr.O))) {
+				t.Errorf("Find(s, ?, o) disagrees for %v", tr)
+			}
+			got := decoded.Find(Term{}, Term{}, tr.O)
+			want := built.Find(Term{}, Term{}, tr.O)
+			if len(got) != len(want) {
+				t.Errorf("Find(?, ?, o) disagrees for %v", tr.O)
+			}
+			return true
+		})
+	}
+}
+
+// predsOf projects triples onto predicates for compact comparison.
+func predsOf(ts []Triple) []Term {
+	out := make([]Term, 0, len(ts))
+	for _, t := range ts {
+		out = append(out, t.P)
+	}
+	return out
+}
+
+// TestDecodedGraphMutateAfterDecode checks that a decoded graph takes
+// removes and adds, and that the reads with the subject open see them.
+func TestDecodedGraphMutateAfterDecode(t *testing.T) {
+	g := NewGraph()
+	s, p := NewIRI("http://ex.org/s"), NewIRI("http://ex.org/p")
+	g.Add(T(s, p, NewLiteral("old")))
+	g.Add(T(s, p, NewLiteral("keep")))
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dec.Remove(T(s, p, NewLiteral("old"))) {
+		t.Fatal("remove failed")
+	}
+	dec.Add(T(s, p, NewLiteral("new")))
+	if subj := dec.Subjects(p, NewLiteral("old")); len(subj) != 0 {
+		t.Errorf("Subjects still lists removed triple: %v", subj)
+	}
+	if subj := dec.Subjects(p, NewLiteral("new")); len(subj) != 1 {
+		t.Errorf("Subjects misses added triple: %v", subj)
+	}
+	if got := dec.Find(Term{}, Term{}, NewLiteral("keep")); len(got) != 1 {
+		t.Errorf("object-bound lookup after mutation: %v", got)
+	}
+}
