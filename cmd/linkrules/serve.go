@@ -152,9 +152,10 @@ func cmdServe(args []string) error {
 			}
 			fmt.Fprintln(os.Stderr, ")")
 			// An existing store's state wins over the corpus flags — that
-			// includes the learner config the persisted model was built
-			// with. A -th given on restart would silently relearn a
-			// different model than the one whose answers were acknowledged.
+			// includes the persisted learner config. Recovery serves the
+			// checkpointed model whatever the config, but a -th given on
+			// restart would make replayed and later learns learn a
+			// different model than the dead process would have.
 			if cf.th != 0 {
 				fmt.Fprintf(os.Stderr, "linkrules serve: ignoring -th %g: the store's persisted learner config wins on recovery\n", cf.th)
 			}

@@ -77,7 +77,8 @@ type LearnStats struct {
 
 // Model is the result of a learning run: the rule set plus the retained
 // per-link index needed by evaluation and by the generalization
-// extension.
+// extension. A Model built from its exported fields has no index: it
+// reports no training links, and Generalize returns its rules.
 type Model struct {
 	Rules RuleSet
 	Stats LearnStats
@@ -266,13 +267,22 @@ func (m *Model) TrueClasses(i int) []rdf.Term {
 	return m.index.facts[i].classes
 }
 
-// TrainingLink returns the i-th deduplicated training link.
+// TrainingLink returns the i-th deduplicated training link, or the
+// zero Link when there is none.
 func (m *Model) TrainingLink(i int) Link {
+	if m.index == nil || i < 0 || i >= len(m.index.facts) {
+		return Link{}
+	}
 	return m.index.facts[i].link
 }
 
 // TrainingSize returns the number of deduplicated training links.
-func (m *Model) TrainingSize() int { return len(m.index.facts) }
+func (m *Model) TrainingSize() int {
+	if m.index == nil {
+		return 0
+	}
+	return len(m.index.facts)
+}
 
 // SegmentsOf returns the recorded segments of training link i for
 // property p (nil when none).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -292,6 +293,45 @@ func TestModelIntrospection(t *testing.T) {
 	}
 	if got := m.SegmentsOf(0, iri("nope")); len(got) != 0 {
 		t.Errorf("SegmentsOf(unknown property) = %v", got)
+	}
+	if got := m.TrainingLink(10); got != (Link{}) {
+		t.Errorf("TrainingLink(out of range) = %v", got)
+	}
+}
+
+// TestModelWithoutTrainingIndex: a Model built from its exported fields,
+// as a service serves it, has no training index. Every index accessor,
+// Evidence and Generalize must answer without panicking, as for a model
+// that learned from no links.
+func TestModelWithoutTrainingIndex(t *testing.T) {
+	ts, se, sl, ol := fixture(t)
+	learned, err := Learn(LearnerConfig{SupportThreshold: 0.1, Properties: []rdf.Term{pnProp}}, ts, se, sl, ol)
+	if err != nil {
+		t.Fatalf("Learn: %v", err)
+	}
+	for _, m := range []*Model{{}, {Rules: learned.Rules, Stats: learned.Stats, Config: learned.Config}} {
+		if n := m.TrainingSize(); n != 0 {
+			t.Errorf("TrainingSize = %d, want 0", n)
+		}
+		for _, i := range []int{-1, 0, 1} {
+			if got := m.TrainingLink(i); got != (Link{}) {
+				t.Errorf("TrainingLink(%d) = %v", i, got)
+			}
+			if got := m.TrueClasses(i); got != nil {
+				t.Errorf("TrueClasses(%d) = %v", i, got)
+			}
+			if got := m.SegmentsOf(i, pnProp); got != nil {
+				t.Errorf("SegmentsOf(%d) = %v", i, got)
+			}
+		}
+		for _, r := range m.Rules.Rules {
+			if ev := m.Evidence(r, 0); ev.Rule != r || len(ev.Supporting) != 0 || len(ev.Counter) != 0 {
+				t.Errorf("Evidence(%v) = %+v, want the rule and no links", r, ev)
+			}
+		}
+		if got := m.Generalize(ol, GeneralizeOptions{}); !slices.Equal(got.Rules, m.Rules.Rules) {
+			t.Errorf("Generalize changed the rules of a model with no training index:\ngot  %v\nwant %v", got.Rules, m.Rules.Rules)
+		}
 	}
 }
 

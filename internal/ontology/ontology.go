@@ -13,6 +13,7 @@ package ontology
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rdf"
@@ -27,10 +28,8 @@ type Class = rdf.Term
 type Ontology struct {
 	nodes map[Class]*node
 
-	// memoized transitive closures, built lazily
+	// closureValid reports that the nodes' closures are current.
 	closureValid bool
-	ancestors    map[Class]map[Class]struct{}
-	descendants  map[Class]map[Class]struct{}
 
 	// disjoint holds the declared owl:disjointWith pairs, both ways, so
 	// that ToGraph writes back what FromGraph read.
@@ -41,6 +40,9 @@ type node struct {
 	parents  map[Class]struct{}
 	children map[Class]struct{}
 	label    string
+
+	// ancestors and descendants are the memoized closure, sorted.
+	ancestors, descendants []Class
 }
 
 // New returns an empty ontology.
@@ -238,48 +240,51 @@ func (o *Ontology) Validate() error {
 	return nil
 }
 
-// buildClosure computes ancestor and descendant sets for all classes in
-// one pass each.
+// buildClosure computes every class's ancestors and descendants as
+// sorted slices, by a walk of the parent and of the child edges.
+// Classes are numbered in sorted order, so sorting the numbers a walk
+// collects sorts its classes.
 func (o *Ontology) buildClosure() {
 	if o.closureValid {
 		return
 	}
-	o.ancestors = make(map[Class]map[Class]struct{}, len(o.nodes))
-	o.descendants = make(map[Class]map[Class]struct{}, len(o.nodes))
-
-	var upward func(c Class) map[Class]struct{}
-	upward = func(c Class) map[Class]struct{} {
-		if got, ok := o.ancestors[c]; ok {
-			return got
-		}
-		acc := map[Class]struct{}{}
-		o.ancestors[c] = acc // pre-register: Validate guarantees no cycles
-		for p := range o.nodes[c].parents {
-			acc[p] = struct{}{}
-			for a := range upward(p) {
-				acc[a] = struct{}{}
-			}
-		}
-		return acc
-	}
-	var downward func(c Class) map[Class]struct{}
-	downward = func(c Class) map[Class]struct{} {
-		if got, ok := o.descendants[c]; ok {
-			return got
-		}
-		acc := map[Class]struct{}{}
-		o.descendants[c] = acc
-		for ch := range o.nodes[c].children {
-			acc[ch] = struct{}{}
-			for d := range downward(ch) {
-				acc[d] = struct{}{}
-			}
-		}
-		return acc
-	}
+	classes := make([]Class, 0, len(o.nodes))
 	for c := range o.nodes {
-		upward(c)
-		downward(c)
+		classes = append(classes, c)
+	}
+	sortClasses(classes)
+	num := make(map[Class]int, len(classes))
+	for i, c := range classes {
+		num[c] = i
+	}
+	seen := make([]int, len(classes)) // seen[j] == walk: j was collected
+	walk := 0
+	var found, stack []int
+	closure := func(c Class, edges func(*node) map[Class]struct{}) []Class {
+		walk++
+		found, stack = found[:0], append(stack[:0], num[c])
+		for len(stack) > 0 {
+			n := o.nodes[classes[stack[len(stack)-1]]]
+			stack = stack[:len(stack)-1]
+			for e := range edges(n) {
+				if j := num[e]; seen[j] != walk {
+					seen[j] = walk
+					found = append(found, j)
+					stack = append(stack, j)
+				}
+			}
+		}
+		slices.Sort(found)
+		out := make([]Class, len(found))
+		for k, j := range found {
+			out[k] = classes[j]
+		}
+		return out
+	}
+	for _, c := range classes {
+		n := o.nodes[c]
+		n.ancestors = closure(c, func(n *node) map[Class]struct{} { return n.parents })
+		n.descendants = closure(c, func(n *node) map[Class]struct{} { return n.children })
 	}
 	o.closureValid = true
 }
@@ -288,21 +293,25 @@ func (o *Ontology) buildClosure() {
 func (o *Ontology) Finalize() { o.buildClosure() }
 
 // Ancestors returns every strict superclass of c (transitively), sorted.
+// The slice is shared: callers must not write it.
 func (o *Ontology) Ancestors(c Class) []Class {
-	if _, ok := o.nodes[c]; !ok {
+	n, ok := o.nodes[c]
+	if !ok {
 		return nil
 	}
 	o.buildClosure()
-	return setToSorted(o.ancestors[c])
+	return n.ancestors
 }
 
 // Descendants returns every strict subclass of c (transitively), sorted.
+// The slice is shared: callers must not write it.
 func (o *Ontology) Descendants(c Class) []Class {
-	if _, ok := o.nodes[c]; !ok {
+	n, ok := o.nodes[c]
+	if !ok {
 		return nil
 	}
 	o.buildClosure()
-	return setToSorted(o.descendants[c])
+	return n.descendants
 }
 
 // Subsumes reports whether sub ⊑ super (reflexive: c subsumes c).
@@ -310,12 +319,13 @@ func (o *Ontology) Subsumes(super, sub Class) bool {
 	if super == sub {
 		return o.Has(super)
 	}
-	if _, ok := o.nodes[sub]; !ok {
+	n, ok := o.nodes[sub]
+	if !ok {
 		return false
 	}
 	o.buildClosure()
-	_, ok := o.ancestors[sub][super]
-	return ok
+	_, found := slices.BinarySearchFunc(n.ancestors, super, rdf.Term.Compare)
+	return found
 }
 
 // MostSpecific filters cs down to the classes that are not strict
@@ -323,20 +333,19 @@ func (o *Ontology) Subsumes(super, sub Class) bool {
 // dropped. The result is sorted.
 func (o *Ontology) MostSpecific(cs []Class) []Class {
 	o.buildClosure()
-	in := map[Class]struct{}{}
+	in := make([]Class, 0, len(cs))
 	for _, c := range cs {
 		if o.Has(c) {
-			in[c] = struct{}{}
+			in = append(in, c)
 		}
 	}
+	sortClasses(in)
+	in = slices.Compact(in)
 	var out []Class
-	for c := range in {
+	for _, c := range in {
 		dominated := false
-		for other := range in {
-			if other == c {
-				continue
-			}
-			if _, isAnc := o.ancestors[other][c]; isAnc {
+		for _, other := range in {
+			if other != c && o.Subsumes(c, other) {
 				dominated = true
 				break
 			}
@@ -345,7 +354,6 @@ func (o *Ontology) MostSpecific(cs []Class) []Class {
 			out = append(out, c)
 		}
 	}
-	sortClasses(out)
 	return out
 }
 

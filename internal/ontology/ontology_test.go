@@ -1,7 +1,9 @@
 package ontology
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -281,5 +283,114 @@ func TestClosureMatchesChainWalk(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(7))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// bruteAncestors walks the parent edges of c without memo or closure,
+// collecting every strict superclass.
+func bruteAncestors(parents map[Class][]Class, c Class, acc map[Class]bool) {
+	for _, p := range parents[c] {
+		acc[p] = true
+		bruteAncestors(parents, p, acc)
+	}
+}
+
+// TestClosureMatchesBruteForce checks Ancestors, Descendants, Subsumes
+// and MostSpecific against a plain walk of the parent edges, on random
+// DAGs whose classes have up to three parents each, before and after
+// edges are added to a built closure.
+func TestClosureMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	sorted := func(set map[Class]bool) []Class {
+		out := []Class{}
+		for c := range set {
+			out = append(out, c)
+		}
+		sortClasses(out)
+		return out
+	}
+	for round := 0; round < 40; round++ {
+		n := 2 + rng.Intn(40)
+		names := make([]Class, n)
+		for i, k := range rng.Perm(n) {
+			names[i] = cls(fmt.Sprintf("K%03d", k)) // sort order is not creation order
+		}
+		o := New()
+		parents := map[Class][]Class{}
+		addEdge := func(i int) {
+			j := rng.Intn(i)
+			o.AddSubClassOf(names[i], names[j])
+			if !slices.Contains(parents[names[i]], names[j]) {
+				parents[names[i]] = append(parents[names[i]], names[j])
+			}
+		}
+		for i := 0; i < n; i++ {
+			o.AddClass(names[i])
+			for e := rng.Intn(4); i > 0 && e > 0; e-- {
+				addEdge(i)
+			}
+		}
+		ghost := cls("Ghost")
+		for phase := 0; phase < 2; phase++ {
+			anc := map[Class]map[Class]bool{}
+			for _, c := range names {
+				anc[c] = map[Class]bool{}
+				bruteAncestors(parents, c, anc[c])
+			}
+			for _, c := range names {
+				if got, want := o.Ancestors(c), sorted(anc[c]); !slices.Equal(got, want) {
+					t.Fatalf("round %d phase %d: Ancestors(%v) = %v, want %v", round, phase, c, got, want)
+				}
+				desc := map[Class]bool{}
+				for _, d := range names {
+					if anc[d][c] {
+						desc[d] = true
+					}
+				}
+				if got, want := o.Descendants(c), sorted(desc); !slices.Equal(got, want) {
+					t.Fatalf("round %d phase %d: Descendants(%v) = %v, want %v", round, phase, c, got, want)
+				}
+				for _, d := range names {
+					if got, want := o.Subsumes(d, c), d == c || anc[c][d]; got != want {
+						t.Fatalf("round %d phase %d: Subsumes(%v, %v) = %v, want %v", round, phase, d, c, got, want)
+					}
+				}
+				if o.Subsumes(ghost, c) || o.Subsumes(c, ghost) {
+					t.Fatalf("round %d phase %d: an unknown class subsumes or is subsumed by %v", round, phase, c)
+				}
+			}
+			for q := 0; q < 20; q++ {
+				var cs []Class
+				for k := rng.Intn(6); k >= 0; k-- {
+					cs = append(cs, names[rng.Intn(n)])
+				}
+				cs = append(cs, cs[0], ghost) // a duplicate and an unknown class
+				want := map[Class]bool{}
+				for _, c := range cs {
+					if c == ghost {
+						continue
+					}
+					dominated := false
+					for _, d := range cs {
+						dominated = dominated || (d != ghost && anc[d][c])
+					}
+					if !dominated {
+						want[c] = true
+					}
+				}
+				in := slices.Clone(cs)
+				if got := o.MostSpecific(cs); !slices.Equal(got, sorted(want)) {
+					t.Fatalf("round %d phase %d: MostSpecific(%v) = %v, want %v", round, phase, cs, got, sorted(want))
+				}
+				if !slices.Equal(in, cs) {
+					t.Fatalf("round %d phase %d: MostSpecific wrote its argument", round, phase)
+				}
+			}
+			// Add edges to the built closure; the next phase checks that
+			// the queries see them.
+			for e := 0; e < 3 && n > 1; e++ {
+				addEdge(1 + rng.Intn(n-1))
+			}
+		}
 	}
 }

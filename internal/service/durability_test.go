@@ -1,9 +1,12 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -283,8 +286,8 @@ func TestRestoreFromSeedAndReopen(t *testing.T) {
 		t.Error("state diverged across clean close + reopen")
 	}
 
-	// The persisted rules text must match what the recovered model
-	// relearns — the snapshot's copy is the ground truth for audits.
+	// Reopening folds nothing new, but the seeded boot and the mutation
+	// must have reached a snapshot.
 	st := svc2.Store()
 	stats := st.Stats()
 	if stats.LastSnapshotSeq == 0 && stats.Seq > 0 {
@@ -292,11 +295,11 @@ func TestRestoreFromSeedAndReopen(t *testing.T) {
 	}
 }
 
-// TestRecoveryPreservesModelAcrossPostLearnMutations pins the learn-
-// basis invariant: item mutations after the last learn change the
-// graphs (and purge training links) without relearning, so a recovery
-// whose snapshot was taken after those mutations must NOT relearn over
-// the checkpoint state — it must reproduce the model as of the learn.
+// TestRecoveryPreservesModelAcrossPostLearnMutations: item mutations
+// after the last learn change the graphs (and purge training links)
+// without relearning, so a recovery whose snapshot was taken after
+// those mutations must serve the model as of the learn, not one learned
+// over the checkpoint state.
 func TestRecoveryPreservesModelAcrossPostLearnMutations(t *testing.T) {
 	mirror := New(corpusSeed(t).External, corpusSeed(t).Local, corpusSeed(t).Ontology, durableOpts())
 	if err := mirror.LearnLinks(corpusSeed(t).Training); err != nil {
@@ -396,6 +399,159 @@ func TestRestoreAdoptsPersistedLearner(t *testing.T) {
 	gotRules := call(t, svc2.Handler(), http.MethodGet, "/v1/rules", nil, nil).Body.String()
 	if gotRules != wantRules {
 		t.Errorf("recovered rules differ under default learner config:\nwant %s\ngot  %s", wantRules, gotRules)
+	}
+}
+
+// TestRestoreServesCheckpointedModel: recovery installs the model the
+// snapshot holds whatever learner config the caller passes, one that
+// learns a different model or one that learns none, so the restored
+// service answers as the dead one did. Only a later learn uses the
+// caller's config, and it fails or succeeds as on a live service.
+func TestRestoreServesCheckpointedModel(t *testing.T) {
+	sopts := store.Options{Fsync: store.FsyncNever}
+	for _, th := range []float64{0.3, 1.5} {
+		t.Run(fmt.Sprint(th), func(t *testing.T) {
+			dir := t.TempDir()
+			svc := restoreService(t, dir, corpusSeed(t), sopts) // learns at th 0.01
+			// An external upsert in the WAL tail, replayed on recovery.
+			if code := applyMutation(t, svc.Handler(), mutation{path: "/v1/items/upsert", body: map[string]any{
+				"side":  "external",
+				"items": []map[string]any{{"id": "http://ex.org/e/r3", "properties": map[string][]string{pnProp: {"RES-0003-Q"}}}},
+			}}); code != http.StatusOK {
+				t.Fatalf("upsert: %d", code)
+			}
+			_, _, wantRules, wantLinks := serviceFingerprint(t, svc)
+			if err := svc.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			opts := durableOpts()
+			opts.Learner = datalink.LearnerConfig{SupportThreshold: th}
+			seed := corpusSeed(t)
+			live := New(seed.External, seed.Local, seed.Ontology, opts)
+			liveLearn := call(t, live.Handler(), http.MethodPost, "/v1/learn", learnBody(10), nil)
+			if liveLearn.Code == http.StatusOK {
+				if _, _, rules, _ := serviceFingerprint(t, live); rules == wantRules {
+					t.Fatalf("th %v learns the served model from the same links; the test would show nothing", th)
+				}
+			}
+
+			st, rec, err := store.Open(dir, sopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := Restore(st, rec, nil, opts)
+			if err != nil {
+				t.Fatalf("restoring with th %v: %v", th, err)
+			}
+			defer restored.Close()
+			_, _, gotRules, gotLinks := serviceFingerprint(t, restored)
+			if gotRules != wantRules {
+				t.Errorf("restored rules differ from the checkpointed ones:\nwant %s\ngot  %s", wantRules, gotRules)
+			}
+			if gotLinks != wantLinks {
+				t.Errorf("restored answers differ:\nwant %s\ngot  %s", wantLinks, gotLinks)
+			}
+			got := call(t, restored.Handler(), http.MethodPost, "/v1/learn", learnBody(10), nil)
+			if got.Code != liveLearn.Code || errorOf(t, got) != errorOf(t, liveLearn) {
+				t.Errorf("a learn after recovery answers %d %s, a live service %d %s",
+					got.Code, got.Body, liveLearn.Code, liveLearn.Body)
+			}
+		})
+	}
+}
+
+// errorOf returns the error message of a JSON error response, or ""
+// for a success.
+func errorOf(t *testing.T, rec *httptest.ResponseRecorder) string {
+	t.Helper()
+	if rec.Code == http.StatusOK {
+		return ""
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("error response %q: %v", rec.Body, err)
+	}
+	return e.Error
+}
+
+// TestRestoreRefusesSnapshotWithoutModel: a snapshot whose meta says a
+// model was learned but that has no model section, the shape of every
+// learned snapshot written before checkpoints kept the model, fails
+// recovery with an error that names the missing section. It is never
+// booted without rules.
+func TestRestoreRefusesSnapshotWithoutModel(t *testing.T) {
+	dir := t.TempDir()
+	sopts := store.Options{Fsync: store.FsyncNever}
+	st, _, err := store.Open(dir, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := corpusSeed(t)
+	boundary, err := st.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteCheckpoint(&store.Snapshot{
+		Seq: boundary, External: seed.External, Local: seed.Local, Ontology: seed.Ontology.ToGraph(),
+		Links: refsFromLinks(seed.Training),
+		Meta:  store.Meta{Learned: true, Linker: linkerToMeta(durableOpts().DefaultLinker), Learner: learnerToMeta(durableOpts().Learner)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, rec, err := store.Open(dir, sopts)
+	if err != nil {
+		t.Fatalf("opening a store whose snapshot has no model section: %v", err)
+	}
+	defer st.Close()
+	if svc, err := Restore(st, rec, nil, durableOpts()); err == nil {
+		svc.Close()
+		t.Fatal("restored a learned snapshot that has no model section")
+	} else if !strings.Contains(err.Error(), "model section") {
+		t.Errorf("the error does not name the missing model section: %v", err)
+	}
+}
+
+// TestRestoredViewHoldsLearnedModel: the view published after a live
+// learn and the view published after a restart hold equal rules and
+// stats, and neither keeps the learner's training index.
+func TestRestoredViewHoldsLearnedModel(t *testing.T) {
+	dir := t.TempDir()
+	sopts := store.Options{Fsync: store.FsyncNever, SnapshotEvery: -1}
+	seed := corpusSeed(t)
+	seed.Training = nil
+	svc := restoreService(t, dir, seed, sopts)
+	if rec := call(t, svc.Handler(), http.MethodPost, "/v1/learn", learnBody(10), nil); rec.Code != http.StatusOK {
+		t.Fatalf("learn: %d %s", rec.Code, rec.Body)
+	}
+	learned := svc.state.Load().view.Model()
+	if _, err := svc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored := restoreService(t, dir, nil, sopts)
+	defer restored.Close()
+	got := restored.state.Load().view.Model()
+	if learned.Rules.Len() == 0 || learned.Stats.TSSize != 20 {
+		t.Fatalf("the live learn served %d rules from %d links", learned.Rules.Len(), learned.Stats.TSSize)
+	}
+	if !slices.Equal(got.Rules.Rules, learned.Rules.Rules) {
+		t.Errorf("restored rules differ:\nlearned  %v\nrestored %v", learned.Rules.Rules, got.Rules.Rules)
+	}
+	if got.Stats != learned.Stats {
+		t.Errorf("restored stats differ: learned %+v, restored %+v", learned.Stats, got.Stats)
+	}
+	for name, m := range map[string]*datalink.Model{"learned": learned, "restored": got} {
+		if n := m.TrainingSize(); n != 0 {
+			t.Errorf("the %s view's model keeps a training index of %d links", name, n)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -51,13 +50,13 @@ type Seed struct {
 }
 
 // Restore builds a durable service from a store's recovered state: load
-// the newest snapshot, relearn its model (learning is deterministic, so
-// the recovered rules match the persisted ones), replay the WAL tail
-// through the same mutation path live requests use, and checkpoint. A
-// store with no state boots from seed instead and writes the baseline
-// snapshot that recovery of the *next* process starts from — WAL records
-// only make sense relative to a base image, so the baseline must be
-// durable before the first mutation is acknowledged.
+// the newest snapshot, install the model it holds (only learn records in
+// the tail learn again), replay the WAL tail through the same mutation
+// path live requests use, and checkpoint. A store with no state boots
+// from seed instead and writes the baseline snapshot that recovery of
+// the *next* process starts from — WAL records only make sense relative
+// to a base image, so the baseline must be durable before the first
+// mutation is acknowledged.
 func Restore(st *store.Store, rec *store.Recovery, seed *Seed, opts Options) (*Service, error) {
 	if rec.Empty() {
 		if seed == nil {
@@ -88,17 +87,21 @@ func Restore(st *store.Store, rec *store.Recovery, seed *Seed, opts Options) (*S
 	if snap == nil {
 		return nil, errors.New("service: store has WAL records but no base snapshot")
 	}
+	if snap.Meta.Learned && snap.Model == nil {
+		return nil, fmt.Errorf("service: snapshot %d says a model was learned but has no model section "+
+			"(it was written before checkpoints kept the model); refusing to serve it without rules", snap.Seq)
+	}
 	ol, err := datalink.OntologyFromGraph(snap.Ontology)
 	if err != nil {
 		return nil, fmt.Errorf("service: recovering ontology: %w", err)
 	}
 	if zeroLearner(opts.Learner) && snap.Meta.Learner != nil {
 		// No learner configured by the caller: adopt the persisted one,
-		// so the boot relearn (and every tail-replayed learn record)
-		// reproduces the dead process's model instead of silently
-		// relearning with this process's defaults. Workers is a pure
-		// wall-time knob — excluded from the persisted identity and from
-		// zeroLearner — so the caller's setting survives adoption.
+		// so every tail-replayed learn record (and every later learn)
+		// learns as the dead process did instead of silently learning
+		// with this process's defaults. Workers is a pure wall-time knob
+		// — excluded from the persisted identity and from zeroLearner —
+		// so the caller's setting survives adoption.
 		workers := opts.Learner.Workers
 		opts.Learner = learnerFromMeta(snap.Meta.Learner)
 		opts.Learner.Workers = workers
@@ -120,28 +123,10 @@ func Restore(st *store.Store, rec *store.Recovery, seed *Seed, opts Options) (*S
 	s.registerStoreMetrics(rec)
 	s.mu.Lock()
 	s.links = linksFromRefs(snap.Links)
-	if snap.Meta.Learned {
-		// Relearn over the snapshot's learn-time basis, not its current
-		// state: mutations after the last learn changed the graphs (and
-		// may have purged links) without touching the model, and the
-		// recovered model must match the one the dead process served.
-		// Everything in the basis is frozen — the decoded learn graphs
-		// via their own snapshot (mutating one would corrupt every later
-		// checkpoint), the current graphs via the usual COW views.
-		b := &learnBasis{se: s.se.Snapshot(), sl: s.sl.Snapshot(), links: s.links}
-		if snap.LearnExternal != nil {
-			b.se = snap.LearnExternal.Snapshot()
-		}
-		if snap.LearnLocal != nil {
-			b.sl = snap.LearnLocal.Snapshot()
-		}
-		if snap.LearnLinks != nil {
-			b.links = linksFromRefs(snap.LearnLinks)
-		}
-		if err := s.learnBasisLocked(context.Background(), b); err != nil {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("service: relearning recovered model: %w", err)
-		}
+	if snap.Model != nil {
+		// The classifier splits query values with the config's splitter.
+		snap.Model.Config = s.opts.Learner
+		s.installLocked(snap.Model)
 	}
 	for _, r := range rec.Tail {
 		// Replay through the live apply path. A failing learn record
@@ -399,9 +384,10 @@ func (s *Service) maybeCheckpointLocked() {
 
 // checkpointDataLocked rotates the WAL and captures everything the
 // snapshot needs from the live state: copy-on-write graph views (O(1)),
-// the ontology re-serialized to triples, the ordered training links and
-// the model metadata. Callers hold the write lock, so the rotation
-// boundary and the captured state agree exactly.
+// the ontology re-serialized to triples, the ordered training links, the
+// served model (never written once installed) and the metadata. Callers
+// hold the write lock, so the rotation boundary and the captured state
+// agree exactly.
 func (s *Service) checkpointDataLocked() (*store.Snapshot, error) {
 	boundary, err := s.st.Rotate()
 	if err != nil {
@@ -419,27 +405,8 @@ func (s *Service) checkpointDataLocked() (*store.Snapshot, error) {
 			Learner: learnerToMeta(s.opts.Learner),
 		},
 	}
-	if s.basis != nil {
-		// Preserve the learn-time basis so recovery relearns the exact
-		// live model. Snapshots of an unchanged graph are cached, so
-		// pointer equality means the basis view IS the checkpoint view
-		// and the section is elided.
-		if s.basis.se != snap.External {
-			snap.LearnExternal = s.basis.se
-		}
-		if s.basis.sl != snap.Local {
-			snap.LearnLocal = s.basis.sl
-		}
-		if !sameLinks(s.basis.links, s.links) {
-			snap.LearnLinks = refsFromLinks(s.basis.links)
-		}
-	}
 	if s.pipe != nil {
-		var b bytes.Buffer
-		if err := s.pipe.Model.Rules.Write(&b); err != nil {
-			return nil, fmt.Errorf("serializing rules: %w", err)
-		}
-		snap.Meta.RulesText = b.String()
+		snap.Model = s.pipe.Model
 	}
 	return snap, nil
 }
@@ -482,7 +449,8 @@ func linksFromRefs(refs []store.LinkRef) []datalink.Link {
 }
 
 // refsFromLinks encodes training links for the snapshot, preserving
-// order and duplicates so relearning reproduces the model exactly.
+// order and duplicates, so a learn record replayed on top extends
+// exactly the links the live service held.
 func refsFromLinks(links []datalink.Link) []store.LinkRef {
 	out := make([]store.LinkRef, 0, len(links))
 	for _, l := range links {
@@ -547,14 +515,6 @@ func linkerFromMeta(m *store.LinkerMeta) (datalink.LinkerConfig, error) {
 		})
 	}
 	return cfg, nil
-}
-
-// sameLinks reports whether two link slices are the same slice. Every
-// mutation path replaces s.links wholesale, so identity means no learn
-// or purge happened since the basis was captured — and the basis links
-// can be elided from a checkpoint in favor of its Links section.
-func sameLinks(a, b []datalink.Link) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // zeroLearner reports whether the caller left the learner config at its

@@ -56,7 +56,7 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			obs.DefBuckets(), "stage"),
 		work: map[string]*obs.Counter{},
 		indexBuilds: reg.Counter("linkrules_catalog_index_builds_total",
-			"Catalog index builds (instance index and default engine): the first learn, recovery's boot relearn, and compactions."),
+			"Catalog index builds (instance index and default engine): the first learn, recovery, and compactions."),
 		learnedUnix: reg.Gauge("linkrules_model_learned_unix",
 			"When the served model was installed (unix seconds; 0 = never)."),
 	}

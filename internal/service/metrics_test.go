@@ -451,7 +451,7 @@ func TestAccessLog(t *testing.T) {
 // the served state before and after learns, and that only the first
 // learn builds the catalog indexes: a second learn without catalog churn
 // leaves linkrules_catalog_index_builds_total at 1. A durable restart
-// builds them once more, in its boot relearn.
+// builds them once more, when it installs the recovered model.
 func TestModelAndCatalogMetrics(t *testing.T) {
 	seed := corpusSeed(t)
 	s := New(seed.External, seed.Local, seed.Ontology, durableOpts())
@@ -502,7 +502,7 @@ func TestModelAndCatalogMetrics(t *testing.T) {
 	check("first learn", len(seed.Training))
 	check("second learn", len(seed.Training)/2)
 
-	// A restart rebuilds the indexes in its boot relearn.
+	// A restart builds the indexes when it installs the recovered model.
 	dir := t.TempDir()
 	sopts := store.Options{Fsync: store.FsyncNever}
 	d := restoreService(t, dir, corpusSeed(t), sopts)

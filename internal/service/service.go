@@ -19,11 +19,13 @@
 // link query never delays a concurrent upsert, and an upsert never
 // waits for a query.
 //
-// The catalog indexes are built once, at the first learn (or at
-// recovery's boot relearn), and a relearn keeps them: it swaps the
-// model and classifier only. The one exception is compaction: IDs are
-// never reused, so a learn rebuilds both indexes once more than a
-// quarter of the IDs name no typed catalog item (Pipeline.SetModel).
+// The catalog indexes are built once, when the first model is
+// installed (by the first learn, or by recovery), and a relearn keeps
+// them: it swaps the model and classifier only. The one exception is
+// compaction: IDs are never reused, so a learn rebuilds both indexes
+// once more than a quarter of the IDs name no typed catalog item
+// (Pipeline.SetModel). The served model keeps its rules, stats and
+// config, not the learner's training index, which no request reads.
 //
 // The isolation contract: classification, candidate expansion and
 // scoring of one link request all observe the one published state the
@@ -40,8 +42,8 @@
 // handlers, LearnLinks and recovery replay), and checkpoints serialize
 // the published copy-on-write bundle into binary snapshots without
 // blocking writers. A restarted process replays snapshot + WAL tail and
-// answers queries exactly as the old one did; see durable.go and
-// internal/store.
+// answers queries exactly as the old one did, without learning again;
+// see durable.go and internal/store.
 //
 // # Endpoints
 //
@@ -132,12 +134,6 @@ type Service struct {
 	ol    *datalink.Ontology
 	links []datalink.Link
 	pipe  *datalink.Pipeline
-	// basis captures exactly what the current model was learned from
-	// (O(1) frozen graph views + the links of that learn). Item
-	// mutations after a learn change the graphs and can purge links
-	// without relearning, so the basis — not the current state — is what
-	// durable recovery must relearn over to reproduce the model.
-	basis *learnBasis
 
 	// state is the published immutable view every query runs against.
 	// Writers replace it wholesale after each mutation.
@@ -265,40 +261,29 @@ func (s *Service) LearnLinks(links []datalink.Link) error {
 	return err
 }
 
-// learnBasis is the frozen input of one successful learn: copy-on-write
-// graph views and the training links at that moment. Slice elements are
-// values and every mutation path replaces s.links wholesale, so holding
-// the slice is safe.
-type learnBasis struct {
-	se, sl *datalink.Graph
-	links  []datalink.Link
-}
-
-// learnLocked (re)learns the model from the accumulated links and
-// installs it (see learnBasisLocked). Callers must hold the write lock
-// and publish afterwards.
+// learnLocked learns a model from the live graphs and the accumulated
+// links and installs it without its training index. On failure the
+// previous model and indexes stay in place. Callers must hold the write
+// lock and publish afterwards.
 func (s *Service) learnLocked(ctx context.Context) error {
-	return s.learnBasisLocked(ctx, &learnBasis{se: s.se.Snapshot(), sl: s.sl.Snapshot(), links: s.links})
-}
-
-// learnBasisLocked learns the model from an explicit basis — the live
-// state for ordinary learns, a snapshot's persisted basis for durable
-// recovery — and installs it over the live graphs. Learning is
-// deterministic in the basis, so equal bases yield equal models. The
-// first learn, and recovery's boot relearn, build the pipeline and with
-// it the catalog indexes: the instance index and the default linker's
-// engine. Every later learn swaps only the model and keeps the indexes,
-// which item mutations keep current, unless Pipeline.SetModel's
-// compaction rule rebuilds them. On failure the previous model, basis
-// and indexes stay in place. Callers must hold the write lock.
-func (s *Service) learnBasisLocked(ctx context.Context, b *learnBasis) error {
 	done := s.timeStage(ctx, "learn")
-	ts := datalink.TrainingSet{Links: append([]datalink.Link(nil), b.links...)}
-	m, err := datalink.LearnCtx(ctx, s.opts.Learner, ts, b.se, b.sl, s.ol)
+	ts := datalink.TrainingSet{Links: s.links} // LearnCtx reads it into a deduplicated copy
+	m, err := datalink.LearnCtx(ctx, s.opts.Learner, ts, s.se.Snapshot(), s.sl.Snapshot(), s.ol)
 	if err != nil {
 		return err
 	}
 	done()
+	s.installLocked(&datalink.Model{Rules: m.Rules, Stats: m.Stats, Config: m.Config})
+	return nil
+}
+
+// installLocked serves m, learned or recovered, over the live graphs.
+// The first model builds the pipeline and with it the catalog indexes:
+// the instance index and the default linker's engine. Every later one
+// swaps only the model and keeps the indexes, which item mutations keep
+// current, unless Pipeline.SetModel's compaction rule rebuilds them.
+// Callers must hold the write lock.
+func (s *Service) installLocked(m *datalink.Model) {
 	built := true
 	if s.pipe == nil {
 		s.pipe = datalink.NewPipelineWithModel(m, s.se, s.sl, s.ol)
@@ -308,7 +293,6 @@ func (s *Service) learnBasisLocked(ctx context.Context, b *learnBasis) error {
 	if built {
 		s.met.indexBuilds.Inc()
 	}
-	s.basis = b
 	s.met.learnedUnix.Set(time.Now().Unix())
 	// Build the engine for the default comparators on the write path,
 	// so every published view scores default-config queries with its
@@ -318,7 +302,6 @@ func (s *Service) learnBasisLocked(ctx context.Context, b *learnBasis) error {
 	if len(s.opts.DefaultLinker.Comparators) > 0 {
 		_ = s.pipe.EnsureLinker(s.opts.DefaultLinker)
 	}
-	return nil
 }
 
 // validateItem rejects malformed item descriptions. Run before any graph

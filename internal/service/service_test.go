@@ -77,7 +77,7 @@ func corpusServiceOpts(t *testing.T, mod func(*Options)) *Service {
 }
 
 // call sends a JSON request to the handler and decodes the response.
-func call(t *testing.T, h http.Handler, method, path string, body any, out any) *httptest.ResponseRecorder {
+func call(t testing.TB, h http.Handler, method, path string, body any, out any) *httptest.ResponseRecorder {
 	t.Helper()
 	var rd *bytes.Reader
 	if body != nil {

@@ -27,7 +27,8 @@
 // length and cleanly ignored; corruption in the middle of the log is an
 // error, because records after it would silently vanish.
 //
-// The package depends only on internal/rdf: sides, items and links are
+// The package depends on internal/rdf for graphs and terms and on
+// internal/core for the served model; sides, items and links are
 // wire-level values here, converted by the service layer.
 package store
 
@@ -189,10 +190,15 @@ type byteReader struct {
 	pos int
 }
 
+// uvarint reads a varint in its shortest form, the only one
+// appendUvarint writes.
 func (r *byteReader) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("store: decoding %s: truncated varint", what)
+	}
+	if n > 1 && r.b[r.pos+n-1] == 0 {
+		return 0, fmt.Errorf("store: decoding %s: overlong varint", what)
 	}
 	r.pos += n
 	return v, nil

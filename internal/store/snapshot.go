@@ -9,22 +9,22 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/core"
 	"repro/internal/rdf"
 )
 
 // snapMagic heads every snapshot file.
 const snapMagic = "LNKSNAP1"
 
-// Snapshot section types. Part of the on-disk format.
+// Snapshot section types. Part of the on-disk format. Types 6 to 8, the
+// learn-time graphs and links of older snapshots, are retired.
 const (
-	secExternal      byte = 1 // external graph, rdf binary codec
-	secLocal         byte = 2 // local graph, rdf binary codec
-	secOntology      byte = 3 // ontology as a graph, rdf binary codec
-	secLinks         byte = 4 // ordered training links
-	secMeta          byte = 5 // JSON metadata
-	secLearnExternal byte = 6 // learn-time external graph, when != secExternal
-	secLearnLocal    byte = 7 // learn-time local graph, when != secLocal
-	secLearnLinks    byte = 8 // learn-time training links
+	secExternal byte = 1 // external graph, rdf binary codec
+	secLocal    byte = 2 // local graph, rdf binary codec
+	secOntology byte = 3 // ontology as a graph, rdf binary codec
+	secLinks    byte = 4 // ordered training links
+	secMeta     byte = 5 // JSON metadata
+	secModel    byte = 9 // the served model: learn stats and rules
 )
 
 // Snapshot is one full checkpoint of the service state: everything a
@@ -41,39 +41,30 @@ type Snapshot struct {
 	// (ontology.Ontology.ToGraph / FromGraph round-trips it).
 	Ontology *rdf.Graph
 	// Links is the accumulated training set in exact order — order and
-	// duplicates are preserved so relearning reproduces the model
-	// byte-for-byte.
+	// duplicates are preserved, so a learn record replayed on top
+	// extends exactly the links the live service held.
 	Links []LinkRef
 	Meta  Meta
 
-	// LearnExternal/LearnLocal/LearnLinks preserve the exact state the
-	// persisted model was learned from, where it differs from the
-	// checkpoint state: item mutations after the last learn change the
-	// graphs (and removals purge links) without relearning, and recovery
-	// must relearn over the learn-time state to reproduce the live
-	// model. Nil means "same as External/Local/Links".
-	LearnExternal *rdf.Graph
-	LearnLocal    *rdf.Graph
-	LearnLinks    []LinkRef
+	// Model is the served model's rules and learn stats (not its config
+	// or training index); nil when no model was learned.
+	Model *core.Model
 }
 
 // Meta is the snapshot's JSON section: model state and the comparator
 // configuration active when the snapshot was taken.
 type Meta struct {
-	// Learned records whether a model existed; recovery relearns from
-	// the learn-time basis (LearnExternal/LearnLocal/LearnLinks —
-	// learning is deterministic), it does not parse RulesText.
+	// Learned records whether a model was served; the model itself is
+	// the Model section.
 	Learned bool `json:"learned"`
-	// RulesText is the learned rule set in the RuleSet.Write text format,
-	// kept for inspection and for recovery-equivalence checks.
-	RulesText string `json:"rules_text,omitempty"`
 	// Linker echoes the default comparator configuration, when it is
 	// expressible by measure name.
 	Linker *LinkerMeta `json:"linker,omitempty"`
-	// Learner echoes the learner configuration the model was built
-	// with, when it is expressible in wire form (nil when a custom
-	// splitter function is set). Without it a restart with different
-	// defaults would silently relearn a different model.
+	// Learner echoes the service's learner configuration, when it is
+	// expressible in wire form (nil when a custom splitter function is
+	// set). A learn record replayed on recovery, and every later learn,
+	// learns with it; without it a restart with different defaults would
+	// silently learn differently.
 	Learner *LearnerMeta `json:"learner,omitempty"`
 }
 
@@ -132,6 +123,117 @@ func decodeLinks(body []byte) ([]LinkRef, error) {
 	return links, nil
 }
 
+// minRuleBytes is the fewest bytes a rule takes in the model section:
+// two term kinds, seven empty strings, four counts and the flag.
+const minRuleBytes = 2 + 7 + 4 + 1
+
+// statsWire and ruleWire list the model section's fields in wire order,
+// so encodeModel and decodeModel cannot disagree. A rule's terms keep
+// their kind, value, datatype and language, its segment every byte.
+func statsWire(s *core.LearnStats) []*int {
+	return []*int{&s.TSSize, &s.Properties, &s.DistinctSegments, &s.SegmentOccurrences,
+		&s.SelectedSegmentOccurrences, &s.FrequentPairs, &s.CandidateClasses,
+		&s.FrequentClasses, &s.RuleCount, &s.ClassesWithRules}
+}
+
+func ruleWire(r *core.Rule) ([]*rdf.TermKind, []*string, []*int) {
+	return []*rdf.TermKind{&r.Property.Kind, &r.Class.Kind},
+		[]*string{&r.Property.Value, &r.Property.Datatype, &r.Property.Lang, &r.Segment,
+			&r.Class.Value, &r.Class.Datatype, &r.Class.Lang},
+		[]*int{&r.PremiseCount, &r.JointCount, &r.ClassCount, &r.TSSize}
+}
+
+// encodeModel serializes the served model: its learn stats, then its
+// rules in order, each ending in its generalized flag.
+func encodeModel(m *core.Model) []byte {
+	b := appendInts(nil, statsWire(&m.Stats))
+	b = appendUvarint(b, uint64(len(m.Rules.Rules)))
+	for _, r := range m.Rules.Rules {
+		kinds, strs, ints := ruleWire(&r)
+		for _, k := range kinds {
+			b = append(b, byte(*k))
+		}
+		for _, s := range strs {
+			b = appendString(b, *s)
+		}
+		b = appendInts(b, ints)
+		gen := byte(0)
+		if r.Generalized {
+			gen = 1
+		}
+		b = append(b, gen)
+	}
+	return b
+}
+
+// decodeModel parses encodeModel output into a model with no config and
+// no training index. It accepts only what encodeModel writes, so an
+// accepted section re-encodes to the same bytes.
+func decodeModel(body []byte) (*core.Model, error) {
+	br := &byteReader{b: body}
+	m := &core.Model{}
+	if err := br.ints("learn stats", statsWire(&m.Stats)); err != nil {
+		return nil, err
+	}
+	n, err := br.uvarint("rule count")
+	if err != nil {
+		return nil, err
+	}
+	// The bytes left bound what a count read from disk may preallocate.
+	m.Rules.Rules = make([]core.Rule, 0, min(n, uint64(len(body)-br.pos)/minRuleBytes))
+	for i := uint64(0); i < n; i++ {
+		var r core.Rule
+		kinds, strs, ints := ruleWire(&r)
+		for _, k := range kinds {
+			c, err := br.byte("term kind")
+			if err != nil {
+				return nil, err
+			}
+			if *k = rdf.TermKind(c); *k < rdf.IRIKind || *k > rdf.BlankKind {
+				return nil, fmt.Errorf("store: decoding model: invalid term kind %d", c)
+			}
+		}
+		for _, s := range strs {
+			if *s, err = br.string("rule term"); err != nil {
+				return nil, err
+			}
+		}
+		if err := br.ints("rule counts", ints); err != nil {
+			return nil, err
+		}
+		gen, err := br.byte("generalized flag")
+		if err != nil {
+			return nil, err
+		}
+		if gen > 1 {
+			return nil, fmt.Errorf("store: decoding model: generalized flag %d", gen)
+		}
+		r.Generalized = gen == 1
+		m.Rules.Rules = append(m.Rules.Rules, r)
+	}
+	return m, br.done()
+}
+
+// appendInts and byteReader.ints are the wire form of a list of
+// non-negative ints: one varint each.
+func appendInts(b []byte, fields []*int) []byte {
+	for _, f := range fields {
+		b = appendUvarint(b, uint64(*f))
+	}
+	return b
+}
+
+func (r *byteReader) ints(what string, fields []*int) error {
+	for _, f := range fields {
+		v, err := r.uvarint(what)
+		if err != nil {
+			return err
+		}
+		*f = int(v)
+	}
+	return nil
+}
+
 // snapshotPath names the snapshot file covering seq.
 func snapshotPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", seq))
@@ -169,11 +271,7 @@ func writeSnapshotFile(fs FS, dir string, s *Snapshot) (path string, size int64,
 	for _, sec := range []struct {
 		typ byte
 		g   *rdf.Graph
-	}{{secExternal, s.External}, {secLocal, s.Local}, {secOntology, s.Ontology},
-		{secLearnExternal, s.LearnExternal}, {secLearnLocal, s.LearnLocal}} {
-		if sec.g == nil && (sec.typ == secLearnExternal || sec.typ == secLearnLocal) {
-			continue // learn-time graph identical to the checkpoint graph
-		}
+	}{{secExternal, s.External}, {secLocal, s.Local}, {secOntology, s.Ontology}} {
 		body, err := encodeGraph(sec.g)
 		if err != nil {
 			return "", 0, fmt.Errorf("store: encoding snapshot section %d: %w", sec.typ, err)
@@ -181,8 +279,8 @@ func writeSnapshotFile(fs FS, dir string, s *Snapshot) (path string, size int64,
 		writeSection(sec.typ, body)
 	}
 	writeSection(secLinks, encodeLinks(s.Links))
-	if s.LearnLinks != nil {
-		writeSection(secLearnLinks, encodeLinks(s.LearnLinks))
+	if s.Model != nil {
+		writeSection(secModel, encodeModel(s.Model))
 	}
 	meta, err := json.Marshal(s.Meta)
 	if err != nil {
@@ -249,7 +347,7 @@ func readSnapshotFile(path string) (*Snapshot, error) {
 		sec := rest[:n]
 		rest = rest[n:]
 		switch typ {
-		case secExternal, secLocal, secOntology, secLearnExternal, secLearnLocal:
+		case secExternal, secLocal, secOntology:
 			g, err := rdf.DecodeSnapshot(bytes.NewReader(sec))
 			if err != nil {
 				return nil, fmt.Errorf("store: snapshot %s: section %d: %w", path, typ, err)
@@ -261,18 +359,14 @@ func readSnapshotFile(path string) (*Snapshot, error) {
 				s.Local = g
 			case secOntology:
 				s.Ontology = g
-			case secLearnExternal:
-				s.LearnExternal = g
-			case secLearnLocal:
-				s.LearnLocal = g
 			}
 		case secLinks:
 			if s.Links, err = decodeLinks(sec); err != nil {
 				return nil, fmt.Errorf("store: snapshot %s: links: %w", path, err)
 			}
-		case secLearnLinks:
-			if s.LearnLinks, err = decodeLinks(sec); err != nil {
-				return nil, fmt.Errorf("store: snapshot %s: learn links: %w", path, err)
+		case secModel:
+			if s.Model, err = decodeModel(sec); err != nil {
+				return nil, fmt.Errorf("store: snapshot %s: model: %w", path, err)
 			}
 		case secMeta:
 			if err := json.Unmarshal(sec, &s.Meta); err != nil {

@@ -394,7 +394,8 @@ func TestStoreCheckpointAndPrune(t *testing.T) {
 	snap := &Snapshot{
 		Seq: boundary, External: g, Local: rdf.NewGraph(), Ontology: rdf.NewGraph(),
 		Links: []LinkRef{{ExternalKind: 1, External: "e", LocalKind: 1, Local: "l"}},
-		Meta:  Meta{Learned: true, RulesText: "rules here"},
+		Meta:  Meta{Learned: true},
+		Model: testModels()[0],
 	}
 	if err := st.WriteCheckpoint(snap); err != nil {
 		t.Fatal(err)
@@ -419,7 +420,7 @@ func TestStoreCheckpointAndPrune(t *testing.T) {
 		t.Fatalf("recovered snapshot: %+v", rec.Snapshot)
 	}
 	if rec.Snapshot.External.Len() != 1 || !rec.Snapshot.Meta.Learned ||
-		rec.Snapshot.Meta.RulesText != "rules here" || len(rec.Snapshot.Links) != 1 {
+		!sameModel(rec.Snapshot.Model, snap.Model) || len(rec.Snapshot.Links) != 1 {
 		t.Fatalf("snapshot content lost: %+v", rec.Snapshot)
 	}
 	if len(rec.Tail) != 1 || rec.Tail[0].Seq != 7 {
@@ -605,20 +606,13 @@ func TestSnapshotFileRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	g := rdf.NewGraph()
 	g.Add(rdf.T(rdf.NewIRI("http://ex.org/s"), rdf.NewIRI("http://ex.org/p"), rdf.NewLiteral("v")))
-	lg := rdf.NewGraph()
-	lg.Add(rdf.T(rdf.NewIRI("http://ex.org/s"), rdf.NewIRI("http://ex.org/p"), rdf.NewLiteral("at learn time")))
-	lg.Add(rdf.T(rdf.NewIRI("http://ex.org/s2"), rdf.NewIRI("http://ex.org/p"), rdf.NewLiteral("gone since")))
 	snap := &Snapshot{
 		Seq: 42, External: g, Local: rdf.NewGraph(), Ontology: rdf.NewGraph(),
 		Links: []LinkRef{{ExternalKind: 1, External: "http://ex.org/e", LocalKind: 1, Local: "http://ex.org/l"}},
 		Meta:  Meta{Learned: true},
-		// Learn-time basis differing from the checkpoint state: the
-		// external graph as of the learn, and one extra purged link.
-		LearnExternal: lg,
-		LearnLinks: []LinkRef{
-			{ExternalKind: 1, External: "http://ex.org/e", LocalKind: 1, Local: "http://ex.org/l"},
-			{ExternalKind: 1, External: "http://ex.org/e2", LocalKind: 1, Local: "http://ex.org/l2"},
-		},
+		// The served model, with rules over every term kind and a
+		// segment that is not valid UTF-8.
+		Model: testModels()[0],
 	}
 	path, _, err := writeSnapshotFile(OSFS(), dir, snap)
 	if err != nil {
@@ -631,14 +625,11 @@ func TestSnapshotFileRejectsCorruption(t *testing.T) {
 	if got.Seq != 42 || got.External.Len() != 1 || !got.Meta.Learned {
 		t.Fatalf("round trip: %+v", got)
 	}
-	if got.LearnExternal == nil || got.LearnExternal.Len() != 2 {
-		t.Fatalf("learn-time external graph did not round-trip: %+v", got.LearnExternal)
+	if !sameModel(got.Model, snap.Model) {
+		t.Fatalf("model section did not round-trip:\ngot  %+v\nwant %+v", got.Model, snap.Model)
 	}
-	if got.LearnLocal != nil {
-		t.Fatal("absent learn-time local graph decoded as non-nil")
-	}
-	if !reflect.DeepEqual(got.LearnLinks, snap.LearnLinks) || !reflect.DeepEqual(got.Links, snap.Links) {
-		t.Fatalf("link sections did not round-trip:\nlinks      %+v\nlearnLinks %+v", got.Links, got.LearnLinks)
+	if !reflect.DeepEqual(got.Links, snap.Links) {
+		t.Fatalf("links section did not round-trip: %+v", got.Links)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {

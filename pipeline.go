@@ -111,11 +111,12 @@ func NewPipeline(cfg LearnerConfig, ts TrainingSet, se, sl *Graph, ol *Ontology)
 }
 
 // NewPipelineWithModel builds a pipeline around an already-learned
-// model over the given live graphs. This is how durable recovery keeps
-// model and corpus independent: the model is recomputed from the exact
-// learn-time state a snapshot preserved, while the pipeline serves the
-// (possibly later-mutated) current graphs — matching a live service
-// whose items changed after its last learn.
+// model over the given live graphs. The model need not have been
+// learned from these graphs, and it may be one built from its exported
+// fields: durable recovery installs the model a snapshot holds over the
+// snapshot's current graphs, which item mutations after the last learn
+// may have changed — matching a live service whose items changed after
+// its last learn.
 func NewPipelineWithModel(m *Model, se, sl *Graph, ol *Ontology) *Pipeline {
 	p := &Pipeline{Instances: NewInstanceIndex(sl, ol), se: se, sl: sl, ol: ol}
 	p.installModel(m)
