@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/blocking"
 	"repro/internal/linkage"
+	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/segment"
 	"repro/internal/similarity"
@@ -407,15 +408,15 @@ func paperCorpus(tb testing.TB) (ds *Dataset, train, held []Link) {
 // paperPipeline builds a pipeline on paperCorpus with the default
 // linker's engine and a model learned from the training links. It
 // returns the pipeline, the corpus, and the training and held-out links.
-func paperPipeline(b *testing.B) (p *Pipeline, ds *Dataset, train, held []Link) {
-	b.Helper()
-	ds, train, held = paperCorpus(b)
+func paperPipeline(tb testing.TB) (p *Pipeline, ds *Dataset, train, held []Link) {
+	tb.Helper()
+	ds, train, held = paperCorpus(tb)
 	p, err := NewPipeline(LearnerConfig{}, TrainingSet{Links: train}, ds.External, ds.Local, ds.Ontology)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := p.EnsureLinker(DefaultLinkingConfig()); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return p, ds, train, held
 }
@@ -470,9 +471,54 @@ func TestFirstLearnAllocation(t *testing.T) {
 	}
 }
 
+// pairsScoredPerItem is what TestLinkTopKPairsScored allows the first
+// pairsScoredItems held-out items of paperCorpus to score, per item, of
+// about 11,000 candidates each. Bounded by rune length alone, the engine
+// scored 5,409 per item there; bounded by rune-count sketches, it scores
+// 304.
+const (
+	pairsScoredItems   = 500
+	pairsScoredPerItem = 400
+)
+
+// TestLinkTopKPairsScored links the first pairsScoredItems held-out
+// items of paperPipeline through QueryView.LinkTopK at top 3 with the
+// default linker, as a /v1/link request does, and bounds the pairs
+// scored that its trace counts.
+func TestLinkTopKPairsScored(t *testing.T) {
+	p, _, _, held := paperPipeline(t)
+	items := make([]Term, pairsScoredItems)
+	for i := range items {
+		items[i] = held[i].External
+	}
+	tr := obs.NewTrace(nil)
+	if _, err := p.Snapshot().LinkTopK(obs.WithTrace(context.Background(), tr), items, DefaultLinkingConfig(), 3); err != nil {
+		t.Fatal(err)
+	}
+	cands, scored := traceCount(tr, CountLinkCandidates), traceCount(tr, CountLinkPairsScored)
+	t.Logf("%d items: %d candidates, %d pairs scored (%.1f per item, %.2f%%)",
+		len(items), cands, scored, float64(scored)/float64(len(items)), 100*float64(scored)/float64(cands))
+	if scored > pairsScoredItems*pairsScoredPerItem {
+		t.Errorf("%d items scored %d pairs, want at most %d per item", len(items), scored, pairsScoredPerItem)
+	}
+}
+
+// traceCount returns the work counter name of tr, 0 when it was never
+// added to.
+func traceCount(tr *obs.Trace, name string) int64 {
+	for _, c := range tr.Counts() {
+		if c.Name == name {
+			return c.N
+		}
+	}
+	return 0
+}
+
 // BenchmarkLinkTopK is the serving path of /v1/link below HTTP: each op
 // is one held-out item of paperPipeline through QueryView.LinkTopK with
-// top 3 and the default linker, the items taken in turn.
+// top 3 and the default linker, the items taken in turn. With the timer
+// stopped, it links the same items once more under an obs.Trace and
+// reports the candidate pairs they scored per op.
 func BenchmarkLinkTopK(b *testing.B) {
 	p, _, _, held := paperPipeline(b)
 	cfg := DefaultLinkingConfig()
@@ -485,6 +531,15 @@ func BenchmarkLinkTopK(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	tr := obs.NewTrace(nil)
+	ctx = obs.WithTrace(ctx, tr)
+	for i := 0; i < b.N; i++ {
+		if _, err := view.LinkTopK(ctx, []Term{held[i%len(held)].External}, cfg, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(traceCount(tr, CountLinkPairsScored))/float64(b.N), "pairs_scored/op")
 }
 
 // BenchmarkRelearn is a relearn as the service pays it after its first

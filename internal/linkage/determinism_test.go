@@ -14,7 +14,7 @@ import (
 // candidate structures the engine consumes, deterministically in seed.
 // Values mix ASCII part numbers, multi-byte runes and multi-valued
 // properties so every engine code path (byte fast path, rune path,
-// token index, length bound, missing values) is exercised.
+// token index, sketch bound, missing values) is exercised.
 func seededGraphs(seed int64, nExt, nLoc int) (*rdf.Graph, *rdf.Graph, [][2]rdf.Term, map[rdf.Term][]rdf.Term) {
 	rng := rand.New(rand.NewSource(seed))
 	se, sl := rdf.NewGraph(), rdf.NewGraph()

@@ -2,18 +2,18 @@ package linkage
 
 import (
 	"slices"
-	"unicode/utf8"
 
 	"repro/internal/rdf"
 	"repro/internal/similarity"
 )
 
 // value is one literal value of an item under one comparator: the
-// lexical form, its rune length, and the derived form the comparator's
-// measure reads from that side of a pair, if it reads one.
+// lexical form, its sketch when the measure bounds its score by one,
+// and the derived form the comparator's measure reads from that side of
+// a pair, if it reads one.
 type value struct {
 	s        string
-	runeLen  int
+	sketch   similarity.Sketch
 	tokens   []string
 	tokenSet map[string]struct{}
 	prepared similarity.Prepared
@@ -27,11 +27,11 @@ type compiledComparator struct {
 	measure similarity.Measure
 	extProp rdf.Term
 	locProp rdf.Term
-	// bounded is non-nil when the measure can bound its score from value
-	// lengths alone; the engine then skips value pairs whose bound cannot
-	// beat the current best, and candidates whose weighted bound cannot
-	// reach a query's bar.
-	bounded similarity.LengthBounded
+	// bounded is non-nil when the measure can bound its score from the
+	// values' sketches; the engine then skips value pairs whose bound
+	// cannot beat the current best, and candidates whose weighted bound
+	// cannot reach a query's bar.
+	bounded similarity.SketchBounded
 	// tokens is non-nil when the measure scores pre-tokenized values.
 	tokens similarity.Tokenized
 	// tokenSets is non-nil when the measure scores prebuilt token sets;
@@ -54,7 +54,7 @@ func compileComparators(cfg Config) []compiledComparator {
 			extProp: cmp.ExternalProperty,
 			locProp: cmp.LocalProperty,
 		}
-		cc.bounded, _ = cmp.Measure.(similarity.LengthBounded)
+		cc.bounded, _ = cmp.Measure.(similarity.SketchBounded)
 		cc.tokens, _ = cmp.Measure.(similarity.Tokenized)
 		if cc.tokens != nil {
 			// Token sets are derived from the token lists, so a measure
@@ -71,7 +71,10 @@ func compileComparators(cfg Config) []compiledComparator {
 // left-hand side of every pair, gets the form the measure scores from; a
 // local value gets only what the measure reads from the right-hand side.
 func (c *compiledComparator) derive(s string, local bool) value {
-	v := value{s: s, runeLen: utf8.RuneCountInString(s)}
+	v := value{s: s}
+	if c.bounded != nil {
+		v.sketch = similarity.NewSketch(s)
+	}
 	switch {
 	case c.prepared != nil:
 		if !local {
@@ -104,15 +107,15 @@ func (c *compiledComparator) similarity(ev, lv *value) float64 {
 }
 
 // best returns the best score over every value pair: for a multi-valued
-// property the best-scoring pair counts. A pair whose length bound
-// cannot beat the current best is settled without running the measure.
+// property the best-scoring pair counts. A pair whose bound cannot beat
+// the current best is settled without running the measure.
 func (c *compiledComparator) best(evs, lvs []value) float64 {
 	best := 0.0
 	for i := range evs {
 		ev := &evs[i]
 		for j := range lvs {
 			lv := &lvs[j]
-			if c.bounded != nil && c.bounded.SimilarityUpperBound(ev.runeLen, lv.runeLen) <= best {
+			if c.bounded != nil && c.bounded.SimilarityUpperBound(ev.sketch, lv.sketch) <= best {
 				continue
 			}
 			if s := c.similarity(ev, lv); s > best {
@@ -123,7 +126,7 @@ func (c *compiledComparator) best(evs, lvs []value) float64 {
 	return best
 }
 
-// bound returns an upper bound on best(evs, lvs): the largest length
+// bound returns an upper bound on best(evs, lvs): the largest sketch
 // bound over the value pairs, or 1 when the measure has none.
 func (c *compiledComparator) bound(evs, lvs []value) float64 {
 	if c.bounded == nil {
@@ -132,7 +135,7 @@ func (c *compiledComparator) bound(evs, lvs []value) float64 {
 	b := 0.0
 	for i := range evs {
 		for j := range lvs {
-			b = max(b, c.bounded.SimilarityUpperBound(evs[i].runeLen, lvs[j].runeLen))
+			b = max(b, c.bounded.SimilarityUpperBound(evs[i].sketch, lvs[j].sketch))
 		}
 	}
 	return b

@@ -24,24 +24,27 @@
 //     directly.
 //
 //   - Value columns. Each comparator keeps its local values in a column
-//     indexed by ID (internal/linkage/index.go): per value the string and
-//     its rune length, plus the one derived form the measure reads from
-//     the local side — a token list or token set for the token measures.
+//     indexed by ID (internal/linkage/index.go): per value the string,
+//     its similarity.Sketch when the measure bounds its score by one (the
+//     rune length and bucketed rune counts, built once when the value is
+//     indexed), plus the one derived form the measure reads from the
+//     local side — a token list or token set for the token measures.
 //     The edit distances read only the local string, so no local value
 //     carries a Myers table. The external item of a query is resolved
-//     once per call from the engine's external graph, with its prepared
-//     forms built for that call only.
+//     once per call from the engine's external graph, with its sketches
+//     and prepared forms built for that call only.
 //
 //   - One scoring loop. A ranker offers each candidate ID in turn: it
 //     first sums the candidate's bound, the weighted
-//     similarity.LengthBounded bound of each comparator (1 for a measure
-//     without one, 0 where a side has no value), and skips the candidate
-//     unscored when the bound is strictly below the bar — the threshold,
-//     raised to the k-th best score once k matches are held. Otherwise
-//     it scores the candidate, taking per comparator the best value pair
-//     and skipping value pairs whose length bound cannot beat it. The k
-//     best are kept in a bounded heap under the total order ScorePairs
-//     sorts by, so nothing sorts the passing matches beyond k.
+//     similarity.SketchBounded bound of each comparator, the largest
+//     over the two sides' value pairs (1 for a measure without one, 0
+//     where a side has no value), and skips the candidate unscored when
+//     the bound is strictly below the bar — the threshold, raised to the
+//     k-th best score once k matches are held. Otherwise it scores the
+//     candidate, taking per comparator the best value pair and skipping
+//     value pairs whose bound cannot beat it. The k best are kept in a
+//     bounded heap under the total order ScorePairs sorts by, so nothing
+//     sorts the passing matches beyond k.
 //
 //   - One entry point. TopKIDs runs the loop over a bitset of IDs; it is
 //     what a pipeline's query view calls for every item, and the views
@@ -230,10 +233,10 @@ func (e *Engine) WithOptions(threshold float64, workers int) (*Engine, error) {
 // multi-valued property the best-scoring value pair counts. Comparators
 // whose properties are absent on either side score 0 but keep their
 // weight in the denominator, penalizing missing information. It skips
-// the candidate unless the candidate's bound — the weighted sum
-// of its comparators' length bounds — is strictly below bar, in which
-// case it reports false without scoring. The bound is summed in the
-// score's comparator order, so rounding keeps the score at or below it.
+// the candidate when the candidate's bound — the weighted sum of its
+// comparators' sketch bounds — is strictly below bar, and then reports
+// false without scoring. The bound is summed in the score's comparator
+// order, so rounding keeps the score at or below it.
 func (ix *index) scoreAbove(q [][]value, id uint32, bar float64) (float64, bool) {
 	bound := 0.0
 	for i := range ix.comps {

@@ -144,15 +144,8 @@ func (Levenshtein) Similarity(a, b string) float64 {
 	return 1 - float64(levRunes(ra, rb))/float64(maxInt(len(ra), len(rb)))
 }
 
-// SimilarityUpperBound implements LengthBounded: the distance is at least
-// |la-lb|, so the similarity is at most 1 - |la-lb|/max(la,lb).
-func (Levenshtein) SimilarityUpperBound(la, lb int) float64 {
-	den := maxInt(la, lb)
-	if den == 0 {
-		return 1
-	}
-	return 1 - float64(absInt(la-lb))/float64(den)
-}
+// SimilarityUpperBound implements SketchBounded (editDistanceBound).
+func (Levenshtein) SimilarityUpperBound(a, b Sketch) float64 { return editDistanceBound(a, b) }
 
 // Name implements Measure.
 func (Levenshtein) Name() string { return "levenshtein" }
@@ -281,15 +274,8 @@ func (Damerau) Similarity(a, b string) float64 {
 	return 1 - float64(damRunes(ra, rb))/float64(maxInt(len(ra), len(rb)))
 }
 
-// SimilarityUpperBound implements LengthBounded: the OSA distance is at
-// least |la-lb|, so the similarity is at most 1 - |la-lb|/max(la,lb).
-func (Damerau) SimilarityUpperBound(la, lb int) float64 {
-	den := maxInt(la, lb)
-	if den == 0 {
-		return 1
-	}
-	return 1 - float64(absInt(la-lb))/float64(den)
-}
+// SimilarityUpperBound implements SketchBounded (editDistanceBound).
+func (Damerau) SimilarityUpperBound(a, b Sketch) float64 { return editDistanceBound(a, b) }
 
 // Name implements Measure.
 func (Damerau) Name() string { return "damerau" }

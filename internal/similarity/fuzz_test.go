@@ -148,31 +148,78 @@ func TestEditDistanceZeroAllocASCII(t *testing.T) {
 	}
 }
 
-// TestJaroUpperBound property-checks the new length bounds: over random
-// pairs the bound computed from the rune lengths must never fall below
-// the measured similarity, for Jaro and for Winkler variants with
-// non-default tunings.
-func TestJaroUpperBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	measures := []struct {
-		name    string
-		sim     func(a, b string) float64
-		bound   func(la, lb int) float64
-		measure Measure
-	}{
-		{"jaro", Jaro{}.Similarity, Jaro{}.SimilarityUpperBound, Jaro{}},
-		{"jaro-winkler", JaroWinkler{}.Similarity, JaroWinkler{}.SimilarityUpperBound, JaroWinkler{}},
-		{"jaro-winkler-tuned", JaroWinkler{PrefixScale: 0.25, MaxPrefix: 6}.Similarity,
-			JaroWinkler{PrefixScale: 0.25, MaxPrefix: 6}.SimilarityUpperBound,
-			JaroWinkler{PrefixScale: 0.25, MaxPrefix: 6}},
+// boundedMeasures is every SketchBounded measure, with Jaro-Winkler at
+// its default tuning, at a tuning whose boost saturates at 1, and with a
+// negative prefix length and a negative scale.
+var boundedMeasures = []interface {
+	Measure
+	SketchBounded
+}{
+	Levenshtein{},
+	Damerau{},
+	Jaro{},
+	JaroWinkler{},
+	JaroWinkler{PrefixScale: 0.25, MaxPrefix: 6},
+	JaroWinkler{PrefixScale: 0.1, MaxPrefix: -1},
+	JaroWinkler{PrefixScale: -0.1},
+}
+
+// checkSketchBound asserts, for every bounded measure and both argument
+// orders, that the similarity of a and b does not exceed the bound of
+// their sketches, and that a sketch counts the runes []rune does.
+func checkSketchBound(t *testing.T, a, b string) {
+	t.Helper()
+	ka, kb := NewSketch(a), NewSketch(b)
+	if ka.n != len([]rune(a)) || kb.n != len([]rune(b)) {
+		t.Fatalf("sketch lengths %d, %d; rune lengths %d, %d", ka.n, kb.n, len([]rune(a)), len([]rune(b)))
 	}
-	// The engine fast path requires LengthBounded; a silent interface
-	// regression would disable the pruning without failing any test.
-	for _, m := range measures {
-		if _, ok := m.measure.(LengthBounded); !ok {
-			t.Fatalf("%s does not implement LengthBounded", m.name)
+	orders := []struct {
+		x, y   string
+		kx, ky Sketch
+	}{{a, b, ka, kb}, {b, a, kb, ka}}
+	for _, m := range boundedMeasures {
+		for _, o := range orders {
+			if sim, bound := m.Similarity(o.x, o.y), m.SimilarityUpperBound(o.kx, o.ky); sim > bound {
+				t.Fatalf("%s %+v: Similarity(%q, %q) = %v exceeds the sketch bound %v", m.Name(), m, o.x, o.y, sim, bound)
+			}
 		}
 	}
+}
+
+// FuzzSketchBound fuzzes the sketch bounds against the measures they
+// bound. The seeds hold multi-byte runes, invalid UTF-8, values over
+// 64 runes, runes sharing a bucket, and a rune repeated past a
+// bucket's saturation at 15.
+func FuzzSketchBound(f *testing.F) {
+	seeds := [][2]string{
+		{"", ""},
+		{"", "abc"},
+		{"kitten", "sitting"},
+		{"CRCW0805-63V-ohm", "CRCW0812/63V/ohm"},
+		{"CRCW0805-63V-Ω", "CRCW0812/63V/Ω"}, // multi-byte runes
+		{"résumé", "resume"},
+		{"a\xffb", "a\ufffdb"},   // an invalid byte reads as U+FFFD
+		{"\xff\xfe\xfd", "\xc3"}, // invalid UTF-8 only
+		{strings.Repeat("xy", 50), strings.Repeat("yx", 50)}, // > 64 runes
+		{strings.Repeat("a", 30), strings.Repeat("a", 15)},   // saturated bucket
+		{strings.Repeat("a", 17) + "b", "b" + strings.Repeat("a", 16)},
+		{strings.Repeat("0", 20), strings.Repeat("P", 20)}, // '0' and 'P' share a bucket
+		{"ABCD", "abcd"}, // 'A' and 'a' share a bucket
+	}
+	for _, s := range seeds {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		checkSketchBound(t, a, b)
+	})
+}
+
+// TestJaroUpperBound property-checks the Jaro family's sketch bounds
+// over random pairs of a small alphabet, where matches and shared
+// prefixes are common, and pins what a bucket bound adds: no shared
+// bucket, no match.
+func TestJaroUpperBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
 	alpha := "abcdefgh"
 	randStr := func(n int) string {
 		var sb strings.Builder
@@ -182,13 +229,15 @@ func TestJaroUpperBound(t *testing.T) {
 		return sb.String()
 	}
 	for i := 0; i < 2000; i++ {
-		a, b := randStr(rng.Intn(20)), randStr(rng.Intn(20))
-		la, lb := len([]rune(a)), len([]rune(b))
-		for _, m := range measures {
-			sim, bound := m.sim(a, b), m.bound(la, lb)
-			if sim > bound+1e-12 {
-				t.Fatalf("%s(%q, %q) = %v exceeds bound %v", m.name, a, b, sim, bound)
-			}
+		checkSketchBound(t, randStr(rng.Intn(20)), randStr(rng.Intn(20)))
+	}
+	abcd, wxyz := NewSketch("abcd"), NewSketch("wxyz")
+	for _, m := range []SketchBounded{Jaro{}, JaroWinkler{}} {
+		if got := m.SimilarityUpperBound(abcd, wxyz); got != 0 {
+			t.Errorf("%T bound for strings in disjoint buckets = %v, want 0", m, got)
 		}
+	}
+	if got := (Jaro{}).SimilarityUpperBound(NewSketch("abc"), NewSketch("abd")); !almostEqual(got, (2.0/3+2.0/3+1)/3) {
+		t.Errorf("Jaro bound for two matches of three = %v, want %v", got, (2.0/3+2.0/3+1)/3)
 	}
 }

@@ -10,19 +10,34 @@ func (Jaro) Similarity(a, b string) float64 { return jaro([]rune(a), []rune(b)) 
 // Name implements Measure.
 func (Jaro) Name() string { return "jaro" }
 
-// SimilarityUpperBound implements LengthBounded: with m matches bounded
-// by min(la, lb) and transpositions at least 0, the Jaro similarity is
-// at most (m/la + m/lb + 1)/3 = (min/max + 2)/3. The engine uses it to
-// settle value pairs whose lengths already rule out beating the current
-// best without running the O(la·lb) match scan.
-func (Jaro) SimilarityUpperBound(la, lb int) float64 {
-	if la == 0 && lb == 0 {
-		return 1
+// SimilarityUpperBound implements SketchBounded (jaroBound).
+func (Jaro) SimilarityUpperBound(a, b Sketch) float64 {
+	bound, _ := jaroBound(a, b)
+	return bound
+}
+
+// jaroBound returns an upper bound on the Jaro similarity of strings
+// with sketches a and b, and the bound on their matches it rests on. A
+// rune is matched at most once, so the matches m are at most the runes
+// the two strings share: la − Σ max(A−B, 0) over the exact rune counts,
+// which bagParts' bucketed, saturated parts can only raise, and the
+// same from b's side. With no transpositions the similarity is at most
+// (m/la + m/lb + 1)/3, summed in jaro's order so that the bound holds
+// in floating point.
+func jaroBound(a, b Sketch) (float64, int) {
+	if a.n == 0 && b.n == 0 {
+		return 1, 0
 	}
-	if la == 0 || lb == 0 {
-		return 0
+	if a.n == 0 || b.n == 0 {
+		return 0, 0
 	}
-	return (float64(minInt(la, lb))/float64(maxInt(la, lb)) + 2) / 3
+	ab, ba := bagParts(&a, &b)
+	m := minInt(a.n-ab, b.n-ba)
+	if m == 0 {
+		return 0, 0
+	}
+	mf := float64(m)
+	return (mf/float64(a.n) + mf/float64(b.n) + 1) / 3, m
 }
 
 func jaro(ra, rb []rune) float64 {
@@ -117,13 +132,23 @@ func (jw JaroWinkler) Similarity(a, b string) float64 {
 // Name implements Measure.
 func (JaroWinkler) Name() string { return "jaro-winkler" }
 
-// SimilarityUpperBound implements LengthBounded. The Winkler score
-// base + boost·(1-base) is monotone in both the Jaro base and the
-// prefix boost (boost <= 1), so plugging in Jaro's length bound and the
-// maximum possible shared prefix min(la, lb, maxPrefix) never
-// underestimates.
-func (jw JaroWinkler) SimilarityUpperBound(la, lb int) float64 {
-	base := Jaro{}.SimilarityUpperBound(la, lb)
+// winklerSlack is added to the Winkler bound: base + boost·(1−base)
+// rises with the base, but where the base rises by one ulp, rounding
+// can lower the float64 result by an ulp or two.
+const winklerSlack = 1e-12
+
+// SimilarityUpperBound implements SketchBounded. The Winkler score
+// base + boost·(1-base) rises with both the Jaro base and the prefix
+// boost (boost <= 1), and the shared prefix is at most maxPrefix and at
+// most the matches, since Jaro matches a shared prefix rune for rune.
+// So Jaro's bound, with the prefix that its match bound allows, never
+// underestimates, give or take winklerSlack.
+func (jw JaroWinkler) SimilarityUpperBound(a, b Sketch) float64 {
+	base, matches := jaroBound(a, b)
+	if matches == 0 {
+		// No match, no shared prefix: the score is the Jaro score.
+		return base
+	}
 	scale := jw.PrefixScale
 	if scale == 0 {
 		scale = 0.1
@@ -140,9 +165,9 @@ func (jw JaroWinkler) SimilarityUpperBound(la, lb int) float64 {
 	if maxPrefix == 0 {
 		maxPrefix = 4
 	}
-	boost := float64(minInt(maxPrefix, minInt(la, lb))) * scale
+	boost := float64(maxInt(0, minInt(maxPrefix, matches))) * scale
 	if boost > 1 {
 		boost = 1
 	}
-	return base + boost*(1-base)
+	return min(1, base+boost*(1-base)+winklerSlack)
 }

@@ -20,19 +20,6 @@ type Measure interface {
 	Name() string
 }
 
-// LengthBounded is implemented by measures whose score can be bounded
-// from above using only the rune lengths of the two inputs. Callers that
-// scan many value pairs for a maximum (such as the linkage engine) use
-// the bound to skip pairs that cannot beat the current best without
-// running the full comparison. Implementations must never underestimate:
-// Similarity(a, b) <= SimilarityUpperBound(runeLen(a), runeLen(b)) for
-// all a, b.
-type LengthBounded interface {
-	// SimilarityUpperBound returns an upper bound on Similarity for any
-	// pair of inputs with the given rune lengths.
-	SimilarityUpperBound(lenA, lenB int) float64
-}
-
 // Tokenized is implemented by measures whose score is a pure function of
 // Tokenize(a) and Tokenize(b). Callers that compare the same values many
 // times (again, the linkage engine) tokenize each value once up front and

@@ -10,17 +10,15 @@ package similarity
 
 // editPattern is the shared prepared form of Levenshtein and Damerau: a
 // persistent peq table when the value fits the bit-parallel kernels,
-// plus the original value for fallbacks and the rune length for the
-// similarity denominator.
+// plus the original value for fallbacks.
 type editPattern struct {
-	value   string
-	runeLen int
-	peq     *peqTable // nil when the value cannot be a Myers pattern
-	dam     bool      // transposition-aware kernel and fallback
+	value string
+	peq   *peqTable // nil when the value cannot be a Myers pattern
+	dam   bool      // transposition-aware kernel and fallback
 }
 
 func newEditPattern(a string, dam bool) *editPattern {
-	p := &editPattern{value: a, runeLen: runeLen(a), dam: dam}
+	p := &editPattern{value: a, dam: dam}
 	if fitsMyers(a) {
 		p.peq = new(peqTable)
 		buildPeq(p.peq, a)
@@ -57,12 +55,3 @@ func (Levenshtein) Prepare(a string) Prepared { return newEditPattern(a, false) 
 
 // Prepare implements PreparedMeasure.
 func (Damerau) Prepare(a string) Prepared { return newEditPattern(a, true) }
-
-// runeLen counts runes without allocating.
-func runeLen(s string) int {
-	n := 0
-	for range s {
-		n++
-	}
-	return n
-}

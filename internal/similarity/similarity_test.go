@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -284,33 +285,33 @@ func TestEditDistanceASCIIFastPathParity(t *testing.T) {
 	}
 }
 
-// Property: SimilarityUpperBound never underestimates the real score.
+// Property: the sketch bounds never underestimate the real score, over
+// random strings of any runes, and the edit-distance bound is the
+// larger of the length difference and the bag distance.
 func TestSimilarityUpperBound(t *testing.T) {
-	measures := []struct {
-		m Measure
-		b LengthBounded
-	}{
-		{Levenshtein{}, Levenshtein{}},
-		{Damerau{}, Damerau{}},
-	}
 	f := func(a, b string) bool {
-		la, lb := len([]rune(a)), len([]rune(b))
-		for _, mb := range measures {
-			if mb.m.Similarity(a, b) > mb.b.SimilarityUpperBound(la, lb)+1e-12 {
-				return false
-			}
-		}
+		checkSketchBound(t, a, b)
 		return true
 	}
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(23))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
-	if got := (Levenshtein{}).SimilarityUpperBound(0, 0); got != 1 {
-		t.Errorf("SimilarityUpperBound(0,0) = %v, want 1", got)
-	}
-	if got := (Damerau{}).SimilarityUpperBound(2, 10); !almostEqual(got, 0.2) {
-		t.Errorf("SimilarityUpperBound(2,10) = %v, want 0.2", got)
+	for _, tc := range []struct {
+		a, b string
+		want float64
+	}{
+		{"", "", 1},
+		{"ab", "ababababab", 0.2}, // length difference 8
+		{"abcd", "wxyz", 0},       // no shared bucket: 4 substitutions
+		{"abcd", "abxy", 0.5},     // 2 runes each side the other lacks
+		{strings.Repeat("a", 30), strings.Repeat("a", 15), 0.5}, // both saturate: the length bounds it
+	} {
+		for _, m := range []SketchBounded{Levenshtein{}, Damerau{}} {
+			if got := m.SimilarityUpperBound(NewSketch(tc.a), NewSketch(tc.b)); !almostEqual(got, tc.want) {
+				t.Errorf("%T.SimilarityUpperBound(%q, %q) = %v, want %v", m, tc.a, tc.b, got, tc.want)
+			}
+		}
 	}
 }
 

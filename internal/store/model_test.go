@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -174,6 +175,64 @@ func FuzzModelSection(f *testing.F) {
 			return
 		}
 		if again := encodeModel(m); !bytes.Equal(again, data) {
+			t.Fatalf("re-encoding an accepted section changed it:\nin  %x\nout %x", data, again)
+		}
+	})
+}
+
+// testLinks are the links section's fixtures: no links, one with empty
+// endpoints, and endpoints of every kind byte, with bytes that are not
+// UTF-8 and lengths past one varint byte.
+func testLinks() [][]LinkRef {
+	long := strings.Repeat("http://ex.org/item/", 8)
+	return [][]LinkRef{
+		nil,
+		{{}},
+		{
+			{ExternalKind: 1, External: "http://ex.org/e/1", LocalKind: 1, Local: "http://ex.org/l/1"},
+			{ExternalKind: 3, External: "b0", LocalKind: 255, Local: "\xff\xfe"},
+			{ExternalKind: 1, External: long, LocalKind: 1, Local: long + "x"},
+		},
+	}
+}
+
+// hugeLinkCountSection is a 6-byte links section: a count that claims
+// 2^40 links, followed by nothing.
+func hugeLinkCountSection() []byte {
+	return binary.AppendUvarint(nil, 1<<40)
+}
+
+// linksAllocBound bounds what decodeLinks may allocate for n bytes: a
+// link takes at least minLinkRefBytes of input and 48 bytes of memory,
+// and a string no more memory than it takes input, rounded up to a size
+// class.
+func linksAllocBound(n int) uint64 { return uint64(32*n + 256<<10) }
+
+// FuzzLinksSection feeds arbitrary bytes to the links section decoder.
+// It must never panic, an accepted section must re-encode to the same
+// bytes, and the link count it reads may not make it allocate beyond a
+// fixed multiple of the input. The seeds are the fixtures' encodings,
+// every prefix of them, and a huge link count.
+func FuzzLinksSection(f *testing.F) {
+	for _, links := range testLinks() {
+		enc := encodeLinks(links)
+		for cut := 0; cut <= len(enc); cut++ {
+			f.Add(enc[:cut])
+		}
+	}
+	f.Add(hugeLinkCountSection())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		links, err := decodeLinks(data)
+		runtime.ReadMemStats(&after)
+		if n, bound := after.TotalAlloc-before.TotalAlloc, linksAllocBound(len(data)); n > bound {
+			t.Fatalf("decoding %d bytes allocated %d bytes, over %d", len(data), n, bound)
+		}
+		if err != nil {
+			return
+		}
+		if again := encodeLinks(links); !bytes.Equal(again, data) {
 			t.Fatalf("re-encoding an accepted section changed it:\nin  %x\nout %x", data, again)
 		}
 	})

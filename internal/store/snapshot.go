@@ -102,6 +102,10 @@ func encodeLinks(links []LinkRef) []byte {
 	return b
 }
 
+// minLinkRefBytes is the fewest bytes a link takes in the links
+// section: two kinds and two empty strings.
+const minLinkRefBytes = 4
+
 // decodeLinks parses encodeLinks output.
 func decodeLinks(body []byte) ([]LinkRef, error) {
 	br := &byteReader{b: body}
@@ -109,7 +113,8 @@ func decodeLinks(body []byte) ([]LinkRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	links := make([]LinkRef, 0, min(n, 1<<20))
+	// The bytes left bound what a count read from disk may preallocate.
+	links := make([]LinkRef, 0, min(n, uint64(len(body)-br.pos)/minLinkRefBytes))
 	for i := uint64(0); i < n; i++ {
 		ln, err := readLinkRef(br)
 		if err != nil {

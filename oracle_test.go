@@ -212,13 +212,23 @@ func newOracleFixture(t *testing.T, seed int64) *oracleFixture {
 
 // value draws a short part number under class prefix p: a small
 // alphabet with two multi-byte runes, so equal and near-equal values
-// (score ties) are common and the rune path runs.
+// (score ties) are common and the rune path runs. One value in ten
+// starts with one rune repeated 16 to 75 times, past the count a sketch
+// bucket saturates at and often past 64 runes, where the edit distances
+// leave the bit-parallel kernels; such values score high against each
+// other, so a high threshold prunes among them by their lengths.
 func (f *oracleFixture) value(p string) string {
 	const alphabet = "0123AB-µΩ"
 	runes := []rune(alphabet)
 	var b strings.Builder
 	b.WriteString(p)
 	b.WriteByte('-')
+	if f.rng.Intn(10) == 0 {
+		r := runes[f.rng.Intn(len(runes))]
+		for i := 16 + f.rng.Intn(60); i > 0; i-- {
+			b.WriteRune(r)
+		}
+	}
 	for i := 1 + f.rng.Intn(4); i > 0; i-- {
 		b.WriteRune(runes[f.rng.Intn(len(runes))])
 	}
@@ -412,7 +422,7 @@ func (f *oracleFixture) publishedConfig() oracleConfig {
 
 // TestLinkTopKMatchesOracle drives seeded random corpora through rounds
 // of catalog mutations and checks, for every external item, threshold
-// in {0, 0.5} and k in {0, 1, 3}, that QueryView.LinkTopK equals the
+// in {0, 0.5, 0.8} and k in {0, 1, 3}, that QueryView.LinkTopK equals the
 // naive oracle on the view's own frozen state and model — for the
 // current view and for every earlier view, which the writer's later
 // copy-on-write pages must leave untouched. Odd rounds also relearn
@@ -572,7 +582,7 @@ func checkOracle(t *testing.T, step string, v *QueryView, f *oracleFixture, oc o
 	for _, item := range f.externalIDs {
 		scores[item] = oracleScores(v, f.ol, oc.comps, item)
 	}
-	for _, threshold := range []float64{0, 0.5} {
+	for _, threshold := range []float64{0, 0.5, 0.8} {
 		cfg.Threshold = threshold
 		for _, k := range []int{0, 1, 3} {
 			got, err := v.LinkTopK(ctx, f.externalIDs, cfg, k)
