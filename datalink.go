@@ -17,7 +17,7 @@
 //
 // The root package re-exports the stable surface of the internal layers:
 //
-//   - RDF model and I/O (terms, triples, graphs, N-Triples, Turtle)
+//   - RDF model and I/O (terms, triples, graphs, N-Triples)
 //   - ontologies (class hierarchies with subsumption)
 //   - rule learning (Algorithm 1 of the paper), classification, linking
 //     subspaces and the subsumption-generalization extension
@@ -82,9 +82,6 @@ func ReadNTriples(r io.Reader) (*Graph, error) { return rdf.ReadNTriples(r) }
 
 // WriteNTriples serializes a graph as N-Triples in deterministic order.
 func WriteNTriples(w io.Writer, g *Graph) error { return rdf.WriteNTriples(w, g) }
-
-// ReadTurtle parses the supported Turtle subset into a new graph.
-func ReadTurtle(r io.Reader) (*Graph, error) { return rdf.ReadTurtle(r) }
 
 // Well-known vocabulary terms.
 var (

@@ -127,14 +127,6 @@ func TestPublicAPIRDFRoundTrip(t *testing.T) {
 	if g2.Len() != 2 {
 		t.Errorf("round-trip triples = %d", g2.Len())
 	}
-	ttl := `@prefix ex: <http://ex.org/> . ex:a a ex:B .`
-	g3, err := ReadTurtle(strings.NewReader(ttl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g3.Has(T(NewIRI("http://ex.org/a"), RDFType, NewIRI("http://ex.org/B"))) {
-		t.Error("turtle triple missing")
-	}
 }
 
 func TestPublicAPIExperimentFlow(t *testing.T) {
@@ -199,12 +191,12 @@ func TestPublicAPIToponyms(t *testing.T) {
 	}
 }
 
-// TestLinkWithinCacheInvalidation pins the pipeline's engine to the
-// pre-cache semantics: items added to the external graph after a query
-// must be visible to the next view (the incremental-linking flow of
-// examples/fusion), and a caller mutating its comparator slice in place
-// must not be served the engine built for the old comparators.
-func TestLinkWithinCacheInvalidation(t *testing.T) {
+// TestLinkTopKSeesNewItemsAndComparatorEdits: the pipeline keeps its
+// linkage engine across queries, yet an item added to the external
+// graph after a query is linked by the next view (the incremental-linking
+// flow of examples/fusion), and a caller mutating its comparator slice in
+// place is not served the engine built for the old comparators.
+func TestLinkTopKSeesNewItemsAndComparatorEdits(t *testing.T) {
 	ts, se, sl, ol, pn := buildTinyWorld(t)
 	p, err := NewPipeline(LearnerConfig{SupportThreshold: 0.1}, ts, se, sl, ol)
 	if err != nil {

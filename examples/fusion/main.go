@@ -100,17 +100,10 @@ func main() {
 		}
 	}
 
-	// The fused graph serializes to Turtle for the catalog update.
-	fmt.Println("\nfused graph as Turtle:")
-	g := datalink.FusedToGraph(entities)
-	if err := datalink.WriteTurtle(os.Stdout, g, datalink.TurtleWriterOptions{
-		Prefixes: map[string]string{
-			"owl":  "http://www.w3.org/2002/07/owl#",
-			"prop": "http://shop.example/prop/",
-			"cat":  "http://shop.example/catalog/",
-			"prov": "http://provider.example/item/",
-		},
-	}); err != nil {
+	// The fused graph serializes to N-Triples for the catalog update,
+	// the format serve -data and linkrules ingest read.
+	fmt.Println("\nfused graph as N-Triples:")
+	if err := datalink.WriteNTriples(os.Stdout, datalink.FusedToGraph(entities)); err != nil {
 		log.Fatalf("serializing: %v", err)
 	}
 }

@@ -91,10 +91,6 @@ func TestFacadeKeys(t *testing.T) {
 	for _, k := range found {
 		if len(k.Properties) == 1 && k.Properties[0] == PartNumberProperty {
 			sawPN = true
-			bk := KeyBlockingValue(ds.Local, ds.Local.Subjects(RDFType, k.Class)[0], k.Properties)
-			if bk == "" {
-				t.Error("empty blocking key for a covered instance")
-			}
 		}
 	}
 	if !sawPN {

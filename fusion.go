@@ -1,11 +1,6 @@
 package datalink
 
-import (
-	"io"
-
-	"repro/internal/fusion"
-	"repro/internal/rdf"
-)
+import "repro/internal/fusion"
 
 // Fusion types: once items are linked, their descriptions merge into one
 // entity per real-world object (the paper's motivating "data fusion
@@ -43,12 +38,3 @@ func Fuse(pairs [][2]Term, se, sl *Graph, cfg FusionConfig) []FusedEntity {
 // FusedToGraph serializes fused entities back to RDF, including the
 // owl:sameAs links recording each reconciliation.
 func FusedToGraph(entities []FusedEntity) *Graph { return fusion.ToGraph(entities) }
-
-// TurtleWriterOptions configures WriteTurtle.
-type TurtleWriterOptions = rdf.TurtleWriterOptions
-
-// WriteTurtle serializes a graph as Turtle with prefix compaction; the
-// output parses back with ReadTurtle.
-func WriteTurtle(w io.Writer, g *Graph, opts TurtleWriterOptions) error {
-	return rdf.WriteTurtle(w, g, opts)
-}

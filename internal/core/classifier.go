@@ -209,9 +209,10 @@ type InstanceIndex struct {
 	sharedMemo   bool
 }
 
-// NewInstanceIndex scans the rdf:type triples of sl into an index with
-// a private IDTable. Instances get IDs in rdf.Term order, so the IDs of
-// a freshly built index sort like their items.
+// NewInstanceIndex reads the rdf:type objects of every subject of sl
+// into an index with a private IDTable. Class declarations are not
+// instances. The walk follows rdf.Term order, so the IDs of a freshly
+// built index sort like their items.
 func NewInstanceIndex(sl *rdf.Graph, ol *ontology.Ontology) *InstanceIndex {
 	ix := &InstanceIndex{
 		ids:    NewIDTable(),
@@ -219,53 +220,23 @@ func NewInstanceIndex(sl *rdf.Graph, ol *ontology.Ontology) *InstanceIndex {
 		ont:    ol,
 		memo:   map[rdf.Term]IDSet{},
 	}
-	// Class declarations are not instances.
-	typed := func(t rdf.Triple) bool { return t.O != rdf.ClassTerm }
-	n := 0
-	sl.Match(rdf.Term{}, rdf.TypeTerm, rdf.Term{}, func(t rdf.Triple) bool {
-		if typed(t) {
-			n++
+	items := sl.AllSubjects()
+	ix.ids.reserve(len(items))
+	ix.types = make([][]rdf.Term, 0, len(items))
+	for _, item := range items {
+		classes := slices.DeleteFunc(sl.Objects(item, rdf.TypeTerm), func(c rdf.Term) bool {
+			return c == rdf.ClassTerm
+		})
+		if len(classes) == 0 {
+			continue
 		}
-		return true
-	})
-	pairs := make([][2]rdf.Term, 0, n) // (instance, class)
-	sl.Match(rdf.Term{}, rdf.TypeTerm, rdf.Term{}, func(t rdf.Triple) bool {
-		if typed(t) {
-			pairs = append(pairs, [2]rdf.Term{t.S, t.O})
+		id := ix.ids.Assign(item)
+		for _, c := range classes {
+			ix.direct[c] = append(ix.direct[c], id) // ascending IDs
 		}
-		return true
-	})
-	// Sorting pointers spares every comparison a copy of two pairs.
-	sorted := make([]*[2]rdf.Term, len(pairs))
-	for i := range pairs {
-		sorted[i] = &pairs[i]
+		ix.types = append(ix.types, classes)
 	}
-	slices.SortFunc(sorted, func(a, b *[2]rdf.Term) int {
-		if c := a[0].Compare(b[0]); c != 0 {
-			return c
-		}
-		return a[1].Compare(b[1])
-	})
-	insts := 0
-	for i := range sorted {
-		if i == 0 || sorted[i][0] != sorted[i-1][0] {
-			insts++
-		}
-	}
-	ix.ids.reserve(insts)
-	ix.types = make([][]rdf.Term, insts)
-	classes := make([]rdf.Term, len(sorted)) // backs every types entry
-	for i := 0; i < len(sorted); {
-		id := ix.ids.Assign(sorted[i][0])
-		j := i
-		for ; j < len(sorted) && sorted[j][0] == sorted[i][0]; j++ {
-			classes[j] = sorted[j][1]
-			ix.direct[classes[j]] = append(ix.direct[classes[j]], id) // ascending IDs
-		}
-		ix.types[id] = classes[i:j:j]
-		i = j
-	}
-	ix.total = insts
+	ix.total = len(ix.types)
 	return ix
 }
 

@@ -131,6 +131,16 @@ func TestInstanceIndex(t *testing.T) {
 	if ix.Total() != 18 {
 		t.Errorf("Total = %d, want 18", ix.Total())
 	}
+	// A fresh index numbers its items in rdf.Term order.
+	ids := ix.IDs()
+	if ids.Len() != 18 {
+		t.Errorf("IDs().Len() = %d, want 18", ids.Len())
+	}
+	for id := uint32(1); id < uint32(ids.Len()); id++ {
+		if ids.Item(id-1).Compare(ids.Item(id)) >= 0 {
+			t.Errorf("ID %d is %v, after ID %d %v: IDs must follow rdf.Term order", id, ids.Item(id), id-1, ids.Item(id-1))
+		}
+	}
 	if got := instanceCount(ix, clsFFR); got != 10 {
 		t.Errorf("Count(FFR) = %d", got)
 	}
@@ -161,6 +171,9 @@ func TestInstanceIndexIgnoresClassDeclarations(t *testing.T) {
 	ix := NewInstanceIndex(sl, ol)
 	if ix.Total() != 2 {
 		t.Errorf("Total = %d, want 2", ix.Total())
+	}
+	if _, ok := ix.IDs().ID(clsFFR); ok {
+		t.Error("a class declaration got an ID")
 	}
 }
 

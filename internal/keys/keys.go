@@ -206,24 +206,3 @@ func discoverForClass(sl *rdf.Graph, class rdf.Term, instances []rdf.Term, cfg C
 	}
 	return found
 }
-
-// BlockingKey concatenates an item's values for the key's properties,
-// producing the blocking key the related-work partitioning methods need.
-// It returns "" when any property is missing (no block).
-func BlockingKey(g *rdf.Graph, item rdf.Term, properties []rdf.Term) string {
-	parts := make([]string, 0, len(properties))
-	for _, p := range properties {
-		var vs []string
-		for _, o := range g.Objects(item, p) {
-			if o.IsLiteral() {
-				vs = append(vs, o.Value)
-			}
-		}
-		if len(vs) == 0 {
-			return ""
-		}
-		sort.Strings(vs)
-		parts = append(parts, strings.Join(vs, "\x1e"))
-	}
-	return strings.Join(parts, "\x1f")
-}

@@ -156,27 +156,6 @@ func TestDiscoverArity1Only(t *testing.T) {
 	}
 }
 
-func TestBlockingKey(t *testing.T) {
-	g := keyGraph(t)
-	inst := rdf.NewIRI("http://cat/i0")
-	bk := BlockingKey(g, inst, []rdf.Term{color, size})
-	if bk == "" || !strings.Contains(bk, "red") || !strings.Contains(bk, "S") {
-		t.Errorf("BlockingKey = %q", bk)
-	}
-	// Missing property -> no block.
-	if got := BlockingKey(g, inst, []rdf.Term{rdf.NewIRI("http://ex/none")}); got != "" {
-		t.Errorf("BlockingKey with missing property = %q", got)
-	}
-	// Multi-valued properties are order-insensitive.
-	multi := rdf.NewIRI("http://cat/multi")
-	tag := rdf.NewIRI("http://ex/tag")
-	g.Add(rdf.T(multi, tag, rdf.NewLiteral("b")))
-	g.Add(rdf.T(multi, tag, rdf.NewLiteral("a")))
-	if got := BlockingKey(g, multi, []rdf.Term{tag}); got != "a\x1eb" {
-		t.Errorf("multi-value key = %q", got)
-	}
-}
-
 func TestKeyString(t *testing.T) {
 	k := Key{
 		Class:        clsA,

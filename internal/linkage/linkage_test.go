@@ -145,9 +145,10 @@ func linkBest(e *Engine, cands map[rdf.Term][]rdf.Term) []Match {
 	return out
 }
 
-// TestLinkBest: TopK with k = 1 links each item to its best candidate,
-// and an item with no candidate at or above the threshold to nothing.
-func TestLinkBest(t *testing.T) {
+// TestTopKOneLinksBestCandidate: TopK with k = 1 links each item to its
+// best candidate, and an item with no candidate at or above the
+// threshold to nothing.
+func TestTopKOneLinksBestCandidate(t *testing.T) {
 	se, sl := testGraphs(t)
 	cfg := defaultConfig()
 	cfg.Threshold = 0.5

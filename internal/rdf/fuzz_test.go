@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -37,12 +36,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	})
 }
 
-// textSeeds returns fuzz seeds for a text reader: a statement holding a
-// byte that is not UTF-8, and the round-trip fixtures of
-// roundtrip_test.go written by write — every edgeObjects graph and a
-// few random graphs of genGraph.
-func textSeeds(f *testing.F, write func(io.Writer, *Graph) error) [][]byte {
-	seeds := [][]byte{[]byte("<0><0>\"\x80\".")}
+// FuzzNTriples feeds arbitrary bytes to the N-Triples reader. It must
+// never panic, and a graph it accepts must survive WriteNTriples and
+// ReadNTriples unchanged. The seeds are a statement holding a byte that
+// is not UTF-8, and the round-trip fixtures of roundtrip_test.go: every
+// edgeObjects graph and a few random graphs of genGraph.
+func FuzzNTriples(f *testing.F) {
+	f.Add([]byte("<0><0>\"\x80\"."))
 	graphs := []*Graph{}
 	for _, tc := range edgeObjects {
 		graphs = append(graphs, edgeGraph(tc.o))
@@ -53,53 +53,26 @@ func textSeeds(f *testing.F, write func(io.Writer, *Graph) error) [][]byte {
 	}
 	for _, g := range graphs {
 		var b bytes.Buffer
-		if err := write(&b, g); err != nil {
+		if err := WriteNTriples(&b, g); err != nil {
 			f.Fatal(err)
 		}
-		seeds = append(seeds, b.Bytes())
-	}
-	return seeds
-}
-
-// fuzzTextRoundTrip is the invariant of the text reader fuzz targets:
-// read must not panic, and a graph it accepts must survive write and
-// read unchanged.
-func fuzzTextRoundTrip(t *testing.T, data []byte, read func(io.Reader) (*Graph, error), write func(io.Writer, *Graph) error) {
-	g, err := read(bytes.NewReader(data))
-	if err != nil {
-		return
-	}
-	var buf bytes.Buffer
-	if err := write(&buf, g); err != nil {
-		t.Fatalf("writing a read graph: %v", err)
-	}
-	g2, err := read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("reading a written graph: %v\n%s", err, buf.Bytes())
-	}
-	if !graphsEqual(g, g2) {
-		t.Fatalf("round trip changed the graph:\nwrote %q\nfirst  %v\nsecond %v", buf.Bytes(), g.Triples(), g2.Triples())
-	}
-}
-
-// FuzzNTriples feeds arbitrary bytes to the N-Triples reader.
-func FuzzNTriples(f *testing.F) {
-	for _, b := range textSeeds(f, WriteNTriples) {
-		f.Add(b)
+		f.Add(b.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzTextRoundTrip(t, data, ReadNTriples, WriteNTriples)
-	})
-}
-
-// FuzzTurtle feeds arbitrary bytes to the Turtle reader.
-func FuzzTurtle(f *testing.F) {
-	writeTurtle := func(w io.Writer, g *Graph) error { return WriteTurtle(w, g, TurtleWriterOptions{}) }
-	for _, b := range textSeeds(f, writeTurtle) {
-		f.Add(b)
-	}
-	f.Add([]byte(anonAfterLabelled))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzTextRoundTrip(t, data, ReadTurtle, writeTurtle)
+		g, err := ReadNTriples(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteNTriples(&buf, g); err != nil {
+			t.Fatalf("writing a read graph: %v", err)
+		}
+		g2, err := ReadNTriples(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("reading a written graph: %v\n%s", err, buf.Bytes())
+		}
+		if !graphsEqual(g, g2) {
+			t.Fatalf("round trip changed the graph:\nwrote %q\nfirst  %v\nsecond %v", buf.Bytes(), g.Triples(), g2.Triples())
+		}
 	})
 }

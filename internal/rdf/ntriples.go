@@ -72,24 +72,18 @@ func (nr *NTriplesReader) Next() (Triple, error) {
 	return Triple{}, nr.err
 }
 
-// checkUTF8 returns a *ParseError at the first byte of b that is not
-// valid UTF-8, with b's first byte at line line, column 1, or nil when b
-// is valid. RDF text is UTF-8, and a term holding an invalid byte would
-// not survive a write: the writers would put it out as U+FFFD.
-func checkUTF8(b []byte, line int) error {
-	if utf8.Valid(b) {
+// checkUTF8 returns a *ParseError at the first byte of line that is not
+// valid UTF-8, or nil when line is valid. RDF text is UTF-8, and a term
+// holding an invalid byte would not survive a write: the writer would
+// put it out as U+FFFD.
+func checkUTF8(line []byte, lineNo int) error {
+	if utf8.Valid(line) {
 		return nil
 	}
-	col := 1
-	for i := 0; i < len(b); {
-		r, n := utf8.DecodeRune(b[i:])
-		switch {
-		case r == utf8.RuneError && n == 1:
-			return &ParseError{Line: line, Col: col, Msg: "invalid UTF-8"}
-		case b[i] == '\n':
-			line, col = line+1, 1
-		default:
-			col += n
+	for i := 0; i < len(line); {
+		r, n := utf8.DecodeRune(line[i:])
+		if r == utf8.RuneError && n == 1 {
+			return &ParseError{Line: lineNo, Col: i + 1, Msg: "invalid UTF-8"}
 		}
 		i += n
 	}
@@ -337,7 +331,7 @@ func decodeEscape(s string) (rune, int, error) {
 
 // unescapeIRI resolves the \uXXXX and \UXXXXXXXX escapes of an IRI.
 // An escape may not stand for a character the IRIREF production
-// excludes (controls, space and <>"{}|^`\): the writers put IRIs out
+// excludes (controls, space and <>"{}|^`\): the writer puts IRIs out
 // unescaped, so such a character would not read back as itself.
 func unescapeIRI(s string) (string, error) {
 	if !strings.Contains(s, "\\") {
@@ -362,29 +356,6 @@ func unescapeIRI(s string) (string, error) {
 		}
 		b.WriteRune(r)
 		i += n
-	}
-	return b.String(), nil
-}
-
-// unescapeUCHAR resolves every string escape in s, as a long Turtle
-// literal holds them.
-func unescapeUCHAR(s string) (string, error) {
-	if !strings.Contains(s, "\\") {
-		return s, nil
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] == '\\' {
-			r, n, err := decodeEscape(s[i:])
-			if err != nil {
-				return "", err
-			}
-			b.WriteRune(r)
-			i += n
-			continue
-		}
-		b.WriteByte(s[i])
-		i++
 	}
 	return b.String(), nil
 }

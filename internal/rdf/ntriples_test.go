@@ -155,3 +155,26 @@ func TestWriteNTriplesDeterministic(t *testing.T) {
 		t.Error("two serializations of the same graph differ")
 	}
 }
+
+// errWriter fails after n bytes, for failure-injection tests.
+type errWriter struct{ n int }
+
+func (w *errWriter) Write(p []byte) (int, error) {
+	if w.n <= 0 {
+		return 0, errors.New("injected write failure")
+	}
+	if len(p) > w.n {
+		n := w.n
+		w.n = 0
+		return n, errors.New("injected write failure")
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+func TestWriteNTriplesWriterFailure(t *testing.T) {
+	g := sampleGraph(t)
+	if err := WriteNTriples(&errWriter{n: 10}, g); err == nil {
+		t.Error("write failure not propagated")
+	}
+}

@@ -3,17 +3,16 @@ package rdf
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// Property tests for the text codecs: random graphs whose terms exercise
+// Property tests for the text codec: random graphs whose terms exercise
 // lang tags, datatypes, multi-byte runes, string escapes and blank nodes
-// must survive WriteNTriples→ReadNTriples and WriteTurtle→ReadTurtle
-// unchanged. The binary codec's equivalence test builds on the same
-// generators, so these ground both serialization paths.
+// must survive WriteNTriples→ReadNTriples unchanged. The binary codec's
+// equivalence test builds on the same generators, so these ground both
+// serialization paths.
 
 func TestNTriplesRoundTripRichTerms(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
@@ -27,26 +26,6 @@ func TestNTriplesRoundTripRichTerms(t *testing.T) {
 		got, err := ReadNTriples(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("round %d: read: %v\n%s", round, err, text)
-		}
-		if !graphsEqual(g, got) {
-			t.Fatalf("round %d: round trip changed the graph\nwrote:\n%s\nwant %v\ngot  %v",
-				round, text, g.Triples(), got.Triples())
-		}
-	}
-}
-
-func TestTurtleRoundTripRichTerms(t *testing.T) {
-	rng := rand.New(rand.NewSource(777))
-	for round := 0; round < 50; round++ {
-		g := genGraph(rng, 1+rng.Intn(80))
-		var buf bytes.Buffer
-		if err := WriteTurtle(&buf, g, TurtleWriterOptions{}); err != nil {
-			t.Fatalf("round %d: write: %v", round, err)
-		}
-		text := buf.String()
-		got, err := ReadTurtle(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("round %d: parse: %v\n%s", round, err, text)
 		}
 		if !graphsEqual(g, got) {
 			t.Fatalf("round %d: round trip changed the graph\nwrote:\n%s\nwant %v\ngot  %v",
@@ -101,46 +80,28 @@ func TestTextCodecsEdgeTerms(t *testing.T) {
 			if !graphsEqual(g, fromNT) {
 				t.Errorf("n-triples round trip changed the graph:\n%s", nt.String())
 			}
-
-			var ttl bytes.Buffer
-			if err := WriteTurtle(&ttl, g, TurtleWriterOptions{}); err != nil {
-				t.Fatalf("turtle write: %v", err)
-			}
-			fromTTL, err := ReadTurtle(bytes.NewReader(ttl.Bytes()))
-			if err != nil {
-				t.Fatalf("turtle parse: %v\n%s", err, ttl.String())
-			}
-			if !graphsEqual(g, fromTTL) {
-				t.Errorf("turtle round trip changed the graph:\n%s", ttl.String())
-			}
 		})
 	}
 }
 
-// TestReadersRejectInvalidUTF8 feeds both text readers a statement with
-// a byte that is not UTF-8 on its second line. Each must fail with a
+// TestReadersRejectInvalidUTF8 feeds the N-Triples reader a statement
+// with a byte that is not UTF-8 on its second line. It must fail with a
 // *ParseError naming that line and column: a literal holding the byte
 // would be written back as U+FFFD.
 func TestReadersRejectInvalidUTF8(t *testing.T) {
 	input := "<http://ex.org/s> <http://ex.org/p> \"ok\" .\n<0> <0> \"\x80\" .\n"
-	readers := map[string]func(io.Reader) (*Graph, error){
-		"n-triples": ReadNTriples,
-		"turtle":    ReadTurtle,
+	_, err := ReadNTriples(strings.NewReader(input))
+	var pe *ParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *ParseError", err)
 	}
-	for name, read := range readers {
-		_, err := read(strings.NewReader(input))
-		var pe *ParseError
-		if !errors.As(err, &pe) {
-			t.Fatalf("%s: err = %v, want a *ParseError", name, err)
-		}
-		if pe.Line != 2 || pe.Col != 10 {
-			t.Errorf("%s: error at line %d col %d, want line 2 col 10: %v", name, pe.Line, pe.Col, err)
-		}
+	if pe.Line != 2 || pe.Col != 10 {
+		t.Errorf("error at line %d col %d, want line 2 col 10: %v", pe.Line, pe.Col, err)
 	}
 }
 
-// TestReadersRejectEscapesThatCannotRoundTrip pins the escapes both
-// readers reject because the writers could not put the decoded
+// TestReadersRejectEscapesThatCannotRoundTrip pins the escapes the
+// N-Triples reader rejects because the writer could not put the decoded
 // character back out as itself: a surrogate, which is no character, and
 // an IRI escape standing for a character that IRIs exclude.
 func TestReadersRejectEscapesThatCannotRoundTrip(t *testing.T) {
@@ -156,9 +117,6 @@ func TestReadersRejectEscapesThatCannotRoundTrip(t *testing.T) {
 	} {
 		if _, err := ReadNTriples(strings.NewReader(stmt)); err == nil {
 			t.Errorf("ReadNTriples(%q) succeeded, want an error", stmt)
-		}
-		if _, err := ReadTurtle(strings.NewReader(stmt)); err == nil {
-			t.Errorf("ReadTurtle(%q) succeeded, want an error", stmt)
 		}
 	}
 	// An escape for a character IRIs allow still decodes.

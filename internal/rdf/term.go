@@ -1,7 +1,7 @@
 // Package rdf implements the RDF substrate the linking pipeline runs on: a
 // term model (IRIs, literals, blank nodes), triples, an in-memory triple
-// store indexed by subject, and readers/writers for N-Triples and a
-// Turtle subset.
+// store indexed by subject, the N-Triples reader and writer, and a
+// binary snapshot codec.
 //
 // The package is deliberately self-contained and stdlib-only. Terms are
 // small comparable value types so they can be used directly as map keys,
@@ -92,25 +92,6 @@ func (t Term) IsIRI() bool { return t.Kind == IRIKind }
 
 // IsLiteral reports whether t is a literal.
 func (t Term) IsLiteral() bool { return t.Kind == LiteralKind }
-
-// IsBlank reports whether t is a blank node.
-func (t Term) IsBlank() bool { return t.Kind == BlankKind }
-
-// DatatypeIRI returns the effective datatype of a literal: the explicit
-// datatype, rdf:langString for language-tagged literals, or xsd:string.
-// It returns "" for non-literals.
-func (t Term) DatatypeIRI() string {
-	if t.Kind != LiteralKind {
-		return ""
-	}
-	if t.Lang != "" {
-		return "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
-	}
-	if t.Datatype == "" {
-		return XSDString
-	}
-	return t.Datatype
-}
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {

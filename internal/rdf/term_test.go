@@ -43,24 +43,6 @@ func TestTypedLiteralXSDStringNormalized(t *testing.T) {
 	}
 }
 
-func TestTermDatatypeIRI(t *testing.T) {
-	tests := []struct {
-		term Term
-		want string
-	}{
-		{NewLiteral("a"), XSDString},
-		{NewTypedLiteral("1", XSDInteger), XSDInteger},
-		{NewLangLiteral("a", "en"), "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"},
-		{NewIRI("http://ex.org"), ""},
-		{NewBlank("b"), ""},
-	}
-	for _, tc := range tests {
-		if got := tc.term.DatatypeIRI(); got != tc.want {
-			t.Errorf("DatatypeIRI(%v) = %q, want %q", tc.term, got, tc.want)
-		}
-	}
-}
-
 func TestTermStringEscaping(t *testing.T) {
 	lit := NewLiteral("line1\nline2\t\"quoted\"\\slash")
 	want := `"line1\nline2\t\"quoted\"\\slash"`
@@ -83,7 +65,7 @@ func TestTermCompareTotalOrder(t *testing.T) {
 	if !sorted[0].IsIRI() || !sorted[1].IsIRI() {
 		t.Fatalf("IRIs must sort first: %v", sorted)
 	}
-	if !sorted[len(sorted)-1].IsBlank() {
+	if sorted[len(sorted)-1].Kind != BlankKind {
 		t.Fatalf("blanks must sort last: %v", sorted)
 	}
 	for i := range sorted {

@@ -9,19 +9,15 @@ const (
 	// RDFS namespace.
 	RDFSLabel      = "http://www.w3.org/2000/01/rdf-schema#label"
 	RDFSSubClassOf = "http://www.w3.org/2000/01/rdf-schema#subClassOf"
-	RDFSComment    = "http://www.w3.org/2000/01/rdf-schema#comment"
 
 	// OWL namespace.
 	OWLClass        = "http://www.w3.org/2002/07/owl#Class"
 	OWLSameAs       = "http://www.w3.org/2002/07/owl#sameAs"
 	OWLDisjointWith = "http://www.w3.org/2002/07/owl#disjointWith"
-	OWLThing        = "http://www.w3.org/2002/07/owl#Thing"
 
 	// XSD datatypes beyond xsd:string (declared in term.go).
 	XSDInteger = "http://www.w3.org/2001/XMLSchema#integer"
 	XSDDecimal = "http://www.w3.org/2001/XMLSchema#decimal"
-	XSDDouble  = "http://www.w3.org/2001/XMLSchema#double"
-	XSDBoolean = "http://www.w3.org/2001/XMLSchema#boolean"
 )
 
 // Convenience terms for the vocabulary above.
@@ -32,7 +28,6 @@ var (
 	ClassTerm        = NewIRI(OWLClass)
 	SameAsTerm       = NewIRI(OWLSameAs)
 	DisjointWithTerm = NewIRI(OWLDisjointWith)
-	ThingTerm        = NewIRI(OWLThing)
 )
 
 // TypesOf returns the classes asserted for subject s via rdf:type, sorted.

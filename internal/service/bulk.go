@@ -347,7 +347,7 @@ func (s *Service) handleBulk(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, context.DeadlineExceeded):
 			code, reason = http.StatusServiceUnavailable, reasonTimeout
 			s.res.timeouts.Inc()
-			retryAfterHeader(w, s.res.opts.RetryAfter)
+			retryAfterHeader(w, retryAfter)
 		case errors.Is(err, context.Canceled):
 			code = 499 // client closed request
 		}

@@ -511,7 +511,7 @@ func (s *Service) handleLink(w http.ResponseWriter, r *http.Request) {
 			// overload shedding, not a client problem, so tell the client
 			// when to come back.
 			s.res.timeouts.Inc()
-			retryAfterHeader(w, s.res.opts.RetryAfter)
+			retryAfterHeader(w, retryAfter)
 			writeErrReason(w, http.StatusServiceUnavailable, reasonTimeout,
 				"scoring exceeded the request deadline: %v", err)
 		case errors.Is(err, context.Canceled):
@@ -562,7 +562,7 @@ func (s *Service) handleAdminSnapshot(w http.ResponseWriter, _ *http.Request) {
 	stats, err := s.Checkpoint()
 	switch {
 	case errors.Is(err, ErrCheckpointBusy):
-		retryAfterHeader(w, s.res.opts.RetryAfter)
+		retryAfterHeader(w, retryAfter)
 		writeErrReason(w, http.StatusConflict, reasonBusy, "%v", err)
 		return
 	case errors.Is(err, ErrNotDurable):

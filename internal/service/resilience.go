@@ -68,8 +68,6 @@ type ResilienceOptions struct {
 	// StrictAuth rejects unauthenticated requests with 401 instead of
 	// routing them to the shared anonymous bucket. Requires APIKeys.
 	StrictAuth bool
-	// RetryAfter is the hint sent with 429/503 rejections; 0 means 1s.
-	RetryAfter time.Duration
 	// Clock substitutes the rate limiter's time source in tests; nil
 	// means time.Now.
 	Clock func() time.Time
@@ -77,6 +75,10 @@ type ResilienceOptions struct {
 
 // anonKey is the bucket key unauthenticated clients share.
 const anonKey = ""
+
+// retryAfter is the Retry-After hint of every rejection except a rate
+// limit's, which computes its own wait.
+const retryAfter = time.Second
 
 // resilience is the middleware's runtime state. Its counters and the
 // in-flight gauge are obs instruments: /v1/status reads their values,
@@ -124,9 +126,6 @@ func newResilience(opts ResilienceOptions, met *serviceMetrics, accessLog *slog.
 	}
 	if opts.MaxInFlight > 0 {
 		rz.sem = make(chan struct{}, opts.MaxInFlight)
-	}
-	if opts.RetryAfter <= 0 {
-		rz.opts.RetryAfter = time.Second
 	}
 	rz.burst = float64(opts.Burst)
 	if rz.burst <= 0 {
@@ -290,7 +289,7 @@ func (rz *resilience) wrap(next http.Handler) http.Handler {
 		}
 		if !rz.acquire() {
 			rz.rejectedOverload.Inc()
-			retryAfterHeader(sw, rz.opts.RetryAfter)
+			retryAfterHeader(sw, retryAfter)
 			writeErrReason(sw, http.StatusTooManyRequests,
 				reasonOverloaded, "server at capacity (%d requests in flight)", rz.opts.MaxInFlight)
 			return
@@ -305,7 +304,7 @@ func (rz *resilience) wrap(next http.Handler) http.Handler {
 				// answering (handlers that classify the error themselves,
 				// like /v1/link, have written 503 already and count below).
 				rz.timeouts.Inc()
-				retryAfterHeader(sw, rz.opts.RetryAfter)
+				retryAfterHeader(sw, retryAfter)
 				writeErrReason(sw, http.StatusServiceUnavailable,
 					reasonTimeout, "request exceeded the %s server deadline", d)
 			}

@@ -207,10 +207,6 @@ func New(se, sl *datalink.Graph, ol *datalink.Ontology, opts Options) *Service {
 	return s
 }
 
-// Flight returns the service's flight recorder, for embedding callers
-// that want to query retained requests programmatically.
-func (s *Service) Flight() *obs.FlightRecorder { return s.flight }
-
 // Metrics returns the registry behind GET /metrics, for embedding
 // callers that scrape or extend it programmatically.
 func (s *Service) Metrics() *obs.Registry { return s.reg }

@@ -17,7 +17,7 @@ type FsyncMode int
 
 const (
 	// FsyncInterval flushes on every append and fsyncs on a background
-	// timer (default 100ms): bounded data loss at near-"never" append
+	// timer every fsyncPeriod: bounded data loss at near-"never" append
 	// latency. The default.
 	FsyncInterval FsyncMode = iota
 	// FsyncNever leaves syncing to the OS page cache (and to rotation,
@@ -55,12 +55,13 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 	}
 }
 
+// fsyncPeriod is the background timer period of FsyncInterval.
+const fsyncPeriod = 100 * time.Millisecond
+
 // Options configures a Store.
 type Options struct {
 	// Fsync is the WAL durability policy.
 	Fsync FsyncMode
-	// FsyncInterval is the timer period for FsyncInterval; 0 means 100ms.
-	FsyncInterval time.Duration
 	// SnapshotEvery is how many WAL records may accumulate before
 	// SnapshotDue reports true; 0 means 1024, negative disables automatic
 	// checkpoints (explicit ones still work).
@@ -77,9 +78,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 100 * time.Millisecond
-	}
 	if o.FS == nil {
 		o.FS = OSFS()
 	}
@@ -614,7 +612,7 @@ func (s *Store) Sync() error {
 // acknowledging further writes would be lying.
 func (s *Store) fsyncLoop() {
 	defer close(s.fsyncDone)
-	t := time.NewTicker(s.opts.FsyncInterval)
+	t := time.NewTicker(fsyncPeriod)
 	defer t.Stop()
 	for {
 		select {

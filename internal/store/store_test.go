@@ -670,7 +670,7 @@ func TestStoreFsyncModes(t *testing.T) {
 	for _, mode := range []FsyncMode{FsyncNever, FsyncInterval, FsyncAlways} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			st, _ := openStore(t, dir, Options{Fsync: mode, FsyncInterval: 5 * 1e6 /* 5ms */})
+			st, _ := openStore(t, dir, Options{Fsync: mode})
 			for i := 0; i < 20; i++ {
 				if _, err := st.Append(upsertRec(i)); err != nil {
 					t.Fatal(err)

@@ -15,9 +15,3 @@ type KeyConfig = keys.Config
 func DiscoverKeys(sl *Graph, classes []Term, cfg KeyConfig) []Key {
 	return keys.Discover(sl, classes, cfg)
 }
-
-// KeyBlockingValue concatenates an item's values for a key's properties
-// into a blocking key ("" when a property is missing).
-func KeyBlockingValue(g *Graph, item Term, properties []Term) string {
-	return keys.BlockingKey(g, item, properties)
-}
