@@ -475,16 +475,20 @@ func TestFirstLearnAllocation(t *testing.T) {
 // pairsScoredItems held-out items of paperCorpus to score, per item, of
 // about 11,000 candidates each. Bounded by rune length alone, the engine
 // scored 5,409 per item there; bounded by rune-count sketches, it scores
-// 304.
+// 304. boundsPerItem bounds the bound evaluations, the pairs scored plus
+// those pruned by their own bound: with a bound for every candidate
+// they were about 11,150 per item; walking length bands, about 5,200.
 const (
 	pairsScoredItems   = 500
 	pairsScoredPerItem = 400
+	boundsPerItem      = 6000
 )
 
 // TestLinkTopKPairsScored links the first pairsScoredItems held-out
 // items of paperPipeline through QueryView.LinkTopK at top 3 with the
 // default linker, as a /v1/link request does, and bounds the pairs
-// scored that its trace counts.
+// scored and the bound evaluations that its trace counts. Every
+// candidate must be counted once: scored, pruned or skipped.
 func TestLinkTopKPairsScored(t *testing.T) {
 	p, _, _, held := paperPipeline(t)
 	items := make([]Term, pairsScoredItems)
@@ -496,10 +500,18 @@ func TestLinkTopKPairsScored(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands, scored := traceCount(tr, CountLinkCandidates), traceCount(tr, CountLinkPairsScored)
-	t.Logf("%d items: %d candidates, %d pairs scored (%.1f per item, %.2f%%)",
-		len(items), cands, scored, float64(scored)/float64(len(items)), 100*float64(scored)/float64(cands))
+	pruned, skipped := traceCount(tr, CountLinkPairsPruned), traceCount(tr, CountLinkPairsSkipped)
+	t.Logf("%d items: %d candidates, %d pairs scored (%.1f per item, %.2f%%), %d bound evaluations (%.1f per item), %d skipped",
+		len(items), cands, scored, float64(scored)/float64(len(items)), 100*float64(scored)/float64(cands),
+		scored+pruned, float64(scored+pruned)/float64(len(items)), skipped)
 	if scored > pairsScoredItems*pairsScoredPerItem {
 		t.Errorf("%d items scored %d pairs, want at most %d per item", len(items), scored, pairsScoredPerItem)
+	}
+	if scored+pruned > pairsScoredItems*boundsPerItem {
+		t.Errorf("%d items evaluated %d bounds, want at most %d per item", len(items), scored+pruned, boundsPerItem)
+	}
+	if scored+pruned+skipped != cands {
+		t.Errorf("scored %d + pruned %d + skipped %d != %d candidates", scored, pruned, skipped, cands)
 	}
 }
 
@@ -518,7 +530,9 @@ func traceCount(tr *obs.Trace, name string) int64 {
 // is one held-out item of paperPipeline through QueryView.LinkTopK with
 // top 3 and the default linker, the items taken in turn. With the timer
 // stopped, it links the same items once more under an obs.Trace and
-// reports the candidate pairs they scored per op.
+// reports per op the candidate pairs they scored, the bound evaluations
+// (scored plus pruned) and the candidates skipped with their length
+// band.
 func BenchmarkLinkTopK(b *testing.B) {
 	p, _, _, held := paperPipeline(b)
 	cfg := DefaultLinkingConfig()
@@ -539,7 +553,10 @@ func BenchmarkLinkTopK(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(traceCount(tr, CountLinkPairsScored))/float64(b.N), "pairs_scored/op")
+	scored, pruned := traceCount(tr, CountLinkPairsScored), traceCount(tr, CountLinkPairsPruned)
+	b.ReportMetric(float64(scored)/float64(b.N), "pairs_scored/op")
+	b.ReportMetric(float64(scored+pruned)/float64(b.N), "bounds/op")
+	b.ReportMetric(float64(traceCount(tr, CountLinkPairsSkipped))/float64(b.N), "skipped/op")
 }
 
 // BenchmarkRelearn is a relearn as the service pays it after its first

@@ -212,7 +212,9 @@ type InstanceIndex struct {
 // NewInstanceIndex reads the rdf:type objects of every subject of sl
 // into an index with a private IDTable. Class declarations are not
 // instances. The walk follows rdf.Term order, so the IDs of a freshly
-// built index sort like their items.
+// built index sort like their items. Items with the same class set
+// share one types slice, which is safe because UpsertInstance replaces
+// a types entry and never writes into one.
 func NewInstanceIndex(sl *rdf.Graph, ol *ontology.Ontology) *InstanceIndex {
 	ix := &InstanceIndex{
 		ids:    NewIDTable(),
@@ -223,13 +225,28 @@ func NewInstanceIndex(sl *rdf.Graph, ol *ontology.Ontology) *InstanceIndex {
 	items := sl.AllSubjects()
 	ix.ids.reserve(len(items))
 	ix.types = make([][]rdf.Term, 0, len(items))
+	var buf []rdf.Term                  // the current item's classes, reused
+	sets := map[rdf.Term][][]rdf.Term{} // the distinct class sets, by first class
+	collect := func(t rdf.Triple) bool {
+		if t.O != rdf.ClassTerm {
+			buf = append(buf, t.O)
+		}
+		return true
+	}
 	for _, item := range items {
-		classes := slices.DeleteFunc(sl.Objects(item, rdf.TypeTerm), func(c rdf.Term) bool {
-			return c == rdf.ClassTerm
-		})
-		if len(classes) == 0 {
+		buf = buf[:0]
+		sl.Match(item, rdf.TypeTerm, rdf.Term{}, collect)
+		if len(buf) == 0 {
 			continue
 		}
+		slices.SortFunc(buf, rdf.Term.Compare)
+		same := sets[buf[0]]
+		i := slices.IndexFunc(same, func(set []rdf.Term) bool { return slices.Equal(set, buf) })
+		if i < 0 {
+			i = len(same)
+			sets[buf[0]] = append(same, slices.Clone(buf))
+		}
+		classes := sets[buf[0]][i]
 		id := ix.ids.Assign(item)
 		for _, c := range classes {
 			ix.direct[c] = append(ix.direct[c], id) // ascending IDs
@@ -549,6 +566,9 @@ func (sr SpaceReport) Candidates() IDSet { return sr.cands }
 // are cheap and the expert may want to see them).
 func Space(item rdf.Term, preds []Prediction, ix *InstanceIndex) SpaceReport {
 	sr := SpaceReport{Item: item, CatalogSize: ix.Total()}
+	if len(preds) > 0 {
+		sr.Subspaces = make([]Subspace, 0, len(preds))
+	}
 	for i, pr := range preds {
 		set := ix.set(pr.Class)
 		sr.Subspaces = append(sr.Subspaces, Subspace{

@@ -62,13 +62,17 @@ func (e *Engine) ApplyPatches(patches []IndexPatch) {
 				if !p.Remove {
 					vals = ix.localValues(ci, item)
 				}
-				if vals == nil && ix.cols[ci].get(id) == nil {
+				old := ix.cols[ci].get(id)
+				if vals == nil && old == nil {
 					continue // nothing indexed, nothing to drop
 				}
 				if id == noID {
 					id = ix.ids.Assign(item)
 				}
 				ix.cols[ci].set(ix.mut, id, vals)
+				if ci == ix.band {
+					ix.bands.move(ix.mut, id, old, vals)
+				}
 			}
 		}
 	}
@@ -79,11 +83,11 @@ func (e *Engine) ApplyPatches(patches []IndexPatch) {
 // (rdf.Graph.Snapshot, so the same one a caller snapshotting that graph
 // at the same moment gets), reads a snapshot of the ID table (the same
 // one the instance index sharing the table hands out), and shares the
-// value columns, which the writer copies page by page before writing
-// again. The snapshot is safe for any number of concurrent readers
-// while the writer keeps patching; Snapshot itself must be serialized
-// with ApplyPatches and with mutations of the graphs and the table. The
-// snapshot of a snapshot is itself.
+// value columns and length bands, which the writer copies page by page
+// before writing again. The snapshot is safe for any number of
+// concurrent readers while the writer keeps patching; Snapshot itself
+// must be serialized with ApplyPatches and with mutations of the graphs
+// and the table. The snapshot of a snapshot is itself.
 func (e *Engine) Snapshot() *Engine {
 	ix := e.ix
 	if ix.mut == nil {
@@ -95,6 +99,8 @@ func (e *Engine) Snapshot() *Engine {
 		se:          ix.se,
 		ids:         ix.ids.Snapshot(),
 		cols:        slices.Clone(ix.cols),
+		band:        ix.band,
+		bands:       ix.bands,
 	}
 	if snap.se != nil {
 		snap.se = snap.se.Snapshot()

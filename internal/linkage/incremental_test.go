@@ -204,7 +204,8 @@ type published struct {
 // items, changing external items, and patching. Each reader's answer
 // must equal the answer of a linkage.New engine built on the graph
 // snapshots published with that engine snapshot. Under -race it is
-// also the proof that nothing a snapshot reads is written afterwards.
+// also the proof that nothing a snapshot reads is written afterwards,
+// the length bands that TopKIDs walks included.
 func TestConcurrentQueryUnderUpdate(t *testing.T) {
 	se, sl, pairs, cands := seededGraphs(54, 80, 60)
 	cfg := incrementalConfig()
@@ -266,14 +267,22 @@ func TestConcurrentQueryUnderUpdate(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				switch r % 3 {
+				switch r % 4 {
 				case 0:
 					check("best per item", linkBest(b.eng, cands), linkBest(ref, cands))
 				case 1:
 					check("ScorePairs", b.eng.ScorePairs(pairs), ref.ScorePairs(pairs))
-				default:
+				case 2:
 					for ext, locs := range cands {
 						check("TopK", b.eng.TopK(ext, locs, 3), ref.TopK(ext, locs, 3))
+						break
+					}
+				default: // the band walk over every ID of the snapshot
+					all := allIDs(b.eng)
+					locs := b.eng.ix.ids.Items(all)
+					for ext := range cands {
+						got, _ := b.eng.TopKIDs(ext, all, 3)
+						check("TopKIDs", got, ref.TopK(ext, locs, 3))
 						break
 					}
 				}

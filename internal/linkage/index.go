@@ -67,6 +67,22 @@ func compileComparators(cfg Config) []compiledComparator {
 	return comps
 }
 
+// bandedComparator returns the comparator whose column is split into
+// length bands: the heaviest whose measure is an edit distance, the
+// first of equal weight, or -1 when no measure is one.
+func bandedComparator(cfg Config) int {
+	band := -1
+	for i, cmp := range cfg.Comparators {
+		switch cmp.Measure.(type) {
+		case similarity.Levenshtein, similarity.Damerau:
+			if band < 0 || cmp.Weight > cfg.Comparators[band].Weight {
+				band = i
+			}
+		}
+	}
+	return band
+}
+
 // derive returns s as a value of this comparator. An external value, the
 // left-hand side of every pair, gets the form the measure scores from; a
 // local value gets only what the measure reads from the right-hand side.
@@ -148,10 +164,11 @@ func (c *compiledComparator) bound(evs, lvs []value) float64 {
 type mutToken struct{ _ byte }
 
 // A column splits into pages of pageSize consecutive IDs, so that the
-// one copy a write pays after a snapshot covers 256 items. pageSize
-// must be a power of two.
+// one copy a write pays after a snapshot covers 128 items: about 6 KB
+// on the banded column, values and sketches. pageSize must be a power
+// of two of at least 64, so that a word of an ID set lies in one page.
 const (
-	pageBits = 8
+	pageBits = 7
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
 )
@@ -161,10 +178,14 @@ const (
 const noID = ^uint32(0)
 
 // page holds the local values of pageSize consecutive IDs under one
-// comparator, owned by the token that may write it.
+// comparator, owned by the token that may write it. On the banded
+// comparator's column it also holds the sketch column: per ID the
+// sketch of its value when it has exactly one, so that the band walk
+// reads a candidate's bound from one flat array.
 type page struct {
-	owner *mutToken
-	vals  [pageSize][]value
+	owner  *mutToken
+	vals   [pageSize][]value
+	sketch []similarity.Sketch // len pageSize on the banded column, else nil
 }
 
 // column is one comparator's local values, indexed by catalog ID: an
@@ -175,6 +196,18 @@ type page struct {
 type column struct {
 	owner *mutToken // owns the pages slice itself
 	pages []*page
+	// sketched is set on the banded comparator's column, whose pages
+	// hold a sketch column.
+	sketched bool
+}
+
+// newPage returns an empty page owned by tok.
+func (c *column) newPage(tok *mutToken) *page {
+	pg := &page{owner: tok}
+	if c.sketched {
+		pg.sketch = make([]similarity.Sketch, pageSize)
+	}
+	return pg
 }
 
 // get returns the values of id.
@@ -193,22 +226,40 @@ func (c *column) set(tok *mutToken, id uint32, vals []value) {
 	}
 	p := int(id >> pageBits)
 	for len(c.pages) <= p {
-		c.pages = append(c.pages, &page{owner: tok})
+		c.pages = append(c.pages, c.newPage(tok))
 	}
-	if pg := c.pages[p]; pg.owner != tok {
+	pg := c.pages[p]
+	if pg.owner != tok {
 		cp := *pg
 		cp.owner = tok
-		c.pages[p] = &cp
+		cp.sketch = slices.Clone(pg.sketch)
+		pg = &cp
+		c.pages[p] = pg
 	}
-	c.pages[p].vals[id&pageMask] = vals
+	pg.vals[id&pageMask] = vals
+	pg.setSketch(id, vals)
+}
+
+// setSketch records id's sketch in the page's sketch column, if it has
+// one: the sketch of its value when it has exactly one, else zero.
+func (pg *page) setSketch(id uint32, vals []value) {
+	if pg.sketch == nil {
+		return
+	}
+	var k similarity.Sketch
+	if len(vals) == 1 {
+		k = vals[0].sketch
+	}
+	pg.sketch[id&pageMask] = k
 }
 
 // build indexes every comparator's local values into its column,
 // walking the ID table in ID order and reading each item's literals by
-// subject, so columns fill sequentially. A numbered engine first gives
-// an ID to every local item that has a value and none yet, in rdf.Term
-// order, so that the IDs do not depend on map iteration; otherwise only
-// the items the table knows are indexed.
+// subject, so columns fill sequentially, and files the banded
+// comparator's items into its length bands. A numbered engine first
+// gives an ID to every local item that has a value and none yet, in
+// rdf.Term order, so that the IDs do not depend on map iteration;
+// otherwise only the items the table knows are indexed.
 func (ix *index) build(sl *rdf.Graph) {
 	var objs []rdf.Term // reused for every item's values
 	if sl != nil && ix.numbered {
@@ -229,9 +280,9 @@ func (ix *index) build(sl *rdf.Graph) {
 	ix.cols = make([]column, len(ix.comps))
 	for ci := range ix.comps {
 		c := &ix.comps[ci]
-		col := column{owner: ix.mut, pages: make([]*page, npages)}
+		col := column{owner: ix.mut, pages: make([]*page, npages), sketched: ci == ix.band}
 		for p := range col.pages {
-			col.pages[p] = &page{owner: ix.mut}
+			col.pages[p] = col.newPage(ix.mut)
 		}
 		total := 0
 		for id := uint32(0); id < n; id++ {
@@ -249,7 +300,12 @@ func (ix *index) build(sl *rdf.Graph) {
 			for j, o := range objs {
 				vals[j] = c.derive(o.Value, true)
 			}
-			col.pages[id>>pageBits].vals[id&pageMask] = vals
+			pg := col.pages[id>>pageBits]
+			pg.vals[id&pageMask] = vals
+			pg.setSketch(id, vals)
+			if ci == ix.band {
+				ix.bands.put(ix.mut, id, vals, true)
+			}
 		}
 		ix.cols[ci] = col
 	}

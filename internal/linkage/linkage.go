@@ -34,27 +34,46 @@
 //     once per call from the engine's external graph, with its sketches
 //     and prepared forms built for that call only.
 //
-//   - One scoring loop. A ranker offers each candidate ID in turn: it
-//     first sums the candidate's bound, the weighted
-//     similarity.SketchBounded bound of each comparator, the largest
-//     over the two sides' value pairs (1 for a measure without one, 0
-//     where a side has no value), and skips the candidate unscored when
-//     the bound is strictly below the bar — the threshold, raised to the
-//     k-th best score once k matches are held. Otherwise it scores the
-//     candidate, taking per comparator the best value pair and skipping
-//     value pairs whose bound cannot beat it. The k best are kept in a
-//     bounded heap under the total order ScorePairs sorts by, so nothing
-//     sorts the passing matches beyond k.
+//   - Length bands (internal/linkage/bands.go). The heaviest comparator
+//     whose measure is an edit distance is the banded one: its column
+//     also keeps a flat sketch column, per ID the sketch of its one
+//     value, and its IDs are filed in one set per rune length of that
+//     value, with the items of several values in a set of their own.
+//     An edit distance cannot score a pair above
+//     similarity.EditDistanceLengthBound of their lengths, so a band's
+//     bound is known before any of its candidates is read.
 //
-//   - One entry point. TopKIDs runs the loop over a bitset of IDs; it is
-//     what a pipeline's query view calls for every item, and the views
-//     parallelize across items. TopK and ScorePairs take terms instead,
-//     map each to its ID once and run the same loop; they serve the
-//     repository benchmark (linkbench) as its reference path, and no
-//     product path calls them. ScorePairs fans its pairs out across
-//     Config.Workers goroutines in chunks (internal/par) and sorts the
-//     passing matches under the same total order, so its output is
-//     identical at every worker count.
+//   - One scoring loop. A ranker offers candidate IDs: for each it first
+//     sums the candidate's bound, the weighted similarity.SketchBounded
+//     bound of each comparator, the largest over the two sides' value
+//     pairs (1 for a measure without one, 0 where a side has no value),
+//     and skips the candidate unscored (pruned) when the bound is
+//     strictly below the bar — the threshold, raised to the k-th best
+//     score once k matches are held. Otherwise it scores the candidate,
+//     taking per comparator the best value pair and skipping value pairs
+//     whose bound cannot beat it. The k best are kept in a bounded heap
+//     under the total order ScorePairs sorts by, so nothing sorts the
+//     passing matches beyond k, and the answer does not depend on the
+//     order candidates are offered in.
+//
+//   - Two walks, one loop. TopKIDs, what a pipeline's query view calls
+//     for every item, walks the length bands when the query has one
+//     value under the banded comparator: the multi-valued set first,
+//     then the bands nearest the query's length first, each ANDed with
+//     the candidate bitset word by word, copying the candidates'
+//     sketches from the sketch column in batches, so that their cache
+//     misses overlap, and bounding each by a direct call of
+//     similarity.EditDistanceBound. It stops at the first band whose
+//     bound — the weighted sum with every other comparator at 1 — is
+//     strictly below the bar, and counts the candidates it never
+//     reached as skipped. Any other query, and TopK and ScorePairs,
+//     offer every candidate in turn. TopK and ScorePairs take terms, map
+//     each to its ID once and serve the repository benchmark (linkbench)
+//     as its reference path; no product path calls them. ScorePairs fans
+//     its pairs out across Config.Workers goroutines in chunks
+//     (internal/par) and sorts the passing matches under the same total
+//     order, so its output is identical at every worker count. The views
+//     parallelize TopKIDs across items.
 //
 // # Live engines and snapshots
 //
@@ -66,9 +85,10 @@
 // ApplyPatches nor a mutation of its graphs or table runs. Snapshot
 // returns, in O(1), a frozen engine that resolves external items from a
 // frozen snapshot of the external graph and reads a frozen ID table and
-// frozen columns: the columns are copy-on-write in pages of 256 IDs, so
-// a write after a snapshot copies only the page it touches, and nothing
-// a snapshot reads is ever written again. Any number of goroutines may
+// frozen columns: the columns are copy-on-write in pages of 128 IDs and
+// the length bands in pages of 4,096, so a write after a snapshot copies
+// only the pages it touches, and nothing a snapshot reads is ever
+// written again. Any number of goroutines may
 // query a snapshot while the writer keeps patching. An engine built
 // over a frozen table is itself a snapshot.
 package linkage
@@ -168,6 +188,10 @@ type index struct {
 	numbered bool
 	// cols holds each comparator's local values, by comparator.
 	cols []column
+	// band is the comparator whose column is split into length bands
+	// (bandedComparator), -1 when none is; bands holds those bands.
+	band  int
+	bands lengthBands
 
 	// The writer-only half, nil on a snapshot: the live local graph
 	// patches re-read from, and the token that owns the column pages
@@ -203,7 +227,7 @@ func build(cfg Config, se, sl *rdf.Graph, ids *core.IDTable, numbered bool) (*En
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ix := &index{comps: compileComparators(cfg), se: se, ids: ids, numbered: numbered}
+	ix := &index{comps: compileComparators(cfg), band: bandedComparator(cfg), se: se, ids: ids, numbered: numbered}
 	if !ids.Frozen() {
 		ix.sl, ix.mut = sl, &mutToken{}
 	}
@@ -236,11 +260,16 @@ func (e *Engine) WithOptions(threshold float64, workers int) (*Engine, error) {
 // the candidate when the candidate's bound — the weighted sum of its
 // comparators' sketch bounds — is strictly below bar, and then reports
 // false without scoring. The bound is summed in the score's comparator
-// order, so rounding keeps the score at or below it.
-func (ix *index) scoreAbove(q [][]value, id uint32, bar float64) (float64, bool) {
+// order, so rounding keeps the score at or below it. ks, when not nil,
+// is the candidate's one value's sketch under the banded comparator,
+// read from the sketch column, for a query with one value there: the
+// bound there is then the edit-distance bound, called directly.
+func (ix *index) scoreAbove(q [][]value, id uint32, ks *similarity.Sketch, bar float64) (float64, bool) {
 	bound := 0.0
 	for i := range ix.comps {
-		if evs, lvs := q[i], ix.cols[i].get(id); len(evs) > 0 && len(lvs) > 0 {
+		if i == ix.band && ks != nil {
+			bound += ix.comps[i].weight * similarity.EditDistanceBound(q[i][0].sketch, *ks)
+		} else if evs, lvs := q[i], ix.cols[i].get(id); len(evs) > 0 && len(lvs) > 0 {
 			bound += ix.comps[i].weight * ix.comps[i].bound(evs, lvs)
 		}
 	}
@@ -263,10 +292,13 @@ type Match struct {
 	Score    float64
 }
 
-// Work counts the candidate pairs of one query: those scored, and those
-// skipped unscored because their bound could not reach the bar.
+// Work counts the candidate pairs of one query. Every candidate is
+// counted once: Scored when its score was computed, Pruned when its own
+// bound was computed and could not reach the bar, and Skipped when
+// TopKIDs's band walk stopped before its length band, so that no bound
+// of its own was computed.
 type Work struct {
-	Scored, Pruned int
+	Scored, Pruned, Skipped int
 }
 
 // ScorePairs scores candidate pairs and returns those at or above the
@@ -284,7 +316,7 @@ func (e *Engine) ScorePairs(pairs [][2]rdf.Term) []Match {
 	}
 	// Without a cancellable context MapChunks cannot fail.
 	out, _ := par.MapChunks(context.Background(), par.Workers(e.cfg.Workers), par.DefaultChunk, pairs, func(p [2]rdf.Term) (Match, bool) {
-		s, ok := ix.scoreAbove(exts[p[0]], ix.idOf(p[1]), threshold)
+		s, ok := ix.scoreAbove(exts[p[0]], ix.idOf(p[1]), nil, threshold)
 		return Match{External: p[0], Local: p[1], Score: s}, ok && s >= threshold
 	})
 	sortMatches(out)
@@ -304,12 +336,18 @@ func (e *Engine) TopK(ext rdf.Term, locs []rdf.Term, k int) []Match {
 // TopKIDs is TopK over candidates given as IDs of the engine's ID table,
 // such as the Candidates of a core.SpaceReport computed on an instance
 // index whose table the engine shares (NewWithIDs), at the same
-// snapshot. It also reports the query's work.
+// snapshot. It also reports the query's work. A query with one value
+// under the banded comparator walks the length bands (walkBands);
+// any other query offers the candidates in ID order, as TopK does.
 func (e *Engine) TopKIDs(ext rdf.Term, cands core.IDSet, k int) ([]Match, Work) {
 	r := e.ix.ranker(ext, e.cfg.Threshold, k)
+	if b := e.ix.band; b >= 0 && len(r.q[b]) == 1 {
+		r.walkBands(cands)
+		return r.result(), r.work
+	}
 	for wi, w := range cands {
 		for w != 0 {
-			r.offer(uint32(wi<<6|bits.TrailingZeros64(w)), nil)
+			r.offer(uint32(wi<<6|bits.TrailingZeros64(w)), nil, nil)
 			w &= w - 1
 		}
 	}
@@ -341,15 +379,16 @@ func (ix *index) ranker(ext rdf.Term, threshold float64, k int) ranker {
 // offerTerms offers every item of locs, mapping its term to its ID once.
 func (r *ranker) offerTerms(locs []rdf.Term) {
 	for i := range locs {
-		r.offer(r.ix.idOf(locs[i]), &locs[i])
+		r.offer(r.ix.idOf(locs[i]), &locs[i], nil)
 	}
 }
 
 // offer scores local item id against the query and keeps the match if
 // it ranks among the k best so far. loc is the item's term, or nil to
-// read it from the ID table, which is done only for a match kept.
-func (r *ranker) offer(id uint32, loc *rdf.Term) {
-	s, ok := r.ix.scoreAbove(r.q, id, r.bar)
+// read it from the ID table, which is done only for a match kept. ks is
+// scoreAbove's: the candidate's sketch from the sketch column, or nil.
+func (r *ranker) offer(id uint32, loc *rdf.Term, ks *similarity.Sketch) {
+	s, ok := r.ix.scoreAbove(r.q, id, ks, r.bar)
 	if !ok {
 		r.work.Pruned++
 		return

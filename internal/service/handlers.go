@@ -444,9 +444,9 @@ type linkResponse struct {
 	// when the client asked for ?debug=timings.
 	Timings []stageJSON `json:"timings,omitempty"`
 	// Counts is the query's work (datalink.CountLink*: candidates, pairs
-	// scored and pruned, items that fired no rule), present only when
-	// the client asked for ?debug=timings. /metrics exports the same
-	// names as linkrules_<name>_total.
+	// scored, pruned and skipped, items that fired no rule), present
+	// only when the client asked for ?debug=timings. /metrics exports
+	// the same names as linkrules_<name>_total.
 	Counts map[string]int64 `json:"counts,omitempty"`
 }
 

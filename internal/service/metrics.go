@@ -61,10 +61,11 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"When the served model was installed (unix seconds; 0 = never)."),
 	}
 	for name, help := range map[string]string{
-		datalink.CountLinkCandidates:  "Local candidates expanded by link queries: the sum of the items' reduced-space sizes.",
-		datalink.CountLinkPairsScored: "Candidate pairs link queries scored.",
-		datalink.CountLinkPairsPruned: "Candidate pairs link queries skipped unscored because their score bound could not reach the threshold or the k-th best score.",
-		datalink.CountLinkItemsNoRule: "Items link queries answered with an empty reduced space because they fired no rule.",
+		datalink.CountLinkCandidates:   "Local candidates expanded by link queries: the sum of the items' reduced-space sizes.",
+		datalink.CountLinkPairsScored:  "Candidate pairs link queries scored.",
+		datalink.CountLinkPairsPruned:  "Candidate pairs link queries skipped unscored because their score bound could not reach the threshold or the k-th best score.",
+		datalink.CountLinkPairsSkipped: "Candidate pairs link queries skipped with no bound of their own because the bound of their value-length band could not reach the threshold or the k-th best score.",
+		datalink.CountLinkItemsNoRule:  "Items link queries answered with an empty reduced space because they fired no rule.",
 	} {
 		m.work[name] = reg.Counter("linkrules_"+name+"_total", help)
 	}

@@ -214,6 +214,7 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 		"linkrules_link_candidates_total",
 		"linkrules_link_pairs_scored_total",
 		"linkrules_link_pairs_pruned_total",
+		"linkrules_link_pairs_skipped_total",
 		"linkrules_link_items_no_rule_total",
 		// store layer
 		"linkrules_wal_appends_total",
@@ -226,12 +227,14 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 			t.Errorf("/metrics is missing %q", want)
 		}
 	}
-	// Every candidate pair is either scored or pruned by its bound.
+	// Every candidate pair is scored, pruned by its own bound, or
+	// skipped with its length band.
 	cands := metricValue(t, text, "linkrules_link_candidates_total")
 	scored := metricValue(t, text, "linkrules_link_pairs_scored_total")
 	pruned := metricValue(t, text, "linkrules_link_pairs_pruned_total")
-	if cands == 0 || scored+pruned != cands {
-		t.Errorf("candidates %v, scored %v + pruned %v: want a non-empty, fully accounted space", cands, scored, pruned)
+	skipped := metricValue(t, text, "linkrules_link_pairs_skipped_total")
+	if cands == 0 || scored+pruned+skipped != cands {
+		t.Errorf("candidates %v, scored %v + pruned %v + skipped %v: want a non-empty, fully accounted space", cands, scored, pruned, skipped)
 	}
 	// The store Func gauges must mirror Stats() — same source, no drift.
 	stats := svc.Store().Stats()
@@ -275,9 +278,9 @@ func TestLinkDebugTimings(t *testing.T) {
 		}
 	}
 	c := dbg.Counts
-	if len(c) != 4 || c[datalink.CountLinkCandidates] == 0 ||
-		c[datalink.CountLinkPairsScored]+c[datalink.CountLinkPairsPruned] != c[datalink.CountLinkCandidates] {
-		t.Errorf("counts = %v, want the four link work counters over a non-empty space", c)
+	if len(c) != 5 || c[datalink.CountLinkCandidates] == 0 ||
+		c[datalink.CountLinkPairsScored]+c[datalink.CountLinkPairsPruned]+c[datalink.CountLinkPairsSkipped] != c[datalink.CountLinkCandidates] {
+		t.Errorf("counts = %v, want the five link work counters over a non-empty, fully accounted space", c)
 	}
 }
 

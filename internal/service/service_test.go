@@ -261,10 +261,11 @@ func TestLinkEmptySpacePolicy(t *testing.T) {
 		t.Errorf("body has %d empty matches lists, want 2: %s", n, rec.Body)
 	}
 	want := map[string]int64{
-		datalink.CountLinkCandidates:  0,
-		datalink.CountLinkPairsScored: 0,
-		datalink.CountLinkPairsPruned: 0,
-		datalink.CountLinkItemsNoRule: 1,
+		datalink.CountLinkCandidates:   0,
+		datalink.CountLinkPairsScored:  0,
+		datalink.CountLinkPairsPruned:  0,
+		datalink.CountLinkPairsSkipped: 0,
+		datalink.CountLinkItemsNoRule:  1,
 	}
 	if !reflect.DeepEqual(resp.Counts, want) {
 		t.Errorf("counts = %v, want %v", resp.Counts, want)

@@ -144,8 +144,8 @@ func (Levenshtein) Similarity(a, b string) float64 {
 	return 1 - float64(levRunes(ra, rb))/float64(maxInt(len(ra), len(rb)))
 }
 
-// SimilarityUpperBound implements SketchBounded (editDistanceBound).
-func (Levenshtein) SimilarityUpperBound(a, b Sketch) float64 { return editDistanceBound(a, b) }
+// SimilarityUpperBound implements SketchBounded (EditDistanceBound).
+func (Levenshtein) SimilarityUpperBound(a, b Sketch) float64 { return EditDistanceBound(a, b) }
 
 // Name implements Measure.
 func (Levenshtein) Name() string { return "levenshtein" }
@@ -274,8 +274,8 @@ func (Damerau) Similarity(a, b string) float64 {
 	return 1 - float64(damRunes(ra, rb))/float64(maxInt(len(ra), len(rb)))
 }
 
-// SimilarityUpperBound implements SketchBounded (editDistanceBound).
-func (Damerau) SimilarityUpperBound(a, b Sketch) float64 { return editDistanceBound(a, b) }
+// SimilarityUpperBound implements SketchBounded (EditDistanceBound).
+func (Damerau) SimilarityUpperBound(a, b Sketch) float64 { return EditDistanceBound(a, b) }
 
 // Name implements Measure.
 func (Damerau) Name() string { return "damerau" }

@@ -166,7 +166,9 @@ var boundedMeasures = []interface {
 
 // checkSketchBound asserts, for every bounded measure and both argument
 // orders, that the similarity of a and b does not exceed the bound of
-// their sketches, and that a sketch counts the runes []rune does.
+// their sketches, that for the edit distances the length-only bound is
+// at least the sketch bound, and that a sketch counts the runes []rune
+// does.
 func checkSketchBound(t *testing.T, a, b string) {
 	t.Helper()
 	ka, kb := NewSketch(a), NewSketch(b)
@@ -181,6 +183,13 @@ func checkSketchBound(t *testing.T, a, b string) {
 		for _, o := range orders {
 			if sim, bound := m.Similarity(o.x, o.y), m.SimilarityUpperBound(o.kx, o.ky); sim > bound {
 				t.Fatalf("%s %+v: Similarity(%q, %q) = %v exceeds the sketch bound %v", m.Name(), m, o.x, o.y, sim, bound)
+			}
+		}
+	}
+	for _, m := range []SketchBounded{Levenshtein{}, Damerau{}} {
+		for _, o := range orders {
+			if band, bound := EditDistanceLengthBound(o.kx.Len(), o.ky.Len()), m.SimilarityUpperBound(o.kx, o.ky); band < bound {
+				t.Fatalf("%T (%q, %q): length bound %v is below the sketch bound %v", m, o.x, o.y, band, bound)
 			}
 		}
 	}

@@ -15,6 +15,9 @@ type Sketch struct {
 	counts [2]uint64
 }
 
+// Len returns the rune length of the sketched string.
+func (k Sketch) Len() int { return k.n }
+
 // NewSketch returns the sketch of s.
 func NewSketch(s string) Sketch {
 	var k Sketch
@@ -73,14 +76,16 @@ func posPart(x, y uint64) int {
 	return int((even&keepEven + odd&keepOdd) * ones >> 56)
 }
 
-// editDistanceBound returns the largest similarity 1 − d/max(la, lb)
+// EditDistanceBound returns the largest similarity 1 − d/max(la, lb)
 // an edit distance d can give two strings with sketches a and b. An
 // insertion, deletion or substitution changes each positive part of
 // bagParts by at most one and a transposition changes neither, so the
 // Levenshtein and the optimal-string-alignment distances are at least
 // the larger part, and at least the length difference. Both divide as
-// Similarity does, so the bound holds in floating point.
-func editDistanceBound(a, b Sketch) float64 {
+// Similarity does, so the bound holds in floating point. It is the
+// SketchBounded bound of Levenshtein and Damerau, for callers that
+// call it directly.
+func EditDistanceBound(a, b Sketch) float64 {
 	den := maxInt(a.n, b.n)
 	if den == 0 {
 		return 1
@@ -88,4 +93,17 @@ func editDistanceBound(a, b Sketch) float64 {
 	ab, ba := bagParts(&a, &b)
 	d := maxInt(absInt(a.n-b.n), maxInt(ab, ba))
 	return 1 - float64(d)/float64(den)
+}
+
+// EditDistanceLengthBound is EditDistanceBound from the rune lengths
+// alone: the same division, with the length difference as the
+// distance. It is at least EditDistanceBound of any two sketches of
+// those lengths, in floating point too, and falls as the lengths move
+// apart, so a caller can rank and cut whole sets of strings by length.
+func EditDistanceLengthBound(la, lb int) float64 {
+	den := maxInt(la, lb)
+	if den == 0 {
+		return 1
+	}
+	return 1 - float64(absInt(la-lb))/float64(den)
 }

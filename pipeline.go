@@ -312,6 +312,10 @@ const (
 	// CountLinkPairsPruned is the candidate pairs skipped unscored
 	// because their score bound could not reach the bar.
 	CountLinkPairsPruned = "link_pairs_pruned"
+	// CountLinkPairsSkipped is the candidate pairs skipped with no bound
+	// of their own, because the bound of their whole length band could
+	// not reach the bar. Candidates = scored + pruned + skipped.
+	CountLinkPairsSkipped = "link_pairs_skipped"
 	// CountLinkItemsNoRule is the items that fired no rule.
 	CountLinkItemsNoRule = "link_items_no_rule"
 )
@@ -369,11 +373,12 @@ func (v *QueryView) LinkTopK(ctx context.Context, items []Term, cfg LinkerConfig
 		return nil, err
 	}
 	out := make(map[Term][]Match, len(scored))
-	var cands, noRule, pairs, pruned int
+	var cands, noRule, pairs, pruned, skipped int
 	for i, sr := range spaces {
 		out[sr.Item] = scored[i].ms
 		pairs += scored[i].work.Scored
 		pruned += scored[i].work.Pruned
+		skipped += scored[i].work.Skipped
 		cands += sr.UnionSize
 		if len(sr.Subspaces) == 0 {
 			noRule++
@@ -383,6 +388,7 @@ func (v *QueryView) LinkTopK(ctx context.Context, items []Term, cfg LinkerConfig
 	tr.Add(CountLinkCandidates, int64(cands))
 	tr.Add(CountLinkPairsScored, int64(pairs))
 	tr.Add(CountLinkPairsPruned, int64(pruned))
+	tr.Add(CountLinkPairsSkipped, int64(skipped))
 	tr.Add(CountLinkItemsNoRule, int64(noRule))
 	return out, nil
 }
