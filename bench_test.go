@@ -993,14 +993,14 @@ func BenchmarkSnapshotRoundTripNTriples(b *testing.B) {
 // dominant record shape.
 func walAppendRecord(i int) *store.Record {
 	return &store.Record{
-		Op: store.OpUpsert,
-		Upsert: &store.UpsertOp{
+		Op: store.OpBatch,
+		Batch: []store.BatchEntry{{Upsert: &store.UpsertOp{
 			Side: store.External,
 			Items: []store.Item{{
 				ID:    fmt.Sprintf("http://provider.example/item/D%06d", i),
 				Props: map[string][]string{"http://provider.example/prop#partNumber": {fmt.Sprintf("RES %04d TX99 B%d", i, i%7)}},
 			}},
-		},
+		}}},
 	}
 }
 

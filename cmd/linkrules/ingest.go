@@ -49,7 +49,8 @@ func cmdIngest(args []string) error {
 	if *bulkBatch < 0 {
 		return fmt.Errorf("-bulk-batch must be >= 0")
 	}
-	if _, err := parseIngestSide(*side); err != nil {
+	sd, err := store.ParseSide(*side)
+	if err != nil {
 		return err
 	}
 
@@ -80,20 +81,10 @@ func cmdIngest(args []string) error {
 	if *addr != "" {
 		rep, err = ingestHTTP(ctx, *addr, *apiKey, *side, bodyFormat, *bulkBatch, in)
 	} else {
-		rep, err = ingestStore(ctx, *storeDir, *fsyncMode, *side, bodyFormat, *bulkBatch, in)
+		rep, err = ingestStore(ctx, *storeDir, *fsyncMode, sd, bodyFormat, *bulkBatch, in)
 	}
 	reportIngest(rep, name, time.Since(t0))
 	return err
-}
-
-func parseIngestSide(s string) (datalink.Side, error) {
-	switch s {
-	case "external":
-		return datalink.ExternalSide, nil
-	case "local":
-		return datalink.LocalSide, nil
-	}
-	return 0, fmt.Errorf("side must be \"external\" or \"local\", got %q", s)
 }
 
 // resolveIngestFormat maps -format (or the input filename) to a bulk
@@ -158,7 +149,7 @@ func ingestHTTP(ctx context.Context, addr, apiKey, side, format string, batch in
 // ingestStore commits the stream directly into a durability directory:
 // open (or create) the store, replay its state, batch-commit the input,
 // checkpoint, close. The next `linkrules serve -store` boots from it.
-func ingestStore(ctx context.Context, dir, fsyncMode, side, format string, batch int, in io.Reader) (service.BulkReport, error) {
+func ingestStore(ctx context.Context, dir, fsyncMode string, side store.Side, format string, batch int, in io.Reader) (service.BulkReport, error) {
 	var rep service.BulkReport
 	mode, err := store.ParseFsyncMode(fsyncMode)
 	if err != nil {
@@ -182,12 +173,7 @@ func ingestStore(ctx context.Context, dir, fsyncMode, side, format string, batch
 		st.Close()
 		return rep, err
 	}
-	ds, err := parseIngestSide(side)
-	if err != nil {
-		svc.Close()
-		return rep, err
-	}
-	rep, ingErr := svc.BulkIngest(ctx, in, ds, format, batch)
+	rep, ingErr := svc.BulkIngest(ctx, in, side, format, batch)
 	if _, err := svc.Checkpoint(); err != nil && ingErr == nil {
 		ingErr = fmt.Errorf("checkpoint after ingest: %w", err)
 	}

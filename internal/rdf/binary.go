@@ -49,10 +49,20 @@ const termBits = 21
 
 const termMask = 1<<termBits - 1
 
-// EncodeSnapshot writes g's triples in the binary snapshot format. The
-// graph is read-only during the call, so encoding a frozen Snapshot is
-// safe concurrently with mutations of the live graph it came from.
+// EncodeSnapshot writes g's triples in the binary snapshot format, as
+// AppendSnapshot encodes them.
 func EncodeSnapshot(w io.Writer, g *Graph) error {
+	if _, err := w.Write(AppendSnapshot(nil, g)); err != nil {
+		return fmt.Errorf("rdf: encoding snapshot: %w", err)
+	}
+	return nil
+}
+
+// AppendSnapshot appends g's triples in the binary snapshot format to dst
+// and returns the extended slice. The graph is read-only during the
+// call, so encoding a frozen Snapshot is safe concurrently with
+// mutations of the live graph it came from.
+func AppendSnapshot(dst []byte, g *Graph) []byte {
 	// One pass over the graph: intern terms in first-use order and record
 	// every triple as an id triplet. The SPO index is walked directly —
 	// subjects intern once per subject and predicates once per (s, p)
@@ -92,8 +102,9 @@ func EncodeSnapshot(w io.Writer, g *Graph) error {
 	}
 
 	// termBytes over-reserves per term (16 covers kind byte + three
-	// length varints), 10 covers any triple delta varint: one allocation.
-	buf := make([]byte, 0, len(binaryMagic)+termBytes+10*len(tris)+20)
+	// length varints), 10 covers any triple delta varint: at most one
+	// allocation.
+	buf := slices.Grow(dst, len(binaryMagic)+termBytes+10*len(tris)+20)
 	buf = append(buf, binaryMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(sorted)))
 	for _, t := range sorted {
@@ -143,10 +154,7 @@ func EncodeSnapshot(w io.Writer, g *Graph) error {
 			buf = binary.AppendUvarint(buf, uint64(remap[t.o]))
 		}
 	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("rdf: encoding snapshot: %w", err)
-	}
-	return nil
+	return buf
 }
 
 // internTable is a linear-probing Term -> id table for the encoder:

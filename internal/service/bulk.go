@@ -13,7 +13,6 @@ import (
 	"strings"
 	"unicode/utf8"
 
-	datalink "repro"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -35,8 +34,8 @@ const maxBulkErrorReport = 100
 
 // Bulk body formats.
 const (
-	// BulkNDJSON is newline-delimited JSON: one itemSpec per line, plus
-	// an optional "remove": true marker to delete the item instead.
+	// BulkNDJSON is newline-delimited JSON: one upsert item per line,
+	// plus an optional "remove": true marker to delete the item instead.
 	BulkNDJSON = "ndjson"
 	// BulkNTriples is streaming N-Triples: consecutive statements with
 	// the same subject form one item (literal objects become property
@@ -70,19 +69,18 @@ func (rep *BulkReport) addError(line int, msg string) {
 	}
 }
 
-// bulkLine is the NDJSON wire form: an itemSpec plus the remove marker.
+// bulkLine is the NDJSON wire form: an upsert item plus the remove
+// marker.
 type bulkLine struct {
-	ID         string              `json:"id"`
-	Properties map[string][]string `json:"properties,omitempty"`
-	Classes    []string            `json:"classes,omitempty"`
+	store.Item
 	// Remove deletes the item (and its training links) instead of
 	// upserting it, so one stream can carry a mixed batch.
 	Remove bool `json:"remove,omitempty"`
 }
 
-// bulkChunker accumulates validated sub-ops and commits them as batch
+// bulkChunker accumulates validated entries and commits them as batch
 // records of at most `batch` items each. Consecutive same-kind items
-// coalesce into one sub-op, preserving stream order across kind flips.
+// coalesce into one entry, preserving stream order across kind flips.
 type bulkChunker struct {
 	s       *Service
 	ctx     context.Context
@@ -134,10 +132,7 @@ func (c *bulkChunker) flush() error {
 	if err := c.ctx.Err(); err != nil {
 		return err
 	}
-	res, err := c.s.commit(c.ctx, &store.Record{
-		Op:    store.OpBatch,
-		Batch: &store.BatchOp{Ops: c.entries},
-	})
+	res, err := c.s.commit(c.ctx, &store.Record{Op: store.OpBatch, Batch: c.entries})
 	if err != nil {
 		return err
 	}
@@ -158,7 +153,7 @@ func (c *bulkChunker) flush() error {
 // applied (each one atomically), and the report says how far the load
 // got. Malformed lines are skipped, recorded per line, and do not abort
 // the stream; I/O errors, commit failures and context expiry do.
-func (s *Service) BulkIngest(ctx context.Context, body io.Reader, side datalink.Side, format string, batch int) (BulkReport, error) {
+func (s *Service) BulkIngest(ctx context.Context, body io.Reader, side store.Side, format string, batch int) (BulkReport, error) {
 	if batch <= 0 {
 		batch = s.opts.BulkBatch
 	}
@@ -166,13 +161,13 @@ func (s *Service) BulkIngest(ctx context.Context, body io.Reader, side datalink.
 		batch = defaultBulkBatch
 	}
 	var rep BulkReport
-	c := &bulkChunker{s: s, ctx: ctx, side: sideToStore(side), batch: batch, rep: &rep}
+	c := &bulkChunker{s: s, ctx: ctx, side: side, batch: batch, rep: &rep}
 	var err error
 	switch format {
 	case BulkNTriples:
-		err = s.bulkNTriples(c, body, side)
+		err = bulkNTriples(c, body)
 	default:
-		err = s.bulkNDJSON(c, body, side)
+		err = bulkNDJSON(c, body)
 	}
 	if err != nil {
 		return rep, err
@@ -181,7 +176,7 @@ func (s *Service) BulkIngest(ctx context.Context, body io.Reader, side datalink.
 }
 
 // bulkNDJSON reads one JSON item description per line.
-func (s *Service) bulkNDJSON(c *bulkChunker, body io.Reader, side datalink.Side) error {
+func bulkNDJSON(c *bulkChunker, body io.Reader) error {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
@@ -213,7 +208,7 @@ func (s *Service) bulkNDJSON(c *bulkChunker, body io.Reader, side datalink.Side)
 			continue
 		}
 		if spec.Remove {
-			if len(spec.Properties) > 0 || len(spec.Classes) > 0 {
+			if len(spec.Props) > 0 || len(spec.Classes) > 0 {
 				c.rep.addError(line, "remove lines must not carry properties or classes")
 				continue
 			}
@@ -222,11 +217,11 @@ func (s *Service) bulkNDJSON(c *bulkChunker, body io.Reader, side datalink.Side)
 			}
 			continue
 		}
-		if err := validateItem(side, datalink.NewIRI(spec.ID), spec.Properties, spec.Classes); err != nil {
+		if err := validateItem(c.side, spec.Item); err != nil {
 			c.rep.addError(line, err.Error())
 			continue
 		}
-		if err := c.addUpsert(store.Item{ID: spec.ID, Props: spec.Properties, Classes: spec.Classes}); err != nil {
+		if err := c.addUpsert(spec.Item); err != nil {
 			return err
 		}
 	}
@@ -244,7 +239,7 @@ func (s *Service) bulkNDJSON(c *bulkChunker, body io.Reader, side datalink.Side)
 // values (language tags and datatypes are dropped: items store plain
 // literals); rdf:type with an IRI object becomes a class. Anything else
 // is a per-line error.
-func (s *Service) bulkNTriples(c *bulkChunker, body io.Reader, side datalink.Side) error {
+func bulkNTriples(c *bulkChunker, body io.Reader) error {
 	nr := rdf.NewNTriplesReader(body)
 	var cur *store.Item
 	curLine := 0
@@ -254,7 +249,7 @@ func (s *Service) bulkNTriples(c *bulkChunker, body io.Reader, side datalink.Sid
 		}
 		it := *cur
 		cur = nil
-		if err := validateItem(side, datalink.NewIRI(it.ID), it.Props, it.Classes); err != nil {
+		if err := validateItem(c.side, it); err != nil {
 			c.rep.addError(curLine, err.Error())
 			return nil
 		}
@@ -323,7 +318,7 @@ type bulkErrorResponse struct {
 // once per request while the body itself may be gigabytes.
 func (s *Service) handleBulk(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	side, err := parseSide(q.Get("side"))
+	side, err := store.ParseSide(q.Get("side"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return

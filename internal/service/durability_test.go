@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -373,6 +374,37 @@ func TestRestoreAdoptsPersistedLinker(t *testing.T) {
 	}
 }
 
+// TestLinkerMetaCompilesBack: every linker config linkerToMeta persists
+// compiles back, as recovery compiles it, to the same comparators, and
+// one that would not, such as an empty external property, a zero weight
+// or a zero local property, is not persisted.
+func TestLinkerMetaCompilesBack(t *testing.T) {
+	pn := datalink.NewIRI(pnProp)
+	for i, c := range []struct {
+		cmp       datalink.Comparator
+		persisted bool
+	}{
+		{datalink.Comparator{ExternalProperty: pn, LocalProperty: pn, Measure: datalink.Levenshtein, Weight: 1}, true},
+		{datalink.Comparator{ExternalProperty: pn, LocalProperty: datalink.NewIRI(labelProp), Measure: datalink.JaroWinkler, Weight: 2.5}, true},
+		{datalink.Comparator{ExternalProperty: datalink.NewIRI(""), LocalProperty: pn, Measure: datalink.Levenshtein, Weight: 1}, false},
+		{datalink.Comparator{ExternalProperty: pn, LocalProperty: pn, Measure: datalink.Levenshtein}, false},
+		{datalink.Comparator{ExternalProperty: pn, Measure: datalink.Levenshtein, Weight: 1}, false},
+	} {
+		cfg := datalink.LinkerConfig{Comparators: []datalink.Comparator{c.cmp}, Threshold: 0.5}
+		m := linkerToMeta(cfg)
+		if (m != nil) != c.persisted {
+			t.Errorf("config %d: persisted %v, want %v", i, m != nil, c.persisted)
+			continue
+		}
+		if m == nil {
+			continue
+		}
+		if comps, err := compileComparators(m.Comparators); err != nil || !reflect.DeepEqual(comps, cfg.Comparators) {
+			t.Errorf("config %d compiles back to %+v, %v", i, comps, err)
+		}
+	}
+}
+
 // TestRestoreAdoptsPersistedLearner proves a restart with default flags
 // relearns with the learner config the model was built with, not this
 // process's defaults — otherwise the recovered rules silently differ.
@@ -496,7 +528,7 @@ func TestRestoreRefusesSnapshotWithoutModel(t *testing.T) {
 	}
 	if err := st.WriteCheckpoint(&store.Snapshot{
 		Seq: boundary, External: seed.External, Local: seed.Local, Ontology: seed.Ontology.ToGraph(),
-		Links: refsFromLinks(seed.Training),
+		Links: seed.Training,
 		Meta:  store.Meta{Learned: true, Linker: linkerToMeta(durableOpts().DefaultLinker), Learner: learnerToMeta(durableOpts().Learner)},
 	}); err != nil {
 		t.Fatal(err)
@@ -609,29 +641,73 @@ func TestAdminSnapshotEphemeral409(t *testing.T) {
 }
 
 // TestOversizedBodyRejected413 pins the MaxBytesReader behavior: a body
-// over the configured cap answers 413 without reading it all.
+// one byte over the fixed 8 MiB cap answers 413 without reading it all
+// and changes nothing, and a body at the cap is read.
 func TestOversizedBodyRejected413(t *testing.T) {
 	seed := corpusSeed(t)
-	opts := durableOpts()
-	opts.MaxBodyBytes = 1024
-	svc := New(seed.External, seed.Local, seed.Ontology, opts)
+	svc := New(seed.External, seed.Local, seed.Ontology, durableOpts())
+	h := svc.Handler()
 
-	big := strings.Repeat("x", 4096)
-	rr := call(t, svc.Handler(), http.MethodPost, "/v1/items/upsert", map[string]any{
-		"side": "external",
-		"items": []map[string]any{{
-			"id":         "http://ex.org/e/huge",
-			"properties": map[string][]string{pnProp: {big}},
-		}},
-	}, nil)
+	// upsert is a one-item upsert body of exactly n bytes.
+	upsert := func(n int) string {
+		body := func(pad int) []byte {
+			b, err := json.Marshal(map[string]any{
+				"side": "external",
+				"items": []map[string]any{{
+					"id":         "http://ex.org/e/huge",
+					"properties": map[string][]string{pnProp: {strings.Repeat("x", pad)}},
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		b := body(n - len(body(0)))
+		if len(b) != n {
+			t.Fatalf("built a %d-byte body, want %d", len(b), n)
+		}
+		return string(b)
+	}
+	rr := rawCall(t, h, "/v1/items/upsert", "", upsert(8<<20+1), nil)
 	if rr.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: %d, want 413 (%s)", rr.Code, rr.Body.String())
+		t.Fatalf("oversized body: %d, want 413 (%.200s)", rr.Code, rr.Body.String())
 	}
 	// Nothing may have been applied.
 	var status statusResponse
-	call(t, svc.Handler(), http.MethodGet, "/v1/status", nil, &status)
+	call(t, h, http.MethodGet, "/v1/status", nil, &status)
 	if status.ExternalVersion != seed.External.Version() {
 		t.Error("oversized request mutated the graph")
+	}
+	if rr := rawCall(t, h, "/v1/items/upsert", "", upsert(8<<20), nil); rr.Code != http.StatusOK {
+		t.Fatalf("body at the cap: %d, want 200 (%.200s)", rr.Code, rr.Body.String())
+	}
+}
+
+// TestLearnLinksRejectsNonResourceEndpoints: a training link with a
+// literal or zero endpoint is an error before anything is logged, so
+// the WAL gains no record that a replay could read differently, and the
+// training set keeps its links.
+func TestLearnLinksRejectsNonResourceEndpoints(t *testing.T) {
+	svc := restoreService(t, t.TempDir(), corpusSeed(t), store.Options{Fsync: store.FsyncNever})
+	defer svc.Close()
+	seq, links := svc.Store().Stats().Seq, len(svc.links)
+	ext, loc := datalink.NewIRI("http://ex.org/e/r11"), datalink.NewIRI("http://ex.org/l/r11")
+	for _, bad := range []datalink.Link{
+		{External: datalink.NewLiteral(ext.Value), Local: loc},
+		{External: ext, Local: datalink.NewLiteral(loc.Value)},
+		{External: datalink.Term{}, Local: loc},
+		{External: ext, Local: datalink.Term{}},
+	} {
+		if err := svc.LearnLinks([]datalink.Link{{External: ext, Local: loc}, bad}); err == nil {
+			t.Errorf("learned the link %v", bad)
+		}
+	}
+	if got := svc.Store().Stats().Seq; got != seq {
+		t.Errorf("the rejected learns logged %d records", got-seq)
+	}
+	if len(svc.links) != links {
+		t.Errorf("the training set has %d links, want %d", len(svc.links), links)
 	}
 }
 

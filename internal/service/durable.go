@@ -7,7 +7,6 @@ import (
 	"reflect"
 
 	datalink "repro"
-	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
@@ -112,17 +111,19 @@ func Restore(st *store.Store, rec *store.Recovery, seed *Seed, opts Options) (*S
 		// link queries identically. A config that no longer resolves (a
 		// measure renamed or removed) would silently change query behavior,
 		// so it fails recovery instead.
-		cfg, err := linkerFromMeta(snap.Meta.Linker)
+		comps, err := compileComparators(snap.Meta.Linker.Comparators)
 		if err != nil {
 			return nil, fmt.Errorf("service: recovering persisted linker config: %w", err)
 		}
-		opts.DefaultLinker = cfg
+		opts.DefaultLinker = datalink.LinkerConfig{
+			Comparators: comps, Threshold: snap.Meta.Linker.Threshold, Workers: snap.Meta.Linker.Workers,
+		}
 	}
 	s := New(snap.External, snap.Local, ol, opts)
 	s.st = st
 	s.registerStoreMetrics(rec)
 	s.mu.Lock()
-	s.links = linksFromRefs(snap.Links)
+	s.links = snap.Links
 	if snap.Model != nil {
 		// The classifier splits query values with the config's splitter.
 		snap.Model.Config = s.opts.Learner
@@ -213,13 +214,13 @@ func (s *Service) commit(ctx context.Context, rec *store.Record) (applyResult, e
 
 // applyLocked dispatches one mutation record to its applier. It is the
 // shared path of live commits and recovery replay; callers hold the
-// write lock. Item mutations — plain upserts, plain removes, and
-// batches of many — all flow through the same op-slice applier, so a
-// replayed batch takes exactly the code path of a live one.
+// write lock. Every item write is a batch, whether it carries one item
+// or a bulk chunk, so a replayed batch takes exactly the code path of a
+// live one.
 func (s *Service) applyLocked(ctx context.Context, rec *store.Record) (applyResult, error) {
 	switch rec.Op {
-	case store.OpUpsert, store.OpRemove, store.OpBatch:
-		return s.applyEntriesLocked(rec.Entries()), nil
+	case store.OpBatch:
+		return s.applyEntriesLocked(rec.Batch), nil
 	case store.OpLearn:
 		return s.applyLearnLocked(ctx, rec.Learn)
 	default:
@@ -227,35 +228,35 @@ func (s *Service) applyLocked(ctx context.Context, rec *store.Record) (applyResu
 	}
 }
 
-// applyEntriesLocked applies an ordered slice of upsert/remove sub-ops:
+// applyEntriesLocked applies an ordered slice of upsert/remove entries:
 // graph mutations and training-link purges happen per entry in order,
-// then the value index and instance index are patched for ALL entries
-// in one pipeline call, and the caller publishes the COW bundle once.
-// That collapsing is what makes a 10k-item batch cost one publish
-// instead of 10k — and it is order-safe because index upserts re-read
-// the (final) graph state and the last patch for an item always agrees
-// with the graphs.
+// then the instance index and value index are patched for ALL local
+// entries in one pipeline call (external items need no patch), and the
+// caller publishes the COW bundle once. That collapsing is what makes a
+// 10k-item batch cost one publish instead of 10k — and it is order-safe
+// because index upserts re-read the (final) graph state and the last
+// patch for an item always agrees with the graphs.
 func (s *Service) applyEntriesLocked(entries []store.BatchEntry) applyResult {
 	var res applyResult
-	patches := make([]datalink.Patch, 0, len(entries))
+	var patches []datalink.Patch
 	for _, e := range entries {
+		var side store.Side
+		var terms []datalink.Term
 		switch {
 		case e.Upsert != nil:
 			op := e.Upsert
-			side := sideFromStore(op.Side)
-			terms := make([]datalink.Term, len(op.Items))
+			side = op.Side
+			terms = make([]datalink.Term, len(op.Items))
 			for i, it := range op.Items {
 				terms[i] = datalink.NewIRI(it.ID)
 				s.replaceItemLocked(side, terms[i], it.Props, it.Classes)
 			}
-			patches = append(patches, datalink.Patch{Side: side, Items: terms})
 			res.upserted += len(op.Items)
-			res.version = s.graphLocked(side).Version()
 		case e.Remove != nil:
 			op := e.Remove
-			side := sideFromStore(op.Side)
+			side = op.Side
 			g := s.graphLocked(side)
-			terms := make([]datalink.Term, 0, len(op.IDs))
+			terms = make([]datalink.Term, 0, len(op.IDs))
 			gone := make(map[datalink.Term]struct{}, len(op.IDs))
 			for _, id := range op.IDs {
 				item := datalink.NewIRI(id)
@@ -270,9 +271,11 @@ func (s *Service) applyEntriesLocked(entries []store.BatchEntry) applyResult {
 				}
 			}
 			res.purged += s.purgeLinksLocked(side, gone)
-			patches = append(patches, datalink.Patch{Side: side, Remove: true, Items: terms})
-			res.version = g.Version()
 		}
+		if side == store.Local {
+			patches = append(patches, datalink.Patch{Side: datalink.LocalSide, Remove: e.Remove != nil, Items: terms})
+		}
+		res.version = s.graphLocked(side).Version()
 	}
 	if s.pipe != nil {
 		s.pipe.ApplyPatches(patches)
@@ -285,12 +288,11 @@ func (s *Service) applyEntriesLocked(entries []store.BatchEntry) applyResult {
 // same record replayed after a crash fails the same way, so live and
 // recovered state agree either way.
 func (s *Service) applyLearnLocked(ctx context.Context, op *store.LearnOp) (applyResult, error) {
-	links := linksFromRefs(op.Links)
 	prev := s.links
 	if op.Replace {
-		s.links = links
+		s.links = op.Links
 	} else {
-		s.links = append(append([]datalink.Link(nil), s.links...), links...)
+		s.links = append(append([]datalink.Link(nil), s.links...), op.Links...)
 	}
 	if err := s.learnLocked(ctx); err != nil {
 		s.links = prev
@@ -305,8 +307,8 @@ func (s *Service) applyLearnLocked(ctx context.Context, op *store.LearnOp) (appl
 
 // graphLocked returns the live graph of one side; callers hold the
 // write lock.
-func (s *Service) graphLocked(side datalink.Side) *datalink.Graph {
-	if side == datalink.LocalSide {
+func (s *Service) graphLocked(side store.Side) *datalink.Graph {
+	if side == store.Local {
 		return s.sl
 	}
 	return s.se
@@ -384,7 +386,8 @@ func (s *Service) maybeCheckpointLocked() {
 
 // checkpointDataLocked rotates the WAL and captures everything the
 // snapshot needs from the live state: copy-on-write graph views (O(1)),
-// the ontology re-serialized to triples, the ordered training links, the
+// the ontology re-serialized to triples, the ordered training links
+// (every writer replaces the slice, none changes it in place), the
 // served model (never written once installed) and the metadata. Callers
 // hold the write lock, so the rotation boundary and the captured state
 // agree exactly.
@@ -398,7 +401,7 @@ func (s *Service) checkpointDataLocked() (*store.Snapshot, error) {
 		External: s.se.Snapshot(),
 		Local:    s.sl.Snapshot(),
 		Ontology: s.ol.ToGraph(),
-		Links:    refsFromLinks(s.links),
+		Links:    s.links,
 		Meta: store.Meta{
 			Learned: s.pipe != nil,
 			Linker:  linkerToMeta(s.opts.DefaultLinker),
@@ -420,65 +423,10 @@ func (s *Service) lastCheckpointError() string {
 	return ""
 }
 
-// sideFromStore maps the on-disk side byte to the linkage side.
-func sideFromStore(side store.Side) datalink.Side {
-	if side == store.Local {
-		return datalink.LocalSide
-	}
-	return datalink.ExternalSide
-}
-
-// sideToStore maps a linkage side to its on-disk byte.
-func sideToStore(side datalink.Side) store.Side {
-	if side == datalink.LocalSide {
-		return store.Local
-	}
-	return store.External
-}
-
-// linksFromRefs decodes persisted link endpoints (IRI or blank node).
-func linksFromRefs(refs []store.LinkRef) []datalink.Link {
-	out := make([]datalink.Link, 0, len(refs))
-	for _, r := range refs {
-		out = append(out, datalink.Link{
-			External: termFromRef(r.ExternalKind, r.External),
-			Local:    termFromRef(r.LocalKind, r.Local),
-		})
-	}
-	return out
-}
-
-// refsFromLinks encodes training links for the snapshot, preserving
-// order and duplicates, so a learn record replayed on top extends
-// exactly the links the live service held.
-func refsFromLinks(links []datalink.Link) []store.LinkRef {
-	out := make([]store.LinkRef, 0, len(links))
-	for _, l := range links {
-		out = append(out, refFromLink(l))
-	}
-	return out
-}
-
-func termFromRef(kind uint8, value string) datalink.Term {
-	if rdf.TermKind(kind) == rdf.BlankKind {
-		return datalink.NewBlank(value)
-	}
-	return datalink.NewIRI(value)
-}
-
-// refFromLink encodes one labeled link for a learn record.
-func refFromLink(l datalink.Link) store.LinkRef {
-	return store.LinkRef{
-		ExternalKind: uint8(l.External.Kind),
-		External:     l.External.Value,
-		LocalKind:    uint8(l.Local.Kind),
-		Local:        l.Local.Value,
-	}
-}
-
 // linkerToMeta captures the default linker config by measure name, or
-// nil when a comparator uses a measure outside the named registry (a
-// custom Func measure cannot be persisted).
+// nil when recovery could not compile it back to the same comparators:
+// a custom Func measure, or a comparator that a link request could not
+// state either.
 func linkerToMeta(cfg datalink.LinkerConfig) *store.LinkerMeta {
 	if len(cfg.Comparators) == 0 {
 		return nil
@@ -496,25 +444,10 @@ func linkerToMeta(cfg datalink.LinkerConfig) *store.LinkerMeta {
 			Weight:           c.Weight,
 		})
 	}
-	return m
-}
-
-// linkerFromMeta rebuilds a linker config from persisted metadata.
-func linkerFromMeta(m *store.LinkerMeta) (datalink.LinkerConfig, error) {
-	cfg := datalink.LinkerConfig{Threshold: m.Threshold, Workers: m.Workers}
-	for i, c := range m.Comparators {
-		ms, err := measureByName(c.Measure)
-		if err != nil {
-			return cfg, fmt.Errorf("comparator %d: %w", i, err)
-		}
-		cfg.Comparators = append(cfg.Comparators, datalink.Comparator{
-			ExternalProperty: datalink.NewIRI(c.ExternalProperty),
-			LocalProperty:    datalink.NewIRI(c.LocalProperty),
-			Measure:          ms,
-			Weight:           c.Weight,
-		})
+	if comps, err := compileComparators(m.Comparators); err != nil || !reflect.DeepEqual(comps, cfg.Comparators) {
+		return nil
 	}
-	return cfg, nil
+	return m
 }
 
 // zeroLearner reports whether the caller left the learner config at its

@@ -7,7 +7,7 @@ import (
 	"runtime"
 	"testing"
 
-	datalink "repro"
+	"repro/internal/store"
 )
 
 // bulkAllocPerByte and bulkAllocBase bound what one BulkIngest call may
@@ -63,7 +63,7 @@ func FuzzBulkIngest(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		rep, err := s.BulkIngest(context.Background(), bytes.NewReader(body), datalink.ExternalSide, format, 3)
+		rep, err := s.BulkIngest(context.Background(), bytes.NewReader(body), store.External, format, 3)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Logf("BulkIngest: %v", err)

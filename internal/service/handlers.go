@@ -75,17 +75,21 @@ func writeCommitErr(w http.ResponseWriter, err error) {
 	}
 }
 
+// maxBodyBytes caps the JSON request bodies; the streaming bulk endpoint
+// never buffers its body and is exempt.
+const maxBodyBytes = 8 << 20
+
 // decode parses a JSON request body strictly (unknown fields are
-// rejected, catching typo'd options early) under the service's size cap
-// (Options.MaxBodyBytes, default 8 MiB): http.MaxBytesReader stops
-// reading at the cap, so an oversized body is rejected with 413 instead
-// of being read on. A body that is not valid UTF-8 is a 400, as on the
-// bulk path: encoding/json would store each invalid byte as U+FFFD. The
-// body must be exactly one JSON value: trailing data after it — which
-// json.Decoder would otherwise silently ignore, accepting e.g. two
-// concatenated objects and applying only the first — is a 400.
+// rejected, catching typo'd options early) under the maxBodyBytes cap:
+// http.MaxBytesReader stops reading at the cap, so an oversized body is
+// rejected with 413 instead of being read on. A body that is not valid
+// UTF-8 is a 400, as on the bulk path: encoding/json would store each
+// invalid byte as U+FFFD. The body must be exactly one JSON value:
+// trailing data after it — which json.Decoder would otherwise silently
+// ignore, accepting e.g. two concatenated objects and applying only the
+// first — is a 400.
 func (s *Service) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeDecodeErr(w, err, "reading request: %v", err)
 		return false
@@ -118,18 +122,6 @@ func writeDecodeErr(w http.ResponseWriter, err error, format string, args ...any
 		return
 	}
 	writeErr(w, http.StatusBadRequest, format, args...)
-}
-
-// parseSide maps the wire name to a Side.
-func parseSide(s string) (datalink.Side, error) {
-	switch s {
-	case "external":
-		return datalink.ExternalSide, nil
-	case "local":
-		return datalink.LocalSide, nil
-	default:
-		return 0, fmt.Errorf("side must be %q or %q, got %q", "external", "local", s)
-	}
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -189,17 +181,9 @@ func (s *Service) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// itemSpec is the wire form of one item description: its IRI, literal
-// property values, and (local side only) its ontology classes.
-type itemSpec struct {
-	ID         string              `json:"id"`
-	Properties map[string][]string `json:"properties"`
-	Classes    []string            `json:"classes,omitempty"`
-}
-
 type upsertRequest struct {
-	Side  string     `json:"side"`
-	Items []itemSpec `json:"items"`
+	Side  string       `json:"side"`
+	Items []store.Item `json:"items"`
 }
 
 type upsertResponse struct {
@@ -212,7 +196,7 @@ func (s *Service) handleUpsert(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	side, err := parseSide(req.Side)
+	side, err := store.ParseSide(req.Side)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -223,21 +207,19 @@ func (s *Service) handleUpsert(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate the whole batch before building the mutation record, so a
 	// 400 response means nothing was logged or changed.
-	items := make([]store.Item, 0, len(req.Items))
 	for i, it := range req.Items {
 		if it.ID == "" {
 			writeErr(w, http.StatusBadRequest, "item %d: id is required", i)
 			return
 		}
-		if err := validateItem(side, datalink.NewIRI(it.ID), it.Properties, it.Classes); err != nil {
+		if err := validateItem(side, it); err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		items = append(items, store.Item{ID: it.ID, Props: it.Properties, Classes: it.Classes})
 	}
 	res, err := s.commit(r.Context(), &store.Record{
-		Op:     store.OpUpsert,
-		Upsert: &store.UpsertOp{Side: sideToStore(side), Items: items},
+		Op:    store.OpBatch,
+		Batch: []store.BatchEntry{{Upsert: &store.UpsertOp{Side: side, Items: req.Items}}},
 	})
 	if err != nil {
 		writeCommitErr(w, err)
@@ -265,7 +247,7 @@ func (s *Service) handleRemove(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	side, err := parseSide(req.Side)
+	side, err := store.ParseSide(req.Side)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -275,8 +257,8 @@ func (s *Service) handleRemove(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := s.commit(r.Context(), &store.Record{
-		Op:     store.OpRemove,
-		Remove: &store.RemoveOp{Side: sideToStore(side), IDs: req.IDs},
+		Op:    store.OpBatch,
+		Batch: []store.BatchEntry{{Remove: &store.RemoveOp{Side: side, IDs: req.IDs}}},
 	})
 	if err != nil {
 		writeCommitErr(w, err)
@@ -289,11 +271,11 @@ func (s *Service) handleRemove(w http.ResponseWriter, r *http.Request) {
 // the given side is in gone, returning how many were dropped. Without
 // this, removed items linger in the training set and the next learn
 // resurrects them into the model. Callers must hold the write lock.
-func (s *Service) purgeLinksLocked(side datalink.Side, gone map[datalink.Term]struct{}) int {
+func (s *Service) purgeLinksLocked(side store.Side, gone map[datalink.Term]struct{}) int {
 	kept := make([]datalink.Link, 0, len(s.links))
 	for _, l := range s.links {
 		end := l.External
-		if side == datalink.LocalSide {
+		if side == store.Local {
 			end = l.Local
 		}
 		if _, dead := gone[end]; dead {
@@ -334,16 +316,13 @@ func (s *Service) handleLearn(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	refs := make([]store.LinkRef, 0, len(req.Links))
+	links := make([]datalink.Link, 0, len(req.Links))
 	for i, l := range req.Links {
 		if l.External == "" || l.Local == "" {
 			writeErr(w, http.StatusBadRequest, "link %d: external and local are required", i)
 			return
 		}
-		refs = append(refs, refFromLink(datalink.Link{
-			External: datalink.NewIRI(l.External),
-			Local:    datalink.NewIRI(l.Local),
-		}))
+		links = append(links, datalink.Link{External: datalink.NewIRI(l.External), Local: datalink.NewIRI(l.Local)})
 	}
 	// The middleware attached a trace to the request context, so the
 	// learn and publish stages inside commit land in it (and in the
@@ -356,7 +335,7 @@ func (s *Service) handleLearn(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.commit(ctx, &store.Record{
 		Op:    store.OpLearn,
-		Learn: &store.LearnOp{Replace: req.Replace, Links: refs},
+		Learn: &store.LearnOp{Replace: req.Replace, Links: links},
 	})
 	if err != nil {
 		writeCommitErr(w, err)
@@ -419,7 +398,7 @@ type linkRequest struct {
 	// threshold.
 	TopK int `json:"top_k,omitempty"`
 	// Comparators override Options.DefaultLinker's comparators.
-	Comparators []comparatorSpec `json:"comparators,omitempty"`
+	Comparators []store.ComparatorMeta `json:"comparators,omitempty"`
 }
 
 type matchJSON struct {

@@ -7,6 +7,7 @@ import (
 
 	datalink "repro"
 	"repro/internal/similarity"
+	"repro/internal/store"
 )
 
 // measures maps wire names to similarity measures. All listed measures
@@ -43,18 +44,11 @@ func measureByName(name string) (similarity.Measure, error) {
 	return m, nil
 }
 
-// comparatorSpec is the wire form of one comparator.
-type comparatorSpec struct {
-	ExternalProperty string  `json:"external_property"`
-	LocalProperty    string  `json:"local_property"`
-	Measure          string  `json:"measure"`
-	Weight           float64 `json:"weight"`
-}
-
-// compileComparators turns wire specs into a linker comparator slice. A
-// missing local property defaults to the external one (same-schema
-// linking), and a zero weight defaults to 1.
-func compileComparators(specs []comparatorSpec) ([]datalink.Comparator, error) {
+// compileComparators turns wire comparators, a link request's or a
+// snapshot's, into a linker comparator slice. A missing local property
+// defaults to the external one (same-schema linking), and a zero weight
+// defaults to 1.
+func compileComparators(specs []store.ComparatorMeta) ([]datalink.Comparator, error) {
 	out := make([]datalink.Comparator, 0, len(specs))
 	for i, sp := range specs {
 		if sp.ExternalProperty == "" {

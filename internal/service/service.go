@@ -85,9 +85,6 @@ type Options struct {
 	// comparators. Leaving it zero makes comparators mandatory per
 	// request.
 	DefaultLinker datalink.LinkerConfig
-	// MaxBodyBytes caps request bodies; 0 means 8 MiB. The streaming
-	// bulk endpoint is exempt — it never buffers the body.
-	MaxBodyBytes int64
 	// BulkBatch is how many items POST /v1/items/bulk commits per
 	// batched WAL record; 0 means 1000. A request's ?batch= parameter
 	// overrides it.
@@ -188,9 +185,6 @@ func New(se, sl *datalink.Graph, ol *datalink.Ontology, opts Options) *Service {
 	if ol == nil {
 		ol = datalink.NewOntology()
 	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 8 << 20
-	}
 	s := &Service{opts: opts, se: se, sl: sl, ol: ol}
 	s.reg = opts.Metrics
 	if s.reg == nil {
@@ -247,13 +241,13 @@ func (s *Service) publishLocked(ctx context.Context) {
 // programmatic equivalent of POST /v1/learn, for seeding a service with
 // an existing training set at startup. Like every mutation it flows
 // through the logged choke point, so in durable mode the links survive a
-// restart.
+// restart. A link whose endpoint is not an IRI or a blank node is an
+// error, and nothing is logged.
 func (s *Service) LearnLinks(links []datalink.Link) error {
-	refs := make([]store.LinkRef, 0, len(links))
-	for _, l := range links {
-		refs = append(refs, refFromLink(l))
+	if err := (datalink.TrainingSet{Links: links}).Validate(); err != nil {
+		return err
 	}
-	_, err := s.commit(context.Background(), &store.Record{Op: store.OpLearn, Learn: &store.LearnOp{Links: refs}})
+	_, err := s.commit(context.Background(), &store.Record{Op: store.OpLearn, Learn: &store.LearnOp{Links: links}})
 	return err
 }
 
@@ -302,18 +296,18 @@ func (s *Service) installLocked(m *datalink.Model) {
 
 // validateItem rejects malformed item descriptions. Run before any graph
 // mutation, so a 400 response guarantees nothing was changed.
-func validateItem(side datalink.Side, item datalink.Term, props map[string][]string, classes []string) error {
-	for prop := range props {
+func validateItem(side store.Side, it store.Item) error {
+	for prop := range it.Props {
 		if prop == "" {
-			return fmt.Errorf("item %s: empty property IRI", item.Value)
+			return fmt.Errorf("item %s: empty property IRI", it.ID)
 		}
 	}
-	if side != datalink.LocalSide && len(classes) > 0 {
-		return fmt.Errorf("item %s: classes are only accepted on the local side", item.Value)
+	if side != store.Local && len(it.Classes) > 0 {
+		return fmt.Errorf("item %s: classes are only accepted on the local side", it.ID)
 	}
-	for _, c := range classes {
+	for _, c := range it.Classes {
 		if c == "" {
-			return fmt.Errorf("item %s: empty class IRI", item.Value)
+			return fmt.Errorf("item %s: empty class IRI", it.ID)
 		}
 	}
 	return nil
@@ -324,7 +318,7 @@ func validateItem(side datalink.Side, item datalink.Term, props map[string][]str
 // reached from applyLocked — the logged-mutation choke point — so every
 // path that calls it (HTTP upsert, recovery replay) hits the same code.
 // Callers must hold the write lock.
-func (s *Service) replaceItemLocked(side datalink.Side, item datalink.Term, props map[string][]string, classes []string) {
+func (s *Service) replaceItemLocked(side store.Side, item datalink.Term, props map[string][]string, classes []string) {
 	g := s.graphLocked(side)
 	for _, tr := range g.Find(item, datalink.Term{}, datalink.Term{}) {
 		g.Remove(tr)
@@ -335,7 +329,7 @@ func (s *Service) replaceItemLocked(side datalink.Side, item datalink.Term, prop
 			g.Add(datalink.T(item, p, datalink.NewLiteral(v)))
 		}
 	}
-	if side == datalink.LocalSide {
+	if side == store.Local {
 		for _, c := range classes {
 			g.Add(datalink.T(item, datalink.RDFType, datalink.NewIRI(c)))
 		}

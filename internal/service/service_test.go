@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	datalink "repro"
+	"repro/internal/store"
 )
 
 const (
@@ -200,7 +201,7 @@ func TestLink(t *testing.T) {
 	all := linkRequest{
 		Threshold:   &th,
 		TopK:        1,
-		Comparators: []comparatorSpec{{ExternalProperty: pnProp, Measure: "jarowinkler"}},
+		Comparators: []store.ComparatorMeta{{ExternalProperty: pnProp, Measure: "jarowinkler"}},
 	}
 	var allResp linkResponse
 	if rec := call(t, h, "POST", "/v1/link", all, &allResp); rec.Code != http.StatusOK {
@@ -211,7 +212,7 @@ func TestLink(t *testing.T) {
 	}
 
 	// Unknown measure is a 400.
-	bad := linkRequest{Comparators: []comparatorSpec{{ExternalProperty: pnProp, Measure: "nope"}}}
+	bad := linkRequest{Comparators: []store.ComparatorMeta{{ExternalProperty: pnProp, Measure: "nope"}}}
 	if rec := call(t, h, "POST", "/v1/link", bad, nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad measure: %d, want 400", rec.Code)
 	}
@@ -225,11 +226,11 @@ func TestLink(t *testing.T) {
 func TestLinkEmptySpacePolicy(t *testing.T) {
 	h := corpusService(t).Handler()
 	call(t, h, "POST", "/v1/learn", learnBody(20), nil)
-	up := upsertRequest{Side: "external", Items: []itemSpec{
+	up := upsertRequest{Side: "external", Items: []store.Item{
 		// No segment of this part number occurs in any rule.
-		{ID: "http://ex.org/e/none", Properties: map[string][]string{pnProp: {"ZZZ-QQQQ"}}},
+		{ID: "http://ex.org/e/none", Props: map[string][]string{pnProp: {"ZZZ-QQQQ"}}},
 		// Only capacitor rules fire for this one.
-		{ID: "http://ex.org/e/cap", Properties: map[string][]string{pnProp: {"CAP-W"}}},
+		{ID: "http://ex.org/e/cap", Props: map[string][]string{pnProp: {"CAP-W"}}},
 	}}
 	if rec := call(t, h, "POST", "/v1/items/upsert", up, nil); rec.Code != http.StatusOK {
 		t.Fatalf("upsert: %d %s", rec.Code, rec.Body)
@@ -295,10 +296,10 @@ func TestUpsertThenLinkSeesNewItem(t *testing.T) {
 	call(t, h, "POST", "/v1/link", linkRequest{Items: []string{"http://ex.org/e/r0"}}, nil)
 
 	// A new local resistor that matches e/r9's part number better.
-	up := upsertRequest{Side: "local", Items: []itemSpec{{
-		ID:         "http://ex.org/l/rNew",
-		Properties: map[string][]string{pnProp: {"RES-0009-Z"}},
-		Classes:    []string{clsRes},
+	up := upsertRequest{Side: "local", Items: []store.Item{{
+		ID:      "http://ex.org/l/rNew",
+		Props:   map[string][]string{pnProp: {"RES-0009-Z"}},
+		Classes: []string{clsRes},
 	}}}
 	var upResp upsertResponse
 	if rec := call(t, h, "POST", "/v1/items/upsert", up, &upResp); rec.Code != http.StatusOK {
@@ -318,9 +319,9 @@ func TestUpsertThenLinkSeesNewItem(t *testing.T) {
 	}
 
 	// Upserting an external item re-routes its candidates too.
-	upExt := upsertRequest{Side: "external", Items: []itemSpec{{
-		ID:         "http://ex.org/e/r9",
-		Properties: map[string][]string{pnProp: {"CAP-0005-Y"}},
+	upExt := upsertRequest{Side: "external", Items: []store.Item{{
+		ID:    "http://ex.org/e/r9",
+		Props: map[string][]string{pnProp: {"CAP-0005-Y"}},
 	}}}
 	if rec := call(t, h, "POST", "/v1/items/upsert", upExt, nil); rec.Code != http.StatusOK {
 		t.Fatalf("upsert external: %d %s", rec.Code, rec.Body)
@@ -333,7 +334,7 @@ func TestUpsertThenLinkSeesNewItem(t *testing.T) {
 	}
 
 	// Classes on the external side are rejected.
-	badUp := upsertRequest{Side: "external", Items: []itemSpec{{ID: "http://ex.org/e/x", Classes: []string{clsRes}}}}
+	badUp := upsertRequest{Side: "external", Items: []store.Item{{ID: "http://ex.org/e/x", Classes: []string{clsRes}}}}
 	if rec := call(t, h, "POST", "/v1/items/upsert", badUp, nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("classes on external side: %d, want 400", rec.Code)
 	}
@@ -431,10 +432,10 @@ func TestConcurrentTraffic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
 				if g%2 == 0 {
-					up := upsertRequest{Side: "local", Items: []itemSpec{{
-						ID:         fmt.Sprintf("http://ex.org/l/live-%d-%d", g, i),
-						Properties: map[string][]string{pnProp: {fmt.Sprintf("RES-%02d%02d-L", g, i)}},
-						Classes:    []string{clsRes},
+					up := upsertRequest{Side: "local", Items: []store.Item{{
+						ID:      fmt.Sprintf("http://ex.org/l/live-%d-%d", g, i),
+						Props:   map[string][]string{pnProp: {fmt.Sprintf("RES-%02d%02d-L", g, i)}},
+						Classes: []string{clsRes},
 					}}}
 					b, _ := json.Marshal(up)
 					req := httptest.NewRequest("POST", "/v1/items/upsert", bytes.NewReader(b))

@@ -13,6 +13,7 @@ import (
 
 	datalink "repro"
 	"repro/internal/similarity"
+	"repro/internal/store"
 )
 
 // slowExact is an exact-match measure with a deliberate per-call delay,
@@ -196,10 +197,10 @@ func TestSlowQueryDoesNotBlockUpsert(t *testing.T) {
 	}()
 
 	time.Sleep(50 * time.Millisecond) // let the query get in flight
-	up := upsertRequest{Side: "local", Items: []itemSpec{{
-		ID:         "http://ex.org/l/rNew",
-		Properties: map[string][]string{pnProp: {"RES-0099-X"}, labelProp: {"L-0099"}},
-		Classes:    []string{clsRes},
+	up := upsertRequest{Side: "local", Items: []store.Item{{
+		ID:      "http://ex.org/l/rNew",
+		Props:   map[string][]string{pnProp: {"RES-0099-X"}, labelProp: {"L-0099"}},
+		Classes: []string{clsRes},
 	}}}
 	ub, _ := json.Marshal(up)
 	start := time.Now()
@@ -261,8 +262,8 @@ func TestQueryNeverTornUnderUpserts(t *testing.T) {
 			if i%2 == 1 {
 				desc = descB
 			}
-			up := upsertRequest{Side: "local", Items: []itemSpec{{
-				ID: "http://ex.org/l/r0", Properties: desc, Classes: []string{clsRes},
+			up := upsertRequest{Side: "local", Items: []store.Item{{
+				ID: "http://ex.org/l/r0", Props: desc, Classes: []string{clsRes},
 			}}}
 			b, _ := json.Marshal(up)
 			rec := httptest.NewRecorder()

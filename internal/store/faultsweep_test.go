@@ -34,18 +34,18 @@ func sweepOptions(fs store.FS) store.Options {
 // a prefix of its entries.
 func sweepRecord(i uint64) *store.Record {
 	if i%3 == 0 {
-		return &store.Record{Op: store.OpBatch, Batch: &store.BatchOp{Ops: []store.BatchEntry{
+		return &store.Record{Op: store.OpBatch, Batch: []store.BatchEntry{
 			{Upsert: &store.UpsertOp{Side: store.External, Items: []store.Item{
 				{ID: sweepID(i) + "-a", Props: map[string][]string{"http://ex.org/p": {fmt.Sprintf("value-%02d-a", i)}}},
 				{ID: sweepID(i) + "-b", Props: map[string][]string{"http://ex.org/p": {fmt.Sprintf("value-%02d-b", i)}}},
 			}}},
 			{Remove: &store.RemoveOp{Side: store.External, IDs: []string{sweepID(i) + "-a"}}},
-		}}}
+		}}
 	}
-	return &store.Record{Op: store.OpUpsert, Upsert: &store.UpsertOp{
+	return &store.Record{Op: store.OpBatch, Batch: []store.BatchEntry{{Upsert: &store.UpsertOp{
 		Side:  store.External,
 		Items: []store.Item{{ID: sweepID(i), Props: map[string][]string{"http://ex.org/p": {fmt.Sprintf("value-%02d", i)}}}},
-	}}
+	}}}}
 }
 
 func sweepID(i uint64) string { return fmt.Sprintf("http://ex.org/item-%02d", i) }

@@ -61,7 +61,7 @@ func sameModel(a, b *core.Model) bool {
 // same bytes.
 func TestModelSectionRoundTrip(t *testing.T) {
 	for i, m := range testModels() {
-		enc := encodeModel(m)
+		enc := appendModel(nil, m)
 		got, err := decodeModel(enc)
 		if err != nil {
 			t.Fatalf("fixture %d: %v", i, err)
@@ -72,7 +72,7 @@ func TestModelSectionRoundTrip(t *testing.T) {
 		if got.TrainingSize() != 0 || !reflect.DeepEqual(got.Config, core.LearnerConfig{}) {
 			t.Errorf("fixture %d: a decoded model has a training index or a config", i)
 		}
-		if again := encodeModel(got); !bytes.Equal(again, enc) {
+		if again := appendModel(nil, got); !bytes.Equal(again, enc) {
 			t.Errorf("fixture %d: re-encoding changed the bytes:\nfirst  %x\nsecond %x", i, enc, again)
 		}
 	}
@@ -83,7 +83,7 @@ func TestModelSectionRoundTrip(t *testing.T) {
 // longer than its shortest form, a rule count past the rules and
 // trailing bytes.
 func TestModelSectionRejectsCorruption(t *testing.T) {
-	enc := encodeModel(testModels()[0])
+	enc := appendModel(nil, testModels()[0])
 	for cut := 0; cut < len(enc); cut++ {
 		if _, err := decodeModel(enc[:cut]); err == nil {
 			t.Fatalf("decoded a %d-byte prefix of a %d-byte section", cut, len(enc))
@@ -92,7 +92,7 @@ func TestModelSectionRejectsCorruption(t *testing.T) {
 	one := &core.Model{Rules: core.RuleSet{Rules: []core.Rule{{
 		Property: rdf.NewIRI("p"), Segment: "s", Class: rdf.NewIRI("c"), Generalized: true,
 	}}}}
-	valid := encodeModel(one)
+	valid := appendModel(nil, one)
 	stats := len(statsWire(&core.LearnStats{}))
 	kind := stats + 1 // the rule's first term kind follows the stats and the rule count
 	for name, bad := range map[string][]byte{
@@ -157,7 +157,7 @@ func TestModelDecodeBoundsRuleHint(t *testing.T) {
 // prefix of them, and a huge rule count.
 func FuzzModelSection(f *testing.F) {
 	for _, m := range testModels() {
-		enc := encodeModel(m)
+		enc := appendModel(nil, m)
 		for cut := 0; cut <= len(enc); cut++ {
 			f.Add(enc[:cut])
 		}
@@ -174,25 +174,72 @@ func FuzzModelSection(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if again := encodeModel(m); !bytes.Equal(again, data) {
+		if again := appendModel(nil, m); !bytes.Equal(again, data) {
 			t.Fatalf("re-encoding an accepted section changed it:\nin  %x\nout %x", data, again)
 		}
 	})
 }
 
 // testLinks are the links section's fixtures: no links, one with empty
-// endpoints, and endpoints of every kind byte, with bytes that are not
-// UTF-8 and lengths past one varint byte.
-func testLinks() [][]LinkRef {
+// endpoints, and endpoints of both kinds, with bytes that are not UTF-8
+// and lengths past one varint byte.
+func testLinks() [][]core.Link {
 	long := strings.Repeat("http://ex.org/item/", 8)
-	return [][]LinkRef{
+	return [][]core.Link{
 		nil,
-		{{}},
+		{{External: rdf.NewIRI(""), Local: rdf.NewBlank("")}},
 		{
-			{ExternalKind: 1, External: "http://ex.org/e/1", LocalKind: 1, Local: "http://ex.org/l/1"},
-			{ExternalKind: 3, External: "b0", LocalKind: 255, Local: "\xff\xfe"},
-			{ExternalKind: 1, External: long, LocalKind: 1, Local: long + "x"},
+			{External: rdf.NewIRI("http://ex.org/e/1"), Local: rdf.NewIRI("http://ex.org/l/1")},
+			{External: rdf.NewBlank("b0"), Local: rdf.NewIRI("\xff\xfe")},
+			{External: rdf.NewIRI(long), Local: rdf.NewIRI(long + "x")},
 		},
+	}
+}
+
+// badLinkSections are one-link sections with an endpoint that is not an
+// IRI or a blank node: a kind-0 external endpoint, a literal one, and a
+// kind-255 local endpoint.
+func badLinkSections() [][]byte {
+	return [][]byte{
+		{1, 0, 0, 1, 0},
+		{1, 2, 1, 'x', 1, 0},
+		{1, 3, 2, 'b', '0', 255, 2, 0xff, 0xfe},
+	}
+}
+
+// encodeLinks is the links section of links, which must encode.
+func encodeLinks(t testing.TB, links []core.Link) []byte {
+	t.Helper()
+	b, err := appendLinks(nil, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestLinksSectionEndpointKinds: every fixture round trips, and a link
+// endpoint that is not an IRI or a blank node is refused both ways: the
+// encoder will not write a zero, literal or unknown kind, and the
+// decoder will not read one.
+func TestLinksSectionEndpointKinds(t *testing.T) {
+	for i, links := range testLinks() {
+		got, err := decodeLinks(encodeLinks(t, links))
+		if err != nil || !slices.Equal(got, links) {
+			t.Errorf("fixture %d: round trip gave %v, %v", i, got, err)
+		}
+	}
+	for i, sec := range badLinkSections() {
+		if links, err := decodeLinks(sec); err == nil {
+			t.Errorf("bad section %d: decoded %v", i, links)
+		}
+	}
+	iri := rdf.NewIRI("http://ex.org/e/1")
+	for _, bad := range []rdf.Term{{}, rdf.NewLiteral("x"), {Kind: 255, Value: "x"}} {
+		for _, l := range []core.Link{{External: bad, Local: iri}, {External: iri, Local: bad}} {
+			if _, err := appendLinks(nil, []core.Link{l}); err == nil {
+				t.Errorf("encoded the link %v", l)
+			}
+		}
 	}
 }
 
@@ -203,7 +250,7 @@ func hugeLinkCountSection() []byte {
 }
 
 // linksAllocBound bounds what decodeLinks may allocate for n bytes: a
-// link takes at least minLinkRefBytes of input and 48 bytes of memory,
+// link takes at least minLinkBytes of input and 112 bytes of memory,
 // and a string no more memory than it takes input, rounded up to a size
 // class.
 func linksAllocBound(n int) uint64 { return uint64(32*n + 256<<10) }
@@ -212,13 +259,17 @@ func linksAllocBound(n int) uint64 { return uint64(32*n + 256<<10) }
 // It must never panic, an accepted section must re-encode to the same
 // bytes, and the link count it reads may not make it allocate beyond a
 // fixed multiple of the input. The seeds are the fixtures' encodings,
-// every prefix of them, and a huge link count.
+// every prefix of them, the sections with a bad endpoint kind and a huge
+// link count.
 func FuzzLinksSection(f *testing.F) {
 	for _, links := range testLinks() {
-		enc := encodeLinks(links)
+		enc := encodeLinks(f, links)
 		for cut := 0; cut <= len(enc); cut++ {
 			f.Add(enc[:cut])
 		}
+	}
+	for _, sec := range badLinkSections() {
+		f.Add(sec)
 	}
 	f.Add(hugeLinkCountSection())
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -232,7 +283,7 @@ func FuzzLinksSection(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if again := encodeLinks(links); !bytes.Equal(again, data) {
+		if again := encodeLinks(t, links); !bytes.Equal(again, data) {
 			t.Fatalf("re-encoding an accepted section changed it:\nin  %x\nout %x", data, again)
 		}
 	})

@@ -9,16 +9,22 @@
 //	  snap-<seq>.snap   full snapshots (binary graph sections, CRC-sealed)
 //	  wal-<seq>.log     WAL segments; <seq> is the first record's sequence
 //
-// Every mutation (item upsert, item removal, learn, or a batch of many
-// upserts/removes) is assigned a dense sequence number and appended to
-// the current WAL segment as one CRC-framed record *before* it is
-// applied to the in-memory state — a batch of 10k items costs one frame
-// and one fsync, not 10k. A
-// checkpoint rotates the WAL (so the snapshot boundary is exact), writes
-// a snapshot of everything up to the rotation point from the service's
-// immutable published bundle — writers keep appending to the new segment
-// meanwhile — and then prunes the segments and snapshots the new
-// checkpoint supersedes.
+// Every mutation is assigned a dense sequence number and appended to the
+// current WAL segment as one CRC-framed record *before* it is applied to
+// the in-memory state. A record is one of two kinds. A batch carries an
+// ordered mix of item upserts and removals: a single-item upsert is a
+// one-entry batch, and a bulk load of 10k items costs one frame and one
+// fsync, not 10k. A learn extends or replaces the training links, each a
+// core.Link whose endpoints are IRIs or blank nodes. Earlier builds
+// logged a single upsert or removal as a record of its own; the decoder
+// still reads those, as one-entry batches, so a WAL tail written before
+// an upgrade replays after it.
+//
+// A checkpoint rotates the WAL (so the snapshot boundary is exact),
+// writes a snapshot of everything up to the rotation point from the
+// service's immutable published bundle — writers keep appending to the
+// new segment meanwhile — and then prunes the segments and snapshots the
+// new checkpoint supersedes.
 //
 // Recovery is Open: load the newest snapshot that validates, replay the
 // WAL records after its sequence number, and rotate to a fresh segment.
@@ -28,14 +34,18 @@
 // error, because records after it would silently vanish.
 //
 // The package depends on internal/rdf for graphs and terms and on
-// internal/core for the served model; sides, items and links are
-// wire-level values here, converted by the service layer.
+// internal/core for training links and the served model. The service's
+// requests decode straight into Item and ComparatorMeta, and ParseSide
+// reads their side.
 package store
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"repro/internal/core"
+	"repro/internal/rdf"
 )
 
 // Side selects the external or local graph of the corpus.
@@ -49,34 +59,56 @@ const (
 	Local Side = 1
 )
 
-// Op discriminates mutation records. The numbering is part of the
-// on-disk format.
+// ParseSide parses a side's wire name, "external" or "local".
+func ParseSide(s string) (Side, error) {
+	switch s {
+	case "external":
+		return External, nil
+	case "local":
+		return Local, nil
+	}
+	return 0, fmt.Errorf("side must be %q or %q, got %q", "external", "local", s)
+}
+
+// Op discriminates mutation records and batch entries. The numbering is
+// part of the on-disk format.
 type Op uint8
 
 const (
-	// OpUpsert replaces item descriptions on one side.
+	// OpUpsert is a batch entry that replaces item descriptions on one
+	// side. Earlier builds also wrote it as a record of its own.
 	OpUpsert Op = 1
-	// OpRemove removes items (and their training links) on one side.
+	// OpRemove is a batch entry that removes items (and their training
+	// links) on one side. Earlier builds also wrote it as a record.
 	OpRemove Op = 2
 	// OpLearn extends or replaces the training links and relearns.
 	OpLearn Op = 3
-	// OpBatch groups many upsert/remove sub-ops into one atomic record:
+	// OpBatch groups upsert and remove entries into one atomic record:
 	// one CRC frame, one fsync, one sequence slot. A torn frame drops the
 	// whole batch, so recovery sees it wholly applied or wholly absent.
 	OpBatch Op = 4
 )
 
-// Record is one logged service mutation. Exactly one of Upsert, Remove,
-// Learn and Batch is set, matching Op.
+// Record is one logged service mutation: Batch is set for OpBatch and
+// Learn for OpLearn. The encoder writes only these two ops; a plain
+// upsert or remove record of an earlier build decodes as an OpBatch
+// record of one entry.
 type Record struct {
 	// Seq is the record's sequence number, assigned by Store.Append.
 	Seq uint64
 	Op  Op
 
+	// Batch is the ordered item writes, addressed as (Seq, entry index):
+	// the record occupies a single sequence slot however many items it
+	// carries.
+	Batch []BatchEntry
+	Learn *LearnOp
+}
+
+// BatchEntry is one item write of a batch. Exactly one field is set.
+type BatchEntry struct {
 	Upsert *UpsertOp
 	Remove *RemoveOp
-	Learn  *LearnOp
-	Batch  *BatchOp
 }
 
 // UpsertOp replaces the full description of each item on one side.
@@ -86,11 +118,12 @@ type UpsertOp struct {
 }
 
 // Item is one item description: property IRI -> literal values, plus
-// (local side) ontology class IRIs.
+// (local side) ontology class IRIs. Its JSON form is the service's
+// upsert item and, with a remove marker, its bulk NDJSON line.
 type Item struct {
-	ID      string
-	Props   map[string][]string
-	Classes []string
+	ID      string              `json:"id"`
+	Props   map[string][]string `json:"properties"`
+	Classes []string            `json:"classes,omitempty"`
 }
 
 // RemoveOp removes the items with the given IRIs from one side.
@@ -100,78 +133,63 @@ type RemoveOp struct {
 }
 
 // LearnOp extends (or with Replace, supersedes) the accumulated training
-// links and relearns the model.
+// links and relearns the model. Every endpoint is an IRI or a blank node.
 type LearnOp struct {
 	Replace bool
-	Links   []LinkRef
+	Links   []core.Link
 }
 
-// BatchOp is an ordered sequence of upsert/remove sub-ops committed as
-// one record. Sub-ops are addressed as (Record.Seq, entry index); the
-// record occupies a single sequence slot regardless of how many items
-// it carries.
-type BatchOp struct {
-	Ops []BatchEntry
-}
+// minLinkBytes is the fewest bytes a link takes on disk: two kind bytes
+// and two empty strings.
+const minLinkBytes = 4
 
-// BatchEntry is one sub-op of a batch. Exactly one field is set.
-type BatchEntry struct {
-	Upsert *UpsertOp
-	Remove *RemoveOp
-}
-
-// Entries views the record's item mutations as a uniform op slice: a
-// plain upsert or remove yields one entry, a batch yields its entries in
-// order, and a learn (or unset) record yields nil. Replay and live
-// commit both iterate this view, so batches take the exact code path of
-// single-op records.
-func (r *Record) Entries() []BatchEntry {
-	switch r.Op {
-	case OpUpsert:
-		return []BatchEntry{{Upsert: r.Upsert}}
-	case OpRemove:
-		return []BatchEntry{{Remove: r.Remove}}
-	case OpBatch:
-		return r.Batch.Ops
+// appendLinks and readLinks are the single wire form of a link list,
+// shared by the learn record and the snapshot links section: a count,
+// then each link's external and local endpoint as a kind byte and a
+// value. Both directions refuse an endpoint that is not an IRI or a
+// blank node, so the log never holds a record its decoder rejects.
+func appendLinks(b []byte, links []core.Link) ([]byte, error) {
+	b = appendUvarint(b, uint64(len(links)))
+	for i, l := range links {
+		for _, t := range [2]rdf.Term{l.External, l.Local} {
+			if !linkEndpoint(t.Kind) {
+				return nil, fmt.Errorf("store: encoding link %d: endpoint %v is not an IRI or a blank node", i, t)
+			}
+			b = append(b, byte(t.Kind))
+			b = appendString(b, t.Value)
+		}
 	}
-	return nil
+	return b, nil
 }
 
-// LinkRef is one training link endpoint pair. Kinds are rdf.TermKind
-// bytes (IRI or blank node), kept as raw bytes so this package does not
-// depend on the term model.
-type LinkRef struct {
-	ExternalKind uint8
-	External     string
-	LocalKind    uint8
-	Local        string
+func readLinks(br *byteReader) ([]core.Link, error) {
+	n, err := br.uvarint("link count")
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	// The bytes left bound what a count read from disk may preallocate.
+	links := make([]core.Link, 0, min(n, uint64(len(br.b)-br.pos)/minLinkBytes))
+	for i := uint64(0); i < n; i++ {
+		var l core.Link
+		for _, t := range [2]*rdf.Term{&l.External, &l.Local} {
+			k, err := br.byte("link endpoint kind")
+			if err != nil {
+				return nil, err
+			}
+			if t.Kind = rdf.TermKind(k); !linkEndpoint(t.Kind) {
+				return nil, fmt.Errorf("store: decoding link %d: endpoint kind %d is not an IRI or a blank node", i, k)
+			}
+			if t.Value, err = br.string("link endpoint"); err != nil {
+				return nil, err
+			}
+		}
+		links = append(links, l)
+	}
+	return links, nil
 }
 
-// appendLinkRef and readLinkRef are the single wire form of a LinkRef,
-// shared by the WAL learn record and the snapshot links section.
-func appendLinkRef(b []byte, ln LinkRef) []byte {
-	b = append(b, ln.ExternalKind)
-	b = appendString(b, ln.External)
-	b = append(b, ln.LocalKind)
-	b = appendString(b, ln.Local)
-	return b
-}
-
-func readLinkRef(br *byteReader) (LinkRef, error) {
-	var ln LinkRef
-	var err error
-	if ln.ExternalKind, err = br.byte("external kind"); err != nil {
-		return ln, err
-	}
-	if ln.External, err = br.string("external endpoint"); err != nil {
-		return ln, err
-	}
-	if ln.LocalKind, err = br.byte("local kind"); err != nil {
-		return ln, err
-	}
-	ln.Local, err = br.string("local endpoint")
-	return ln, err
-}
+// linkEndpoint reports whether a link endpoint may have kind k.
+func linkEndpoint(k rdf.TermKind) bool { return k == rdf.IRIKind || k == rdf.BlankKind }
 
 // appendUvarint appends v as an unsigned varint.
 func appendUvarint(b []byte, v uint64) []byte {
@@ -233,8 +251,8 @@ func (r *byteReader) done() error {
 	return nil
 }
 
-// appendUpsertOp and readUpsertOp are the single wire form of an
-// UpsertOp payload, shared by the plain upsert record and batch entries.
+// appendUpsertOp and readUpsertOp are the wire form of an upsert entry's
+// payload, which a plain upsert record of an earlier build also holds.
 // Map keys are emitted sorted so equal ops encode to equal bytes.
 func appendUpsertOp(b []byte, u *UpsertOp) []byte {
 	b = append(b, byte(u.Side))
@@ -323,8 +341,8 @@ func readUpsertOp(br *byteReader) (*UpsertOp, error) {
 	return u, nil
 }
 
-// appendRemoveOp and readRemoveOp are the single wire form of a
-// RemoveOp payload, shared by the plain remove record and batch entries.
+// appendRemoveOp and readRemoveOp are the wire form of a remove entry's
+// payload, which a plain remove record of an earlier build also holds.
 func appendRemoveOp(b []byte, rm *RemoveOp) []byte {
 	b = append(b, byte(rm.Side))
 	b = appendUvarint(b, uint64(len(rm.IDs)))
@@ -358,20 +376,15 @@ func readRemoveOp(br *byteReader) (*RemoveOp, error) {
 }
 
 // encodeBody serializes the record's operation payload (everything but
-// the sequence number and frame). Map keys are emitted sorted so equal
-// records encode to equal bytes.
+// the sequence number and frame): the op byte, then a batch's entries or
+// a learn's replace flag and links.
 func (r *Record) encodeBody() ([]byte, error) {
 	b := make([]byte, 0, 256)
 	b = append(b, byte(r.Op))
 	switch r.Op {
-	case OpUpsert:
-		b = appendUpsertOp(b, r.Upsert)
-	case OpRemove:
-		b = appendRemoveOp(b, r.Remove)
 	case OpBatch:
-		bt := r.Batch
-		b = appendUvarint(b, uint64(len(bt.Ops)))
-		for _, e := range bt.Ops {
+		b = appendUvarint(b, uint64(len(r.Batch)))
+		for _, e := range r.Batch {
 			switch {
 			case e.Upsert != nil && e.Remove == nil:
 				b = append(b, byte(OpUpsert))
@@ -383,88 +396,74 @@ func (r *Record) encodeBody() ([]byte, error) {
 				return nil, fmt.Errorf("store: encoding batch: entry must set exactly one of upsert/remove")
 			}
 		}
+		return b, nil
 	case OpLearn:
-		l := r.Learn
 		rep := byte(0)
-		if l.Replace {
+		if r.Learn.Replace {
 			rep = 1
 		}
-		b = append(b, rep)
-		b = appendUvarint(b, uint64(len(l.Links)))
-		for _, ln := range l.Links {
-			b = appendLinkRef(b, ln)
-		}
-	default:
-		return nil, fmt.Errorf("store: encoding record: unknown op %d", r.Op)
+		return appendLinks(append(b, rep), r.Learn.Links)
 	}
-	return b, nil
+	return nil, fmt.Errorf("store: encoding record: unknown op %d", r.Op)
 }
 
-// decodeBody parses an operation payload produced by encodeBody into r
-// (which carries Seq already).
+// decodeBody parses an operation payload into r (which carries Seq
+// already): what encodeBody writes, and the plain upsert and remove
+// records of earlier builds, which become one-entry batches.
 func (r *Record) decodeBody(body []byte) error {
 	br := &byteReader{b: body}
 	op, err := br.byte("op")
 	if err != nil {
 		return err
 	}
-	r.Op = Op(op)
-	switch r.Op {
-	case OpUpsert:
-		if r.Upsert, err = readUpsertOp(br); err != nil {
+	switch r.Op = Op(op); r.Op {
+	case OpUpsert, OpRemove:
+		e, err := readEntry(br, r.Op)
+		if err != nil {
 			return err
 		}
-	case OpRemove:
-		if r.Remove, err = readRemoveOp(br); err != nil {
-			return err
-		}
+		r.Op, r.Batch = OpBatch, []BatchEntry{e}
 	case OpBatch:
 		n, err := br.uvarint("batch entry count")
 		if err != nil {
 			return err
 		}
-		bt := &BatchOp{Ops: make([]BatchEntry, 0, min(n, 1024))}
+		r.Batch = make([]BatchEntry, 0, min(n, 1024))
 		for i := uint64(0); i < n; i++ {
 			sub, err := br.byte("batch entry op")
 			if err != nil {
 				return err
 			}
-			var e BatchEntry
-			switch Op(sub) {
-			case OpUpsert:
-				if e.Upsert, err = readUpsertOp(br); err != nil {
-					return err
-				}
-			case OpRemove:
-				if e.Remove, err = readRemoveOp(br); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("store: decoding batch: invalid entry op %d", sub)
+			e, err := readEntry(br, Op(sub))
+			if err != nil {
+				return err
 			}
-			bt.Ops = append(bt.Ops, e)
+			r.Batch = append(r.Batch, e)
 		}
-		r.Batch = bt
 	case OpLearn:
 		rep, err := br.byte("replace flag")
 		if err != nil {
 			return err
 		}
-		l := &LearnOp{Replace: rep == 1}
-		n, err := br.uvarint("link count")
-		if err != nil {
+		r.Learn = &LearnOp{Replace: rep == 1}
+		if r.Learn.Links, err = readLinks(br); err != nil {
 			return err
 		}
-		for i := uint64(0); i < n; i++ {
-			ln, err := readLinkRef(br)
-			if err != nil {
-				return err
-			}
-			l.Links = append(l.Links, ln)
-		}
-		r.Learn = l
 	default:
 		return fmt.Errorf("store: decoding record: unknown op %d", op)
 	}
 	return br.done()
+}
+
+// readEntry reads the payload of one upsert or remove entry.
+func readEntry(br *byteReader, op Op) (e BatchEntry, err error) {
+	switch op {
+	case OpUpsert:
+		e.Upsert, err = readUpsertOp(br)
+	case OpRemove:
+		e.Remove, err = readRemoveOp(br)
+	default:
+		err = fmt.Errorf("store: decoding batch: invalid entry op %d", op)
+	}
+	return e, err
 }

@@ -38,7 +38,8 @@ func TestRecordDecodeBoundsPropertyMapHint(t *testing.T) {
 
 // FuzzRecordBody feeds arbitrary bytes to the WAL record decoder. It
 // must never panic, and a body it accepts must re-encode and decode to
-// an equal record.
+// an equal record. The seeds include the plain upsert and remove records
+// of earlier builds, which re-encode as batches.
 func FuzzRecordBody(f *testing.F) {
 	for _, r := range []*Record{upsertRec(3), removeRec("http://ex.org/a", "http://ex.org/b"), learnRec(2), batchRec(2)} {
 		body, err := r.encodeBody()
@@ -47,6 +48,8 @@ func FuzzRecordBody(f *testing.F) {
 		}
 		f.Add(body)
 	}
+	f.Add(plainBody(upsertRec(3).Batch[0]))
+	f.Add(plainBody(removeRec("http://ex.org/a", "http://ex.org/b").Batch[0]))
 	f.Add(hugePropertyCountBody())
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var r Record

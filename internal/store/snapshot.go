@@ -43,7 +43,7 @@ type Snapshot struct {
 	// Links is the accumulated training set in exact order — order and
 	// duplicates are preserved, so a learn record replayed on top
 	// extends exactly the links the live service held.
-	Links []LinkRef
+	Links []core.Link
 	Meta  Meta
 
 	// Model is the served model's rules and learn stats (not its config
@@ -85,6 +85,7 @@ type LinkerMeta struct {
 }
 
 // ComparatorMeta is one comparator with its measure referenced by name.
+// It is also the comparator of the service's link request.
 type ComparatorMeta struct {
 	ExternalProperty string  `json:"external_property"`
 	LocalProperty    string  `json:"local_property"`
@@ -92,40 +93,14 @@ type ComparatorMeta struct {
 	Weight           float64 `json:"weight"`
 }
 
-// encodeLinks serializes the ordered link list.
-func encodeLinks(links []LinkRef) []byte {
-	b := make([]byte, 0, 32*len(links)+8)
-	b = appendUvarint(b, uint64(len(links)))
-	for _, ln := range links {
-		b = appendLinkRef(b, ln)
-	}
-	return b
-}
-
-// minLinkRefBytes is the fewest bytes a link takes in the links
-// section: two kinds and two empty strings.
-const minLinkRefBytes = 4
-
-// decodeLinks parses encodeLinks output.
-func decodeLinks(body []byte) ([]LinkRef, error) {
+// decodeLinks parses a links section: appendLinks output.
+func decodeLinks(body []byte) ([]core.Link, error) {
 	br := &byteReader{b: body}
-	n, err := br.uvarint("link count")
+	links, err := readLinks(br)
 	if err != nil {
 		return nil, err
 	}
-	// The bytes left bound what a count read from disk may preallocate.
-	links := make([]LinkRef, 0, min(n, uint64(len(body)-br.pos)/minLinkRefBytes))
-	for i := uint64(0); i < n; i++ {
-		ln, err := readLinkRef(br)
-		if err != nil {
-			return nil, err
-		}
-		links = append(links, ln)
-	}
-	if err := br.done(); err != nil {
-		return nil, err
-	}
-	return links, nil
+	return links, br.done()
 }
 
 // minRuleBytes is the fewest bytes a rule takes in the model section:
@@ -133,7 +108,7 @@ func decodeLinks(body []byte) ([]LinkRef, error) {
 const minRuleBytes = 2 + 7 + 4 + 1
 
 // statsWire and ruleWire list the model section's fields in wire order,
-// so encodeModel and decodeModel cannot disagree. A rule's terms keep
+// so appendModel and decodeModel cannot disagree. A rule's terms keep
 // their kind, value, datatype and language, its segment every byte.
 func statsWire(s *core.LearnStats) []*int {
 	return []*int{&s.TSSize, &s.Properties, &s.DistinctSegments, &s.SegmentOccurrences,
@@ -148,10 +123,10 @@ func ruleWire(r *core.Rule) ([]*rdf.TermKind, []*string, []*int) {
 		[]*int{&r.PremiseCount, &r.JointCount, &r.ClassCount, &r.TSSize}
 }
 
-// encodeModel serializes the served model: its learn stats, then its
+// appendModel serializes the served model: its learn stats, then its
 // rules in order, each ending in its generalized flag.
-func encodeModel(m *core.Model) []byte {
-	b := appendInts(nil, statsWire(&m.Stats))
+func appendModel(b []byte, m *core.Model) []byte {
+	b = appendInts(b, statsWire(&m.Stats))
 	b = appendUvarint(b, uint64(len(m.Rules.Rules)))
 	for _, r := range m.Rules.Rules {
 		kinds, strs, ints := ruleWire(&r)
@@ -171,8 +146,8 @@ func encodeModel(m *core.Model) []byte {
 	return b
 }
 
-// decodeModel parses encodeModel output into a model with no config and
-// no training index. It accepts only what encodeModel writes, so an
+// decodeModel parses appendModel output into a model with no config and
+// no training index. It accepts only what appendModel writes, so an
 // accepted section re-encodes to the same bytes.
 func decodeModel(body []byte) (*core.Model, error) {
 	br := &byteReader{b: body}
@@ -250,60 +225,17 @@ func snapshotPath(dir string, seq uint64) string {
 // leaves at most a stray .tmp file that Open ignores, and a failure at
 // any step before the rename never publishes a partial snapshot.
 func writeSnapshotFile(fs FS, dir string, s *Snapshot) (path string, size int64, err error) {
-	var buf bytes.Buffer
-	buf.WriteString(snapMagic)
-	var seq [8]byte
-	binary.LittleEndian.PutUint64(seq[:], s.Seq)
-	buf.Write(seq[:])
-
-	writeSection := func(typ byte, body []byte) {
-		var hdr [5]byte
-		hdr[0] = typ
-		binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(body)))
-		buf.Write(hdr[:])
-		buf.Write(body)
-	}
-	encodeGraph := func(g *rdf.Graph) ([]byte, error) {
-		if g == nil {
-			g = rdf.NewGraph()
-		}
-		var gb bytes.Buffer
-		if err := rdf.EncodeSnapshot(&gb, g); err != nil {
-			return nil, err
-		}
-		return gb.Bytes(), nil
-	}
-	for _, sec := range []struct {
-		typ byte
-		g   *rdf.Graph
-	}{{secExternal, s.External}, {secLocal, s.Local}, {secOntology, s.Ontology}} {
-		body, err := encodeGraph(sec.g)
-		if err != nil {
-			return "", 0, fmt.Errorf("store: encoding snapshot section %d: %w", sec.typ, err)
-		}
-		writeSection(sec.typ, body)
-	}
-	writeSection(secLinks, encodeLinks(s.Links))
-	if s.Model != nil {
-		writeSection(secModel, encodeModel(s.Model))
-	}
-	meta, err := json.Marshal(s.Meta)
+	buf, err := encodeSnapshot(s)
 	if err != nil {
-		return "", 0, fmt.Errorf("store: encoding snapshot meta: %w", err)
+		return "", 0, err
 	}
-	writeSection(secMeta, meta)
-
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(buf.Bytes(), castagnoli))
-	buf.Write(crc[:])
-
 	path = snapshotPath(dir, s.Seq)
 	tmp, err := fs.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
 		return "", 0, fmt.Errorf("store: creating snapshot temp file: %w", err)
 	}
 	defer fs.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		return "", 0, fmt.Errorf("store: writing snapshot: %w", err)
 	}
@@ -318,7 +250,53 @@ func writeSnapshotFile(fs FS, dir string, s *Snapshot) (path string, size int64,
 		return "", 0, fmt.Errorf("store: publishing snapshot: %w", err)
 	}
 	_ = fs.SyncDir(dir)
-	return path, int64(buf.Len()), nil
+	return path, int64(len(buf)), nil
+}
+
+// encodeSnapshot returns the file form of s: the magic, the sequence
+// number, every section and the CRC. A section is a type byte and a
+// 4-byte length, reserved before its body is appended in place and
+// filled in after, so the whole file is one growing slice.
+func encodeSnapshot(s *Snapshot) ([]byte, error) {
+	b := append([]byte(nil), snapMagic...)
+	b = binary.LittleEndian.AppendUint64(b, s.Seq)
+	for _, sec := range []struct {
+		typ byte
+		g   *rdf.Graph
+	}{{secExternal, s.External}, {secLocal, s.Local}, {secOntology, s.Ontology}} {
+		g := sec.g
+		if g == nil {
+			g = rdf.NewGraph()
+		}
+		at := len(b)
+		b = rdf.AppendSnapshot(append(b, sec.typ, 0, 0, 0, 0), g)
+		endSection(b, at)
+	}
+	at := len(b)
+	b, err := appendLinks(append(b, secLinks, 0, 0, 0, 0), s.Links)
+	if err != nil {
+		return nil, fmt.Errorf("store: encoding snapshot links: %w", err)
+	}
+	endSection(b, at)
+	if s.Model != nil {
+		at = len(b)
+		b = appendModel(append(b, secModel, 0, 0, 0, 0), s.Model)
+		endSection(b, at)
+	}
+	meta, err := json.Marshal(s.Meta)
+	if err != nil {
+		return nil, fmt.Errorf("store: encoding snapshot meta: %w", err)
+	}
+	at = len(b)
+	b = append(append(b, secMeta, 0, 0, 0, 0), meta...)
+	endSection(b, at)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
+}
+
+// endSection fills in the length of the section whose header starts at
+// b[at]: every byte appended after the header.
+func endSection(b []byte, at int) {
+	binary.LittleEndian.PutUint32(b[at+1:at+5], uint32(len(b)-at-5))
 }
 
 // readSnapshotFile loads and validates one snapshot file.

@@ -8,41 +8,40 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/rdf"
 )
 
-// upsertRec builds a small upsert record for test traffic.
+// upsertRec builds a one-item upsert, the record a single-item HTTP
+// upsert logs.
 func upsertRec(i int) *Record {
-	return &Record{
-		Op: OpUpsert,
-		Upsert: &UpsertOp{
-			Side: Local,
-			Items: []Item{{
-				ID:      fmt.Sprintf("http://ex.org/item/%d", i),
-				Props:   map[string][]string{"http://ex.org/pn": {fmt.Sprintf("PN-%04d", i)}},
-				Classes: []string{"http://ex.org/onto#Thing"},
-			}},
-		},
-	}
+	return &Record{Op: OpBatch, Batch: []BatchEntry{{Upsert: &UpsertOp{
+		Side: Local,
+		Items: []Item{{
+			ID:      fmt.Sprintf("http://ex.org/item/%d", i),
+			Props:   map[string][]string{"http://ex.org/pn": {fmt.Sprintf("PN-%04d", i)}},
+			Classes: []string{"http://ex.org/onto#Thing"},
+		}},
+	}}}}
 }
 
 func learnRec(n int) *Record {
 	l := &LearnOp{Replace: n%2 == 0}
 	for i := 0; i < n; i++ {
-		l.Links = append(l.Links, LinkRef{
-			ExternalKind: 1, External: fmt.Sprintf("http://ex.org/e/%d", i),
-			LocalKind: 1, Local: fmt.Sprintf("http://ex.org/l/%d", i),
+		l.Links = append(l.Links, core.Link{
+			External: rdf.NewIRI(fmt.Sprintf("http://ex.org/e/%d", i)),
+			Local:    rdf.NewIRI(fmt.Sprintf("http://ex.org/l/%d", i)),
 		})
 	}
 	return &Record{Op: OpLearn, Learn: l}
 }
 
 func removeRec(ids ...string) *Record {
-	return &Record{Op: OpRemove, Remove: &RemoveOp{Side: External, IDs: ids}}
+	return &Record{Op: OpBatch, Batch: []BatchEntry{{Remove: &RemoveOp{Side: External, IDs: ids}}}}
 }
 
 // batchRec builds a mixed batch record: n upserts followed by a remove
-// of the first upserted item, both sub-ops in one frame.
+// of the first upserted item, both entries in one frame.
 func batchRec(n int) *Record {
 	up := &UpsertOp{Side: External}
 	for i := 0; i < n; i++ {
@@ -51,10 +50,20 @@ func batchRec(n int) *Record {
 			Props: map[string][]string{"http://ex.org/pn": {fmt.Sprintf("BN-%04d", i)}},
 		})
 	}
-	return &Record{Op: OpBatch, Batch: &BatchOp{Ops: []BatchEntry{
+	return &Record{Op: OpBatch, Batch: []BatchEntry{
 		{Upsert: up},
 		{Remove: &RemoveOp{Side: External, IDs: []string{"http://ex.org/batch/0"}}},
-	}}}
+	}}
+}
+
+// plainBody is the body of the plain upsert or remove record an earlier
+// build wrote for e: the entry's op byte and payload, with no batch
+// count.
+func plainBody(e BatchEntry) []byte {
+	if e.Upsert != nil {
+		return appendUpsertOp([]byte{byte(OpUpsert)}, e.Upsert)
+	}
+	return appendRemoveOp([]byte{byte(OpRemove)}, e.Remove)
 }
 
 func openStore(t *testing.T, dir string, opts Options) (*Store, *Recovery) {
@@ -72,10 +81,11 @@ func TestRecordBodyRoundTrip(t *testing.T) {
 		upsertRec(7),
 		removeRec("http://ex.org/a", "http://ex.org/b"),
 		learnRec(3),
-		{Op: OpUpsert, Upsert: &UpsertOp{Side: External, Items: []Item{{ID: "x"}}}},
+		{Op: OpBatch, Batch: []BatchEntry{{Upsert: &UpsertOp{Side: External, Items: []Item{{ID: "x"}}}}}},
 		{Op: OpLearn, Learn: &LearnOp{Replace: true}},
+		{Op: OpLearn, Learn: &LearnOp{Links: []core.Link{{External: rdf.NewBlank("b0"), Local: rdf.NewIRI("l")}}}},
 		batchRec(3),
-		{Op: OpBatch, Batch: &BatchOp{Ops: []BatchEntry{}}},
+		{Op: OpBatch, Batch: []BatchEntry{}},
 	}
 	for i, r := range recs {
 		body, err := r.encodeBody()
@@ -126,33 +136,50 @@ func TestRecordDecodeRejectsCorruptBody(t *testing.T) {
 	if err := new(Record).decodeBody(badSub); err == nil {
 		t.Error("decoded batch with learn sub-op")
 	}
-	if _, err := (&Record{Op: OpBatch, Batch: &BatchOp{Ops: []BatchEntry{{}}}}).encodeBody(); err == nil {
+	if _, err := (&Record{Op: OpBatch, Batch: []BatchEntry{{}}}).encodeBody(); err == nil {
 		t.Error("encoded batch entry with no op set")
 	}
-	if _, err := (&Record{Op: OpBatch, Batch: &BatchOp{Ops: []BatchEntry{
+	if _, err := (&Record{Op: OpBatch, Batch: []BatchEntry{
 		{Upsert: &UpsertOp{}, Remove: &RemoveOp{}},
-	}}}).encodeBody(); err == nil {
+	}}).encodeBody(); err == nil {
 		t.Error("encoded batch entry with both ops set")
+	}
+	for _, op := range []Op{OpUpsert, OpRemove} {
+		if _, err := (&Record{Op: op, Batch: upsertRec(1).Batch}).encodeBody(); err == nil {
+			t.Errorf("encoded a plain record of op %d", op)
+		}
+	}
+	lit := learnRec(1)
+	lit.Learn.Links[0].Local = rdf.NewLiteral("l")
+	if _, err := lit.encodeBody(); err == nil {
+		t.Error("encoded a learn record with a literal endpoint")
 	}
 }
 
-func TestRecordEntries(t *testing.T) {
-	if got := upsertRec(1).Entries(); len(got) != 1 || got[0].Upsert == nil {
-		t.Errorf("upsert entries: %+v", got)
-	}
-	if got := removeRec("x").Entries(); len(got) != 1 || got[0].Remove == nil {
-		t.Errorf("remove entries: %+v", got)
-	}
-	if got := learnRec(2).Entries(); got != nil {
-		t.Errorf("learn entries: %+v", got)
-	}
-	b := batchRec(4)
-	got := b.Entries()
-	if len(got) != 2 || got[0].Upsert == nil || got[1].Remove == nil {
-		t.Fatalf("batch entries: %+v", got)
-	}
-	if len(got[0].Upsert.Items) != 4 {
-		t.Errorf("batch upsert entry has %d items, want 4", len(got[0].Upsert.Items))
+// TestRecordDecodesPlainRecords: the plain upsert and remove records of
+// earlier builds decode as one-entry batches, and the same write encodes
+// as a batch record exactly 2 bytes longer, the entry count and the
+// entry's op byte.
+func TestRecordDecodesPlainRecords(t *testing.T) {
+	for _, want := range []*Record{upsertRec(1), removeRec("http://ex.org/a")} {
+		plain := plainBody(want.Batch[0])
+		got := &Record{}
+		if err := got.decodeBody(plain); err != nil {
+			t.Fatalf("decoding a plain record: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("plain record decoded as %+v, want %+v", got, want)
+		}
+		body, err := got.encodeBody()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) != len(plain)+2 || Op(body[0]) != OpBatch {
+			t.Errorf("re-encoded a %d-byte plain record as op %d of %d bytes", len(plain), body[0], len(body))
+		}
+		if err := new(Record).decodeBody(append(plain, 0)); err == nil {
+			t.Error("decoded a plain record with a trailing byte")
+		}
 	}
 }
 
@@ -263,10 +290,8 @@ func TestStoreCorruptTailIgnored(t *testing.T) {
 func TestStoreAppendRejectsOversizedRecord(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openStore(t, dir, Options{Fsync: FsyncNever})
-	big := &Record{Op: OpUpsert, Upsert: &UpsertOp{Side: Local, Items: []Item{{
-		ID:    "http://ex.org/huge",
-		Props: map[string][]string{"http://ex.org/p": {strings.Repeat("x", maxWALRecord+1)}},
-	}}}}
+	big := upsertRec(0)
+	big.Batch[0].Upsert.Items[0].Props["http://ex.org/p"] = []string{strings.Repeat("x", maxWALRecord+1)}
 	if _, err := st.Append(big); err == nil {
 		t.Fatal("append acknowledged a record over the wal frame cap")
 	}
@@ -393,7 +418,7 @@ func TestStoreCheckpointAndPrune(t *testing.T) {
 	g.Add(rdf.T(rdf.NewIRI("http://ex.org/s"), rdf.NewIRI("http://ex.org/p"), rdf.NewLiteral("v")))
 	snap := &Snapshot{
 		Seq: boundary, External: g, Local: rdf.NewGraph(), Ontology: rdf.NewGraph(),
-		Links: []LinkRef{{ExternalKind: 1, External: "e", LocalKind: 1, Local: "l"}},
+		Links: []core.Link{{External: rdf.NewIRI("e"), Local: rdf.NewIRI("l")}},
 		Meta:  Meta{Learned: true},
 		Model: testModels()[0],
 	}
@@ -608,7 +633,7 @@ func TestSnapshotFileRejectsCorruption(t *testing.T) {
 	g.Add(rdf.T(rdf.NewIRI("http://ex.org/s"), rdf.NewIRI("http://ex.org/p"), rdf.NewLiteral("v")))
 	snap := &Snapshot{
 		Seq: 42, External: g, Local: rdf.NewGraph(), Ontology: rdf.NewGraph(),
-		Links: []LinkRef{{ExternalKind: 1, External: "http://ex.org/e", LocalKind: 1, Local: "http://ex.org/l"}},
+		Links: []core.Link{{External: rdf.NewIRI("http://ex.org/e"), Local: rdf.NewBlank("l")}},
 		Meta:  Meta{Learned: true},
 		// The served model, with rules over every term kind and a
 		// segment that is not valid UTF-8.

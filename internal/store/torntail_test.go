@@ -10,10 +10,10 @@ import (
 
 // tornRecord builds the i-th record for the torn-tail sweep.
 func tornRecord(i uint64) *Record {
-	return &Record{Op: OpUpsert, Upsert: &UpsertOp{
+	return &Record{Op: OpBatch, Batch: []BatchEntry{{Upsert: &UpsertOp{
 		Side:  External,
 		Items: []Item{{ID: fmt.Sprintf("http://ex.org/t%d", i), Props: map[string][]string{"http://ex.org/p": {fmt.Sprintf("v%d", i)}}}},
-	}}
+	}}}}
 }
 
 // walFrameOffsets parses a segment file's frame layout: the byte offset
@@ -116,9 +116,9 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 		}
 		for i, r := range rec.Tail {
 			want := tornRecord(uint64(i + 1))
-			if r.Seq != uint64(i+1) || r.Upsert.Items[0].ID != want.Upsert.Items[0].ID {
+			if r.Seq != uint64(i+1) || r.Batch[0].Upsert.Items[0].ID != want.Batch[0].Upsert.Items[0].ID {
 				t.Fatalf("cut %d: record %d = seq %d id %q, want intact record %d",
-					cut, i, r.Seq, r.Upsert.Items[0].ID, i+1)
+					cut, i, r.Seq, r.Batch[0].Upsert.Items[0].ID, i+1)
 			}
 		}
 		// A cut exactly at the frame boundary is indistinguishable from a
