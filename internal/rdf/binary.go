@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // Binary snapshot codec: a compact length-prefixed serialization of a
@@ -18,7 +20,7 @@ import (
 //   - a bulk graph loader on decode that builds the store's copy-on-write
 //     SPO index directly from the sorted keys with exact-sized maps — no
 //     per-triple Add, no duplicate probing, no map growth — and backs
-//     every term string by one shared buffer.
+//     every term string by the input bytes themselves.
 //
 // Layout (all integers unsigned varints unless noted):
 //
@@ -30,9 +32,17 @@ import (
 //	#triples
 //	triples three term-table indexes (s, p, o) each, in sorted order
 //
-// Encoding is deterministic: equal graphs encode to equal bytes. Framing,
-// checksums and versioning beyond the magic are the caller's concern
-// (internal/store wraps snapshot sections with CRCs).
+// Encoding is deterministic: equal graphs encode to equal bytes. Those
+// bytes are the graph's canonical encoding: terms strictly ascending,
+// every term used by some triple, packed keys strictly ascending and
+// every varint as short as it can be. The decoder accepts more (unsorted
+// or unused terms, repeated triples, overlong varints), but only a
+// canonical input on the packed path is kept as the decoded graph's
+// memo, so a memo is always what a fresh encode would write.
+// AppendSnapshot appends a current memo instead of encoding again, which
+// lets a checkpoint pay only for the graphs that changed since the last
+// one. Framing, checksums and versioning beyond the magic are the
+// caller's concern (internal/store wraps snapshot sections with CRCs).
 
 // binaryMagic guards the snapshot format; bump the digit on breaking
 // layout changes.
@@ -49,6 +59,13 @@ const termBits = 21
 
 const termMask = 1<<termBits - 1
 
+// snapshotMemo is a graph's snapshot encoding at version ver. Its bytes
+// are never written once the memo exists.
+type snapshotMemo struct {
+	ver uint64
+	b   []byte
+}
+
 // EncodeSnapshot writes g's triples in the binary snapshot format, as
 // AppendSnapshot encodes them.
 func EncodeSnapshot(w io.Writer, g *Graph) error {
@@ -61,8 +78,28 @@ func EncodeSnapshot(w io.Writer, g *Graph) error {
 // AppendSnapshot appends g's triples in the binary snapshot format to dst
 // and returns the extended slice. The graph is read-only during the
 // call, so encoding a frozen Snapshot is safe concurrently with
-// mutations of the live graph it came from.
+// mutations of the live graph it came from, and with other encodings of
+// the same snapshot.
+//
+// A graph that remembers its encoding for its current version appends
+// that copy instead of encoding again. A frozen snapshot remembers what
+// it was first encoded to; a live graph remembers only what it was
+// decoded from, so encoding one stores nothing.
 func AppendSnapshot(dst []byte, g *Graph) []byte {
+	if m := g.enc.Load(); m != nil && m.ver == g.ver {
+		return append(dst, m.b...)
+	}
+	if !g.Frozen() {
+		return appendEncoding(dst, g)
+	}
+	b := appendEncoding(nil, g)
+	g.enc.Store(&snapshotMemo{ver: g.ver, b: b})
+	return append(dst, b...)
+}
+
+// appendEncoding encodes g onto dst, growing dst once by the exact size
+// of the encoding.
+func appendEncoding(dst []byte, g *Graph) []byte {
 	// One pass over the graph: intern terms in first-use order and record
 	// every triple as an id triplet. The SPO index is walked directly —
 	// subjects intern once per subject and predicates once per (s, p)
@@ -85,7 +122,7 @@ func AppendSnapshot(dst []byte, g *Graph) []byte {
 			})
 		}
 	}
-	table, termBytes := it.terms, it.bytes
+	table := it.terms
 
 	// Sort the table and derive old-id → sorted-id, so triple ordering
 	// below never compares Terms again.
@@ -95,32 +132,12 @@ func AppendSnapshot(dst []byte, g *Graph) []byte {
 	}
 	slices.SortFunc(order, func(a, b uint32) int { return table[a].Compare(table[b]) })
 	remap := make([]uint32, len(table))
-	sorted := make([]Term, len(table))
 	for rank, old := range order {
 		remap[old] = uint32(rank)
-		sorted[rank] = table[old]
 	}
+	size := len(binaryMagic) + uvarintLen(uint64(len(table))) + it.bytes + uvarintLen(uint64(len(tris)))
 
-	// termBytes over-reserves per term (16 covers kind byte + three
-	// length varints), 10 covers any triple delta varint: at most one
-	// allocation.
-	buf := slices.Grow(dst, len(binaryMagic)+termBytes+10*len(tris)+20)
-	buf = append(buf, binaryMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(sorted)))
-	for _, t := range sorted {
-		buf = append(buf, byte(t.Kind))
-		buf = binary.AppendUvarint(buf, uint64(len(t.Value)))
-		buf = append(buf, t.Value...)
-		if t.Kind == LiteralKind {
-			buf = binary.AppendUvarint(buf, uint64(len(t.Datatype)))
-			buf = append(buf, t.Datatype...)
-			buf = binary.AppendUvarint(buf, uint64(len(t.Lang)))
-			buf = append(buf, t.Lang...)
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(tris)))
-
-	if len(sorted) <= 1<<termBits {
+	if len(table) <= 1<<termBits {
 		// Pack every triple into one integer and sort — term ids are in
 		// Compare order, so integer order is triple order. Sorted keys
 		// are written as deltas: one small varint per triple instead of
@@ -133,28 +150,72 @@ func AppendSnapshot(dst []byte, g *Graph) []byte {
 		slices.Sort(keys)
 		prev := uint64(0)
 		for _, k := range keys {
+			size += uvarintLen(k - prev)
+			prev = k
+		}
+		buf := appendHeader(slices.Grow(dst, size), table, order, len(tris))
+		prev = 0
+		for _, k := range keys {
 			buf = binary.AppendUvarint(buf, k-prev)
 			prev = k
 		}
-	} else {
-		// Fallback for gigantic term tables: sort the id triplets with
-		// explicit three-way comparison.
-		slices.SortFunc(tris, func(a, b idTriple) int {
-			if c := int(remap[a.s]) - int(remap[b.s]); c != 0 {
-				return c
-			}
-			if c := int(remap[a.p]) - int(remap[b.p]); c != 0 {
-				return c
-			}
-			return int(remap[a.o]) - int(remap[b.o])
-		})
-		for _, t := range tris {
-			buf = binary.AppendUvarint(buf, uint64(remap[t.s]))
-			buf = binary.AppendUvarint(buf, uint64(remap[t.p]))
-			buf = binary.AppendUvarint(buf, uint64(remap[t.o]))
+		return buf
+	}
+	// Fallback for gigantic term tables: sort the id triplets with
+	// explicit three-way comparison.
+	slices.SortFunc(tris, func(a, b idTriple) int {
+		if c := int(remap[a.s]) - int(remap[b.s]); c != 0 {
+			return c
 		}
+		if c := int(remap[a.p]) - int(remap[b.p]); c != 0 {
+			return c
+		}
+		return int(remap[a.o]) - int(remap[b.o])
+	})
+	for _, t := range tris {
+		size += uvarintLen(uint64(remap[t.s])) + uvarintLen(uint64(remap[t.p])) + uvarintLen(uint64(remap[t.o]))
+	}
+	buf := appendHeader(slices.Grow(dst, size), table, order, len(tris))
+	for _, t := range tris {
+		buf = binary.AppendUvarint(buf, uint64(remap[t.s]))
+		buf = binary.AppendUvarint(buf, uint64(remap[t.p]))
+		buf = binary.AppendUvarint(buf, uint64(remap[t.o]))
 	}
 	return buf
+}
+
+// appendHeader appends everything before the triples: the magic, the
+// term table in the order order gives, and the triple count.
+func appendHeader(buf []byte, table []Term, order []uint32, nTriples int) []byte {
+	buf = append(buf, binaryMagic...)
+	buf = binary.AppendUvarint(buf, uint64(len(order)))
+	for _, id := range order {
+		t := &table[id]
+		buf = append(buf, byte(t.Kind))
+		buf = binary.AppendUvarint(buf, uint64(len(t.Value)))
+		buf = append(buf, t.Value...)
+		if t.Kind == LiteralKind {
+			buf = binary.AppendUvarint(buf, uint64(len(t.Datatype)))
+			buf = append(buf, t.Datatype...)
+			buf = binary.AppendUvarint(buf, uint64(len(t.Lang)))
+			buf = append(buf, t.Lang...)
+		}
+	}
+	return binary.AppendUvarint(buf, uint64(nTriples))
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
+}
+
+// termSize is the length of t's entry in the term table.
+func termSize(t Term) int {
+	n := 1 + uvarintLen(uint64(len(t.Value))) + len(t.Value)
+	if t.Kind == LiteralKind {
+		n += uvarintLen(uint64(len(t.Datatype))) + len(t.Datatype) + uvarintLen(uint64(len(t.Lang))) + len(t.Lang)
+	}
+	return n
 }
 
 // internTable is a linear-probing Term -> id table for the encoder:
@@ -164,7 +225,7 @@ func AppendSnapshot(dst []byte, g *Graph) []byte {
 type internTable struct {
 	slots []int32 // term index + 1; 0 = empty
 	terms []Term
-	bytes int // serialized size of all interned terms (over-estimate)
+	bytes int // encoded size of the term table entries
 }
 
 // newInternTable sizes the table for roughly n distinct terms.
@@ -208,7 +269,7 @@ func (it *internTable) intern(t Term) uint32 {
 	}
 	id := uint32(len(it.terms))
 	it.terms = append(it.terms, t)
-	it.bytes += 16 + len(t.Value) + len(t.Datatype) + len(t.Lang)
+	it.bytes += termSize(t)
 	it.slots[i] = int32(id + 1)
 	if len(it.terms)*4 > len(it.slots)*3 { // load factor 3/4
 		it.grow()
@@ -232,17 +293,22 @@ func (it *internTable) grow() {
 
 // binReader is a cursor over the raw snapshot bytes. blob is the same
 // bytes as one string, so term strings can share its backing array
-// instead of allocating per field.
+// instead of allocating per field. loose records that the input is not
+// canonical, so a fresh encode would not reproduce it.
 type binReader struct {
-	b    []byte
-	blob string
-	pos  int
+	b     []byte
+	blob  string
+	pos   int
+	loose bool
 }
 
 func (r *binReader) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("rdf: decoding snapshot: reading %s: truncated varint", what)
+	}
+	if n > 1 && r.b[r.pos+n-1] == 0 {
+		r.loose = true // a shorter varint holds the same value
 	}
 	r.pos += n
 	return v, nil
@@ -279,6 +345,10 @@ func (r *binReader) byte(what string) (byte, error) {
 // (bad magic, dangling term indexes, truncated data, invalid triples,
 // trailing bytes) returns an error; the decoder never trusts a length
 // prefix with an allocation larger than the bytes actually present.
+//
+// When the input is the canonical encoding of the graph it holds, the
+// graph keeps it as its encoding memo (see AppendSnapshot). The memo is
+// the very buffer the term strings point into, so it costs no memory.
 func DecodeSnapshot(rd io.Reader) (*Graph, error) {
 	var raw []byte
 	var err error
@@ -287,8 +357,8 @@ func DecodeSnapshot(rd io.Reader) (*Graph, error) {
 		// of io.ReadAll's doubling chain.
 		raw = make([]byte, sized.Len())
 		_, err = io.ReadFull(rd, raw)
-	} else {
-		raw, err = io.ReadAll(rd)
+	} else if raw, err = io.ReadAll(rd); cap(raw) > len(raw) {
+		raw = slices.Clone(raw) // the graph keeps raw: drop the spare capacity
 	}
 	if err != nil {
 		return nil, fmt.Errorf("rdf: decoding snapshot: %w", err)
@@ -296,7 +366,9 @@ func DecodeSnapshot(rd io.Reader) (*Graph, error) {
 	if len(raw) < len(binaryMagic) || string(raw[:len(binaryMagic)]) != binaryMagic {
 		return nil, fmt.Errorf("rdf: decoding snapshot: bad magic")
 	}
-	r := &binReader{b: raw, blob: string(raw), pos: len(binaryMagic)}
+	// raw is this call's own buffer and nothing writes it from here on,
+	// so the term strings may share it without a copy.
+	r := &binReader{b: raw, blob: unsafe.String(unsafe.SliceData(raw), len(raw)), pos: len(binaryMagic)}
 
 	nTerms, err := r.uvarint("term count")
 	if err != nil {
@@ -330,6 +402,9 @@ func DecodeSnapshot(rd io.Reader) (*Graph, error) {
 		default:
 			return nil, fmt.Errorf("rdf: decoding snapshot: term %d: invalid kind %d", i, kind)
 		}
+		if !r.loose && i > 0 && table[i-1].Compare(t) >= 0 {
+			r.loose = true
+		}
 		table = append(table, t)
 	}
 
@@ -344,6 +419,7 @@ func DecodeSnapshot(rd io.Reader) (*Graph, error) {
 		return decodeUnpacked(r, table, nTriples)
 	}
 	keys := make([]uint64, 0, nTriples)
+	used := make([]uint64, (len(table)+63)/64) // bit per term a triple names
 	prev := uint64(0)
 	for i := uint64(0); i < nTriples; i++ {
 		delta, err := r.uvarint("triple delta")
@@ -354,11 +430,17 @@ func DecodeSnapshot(rd io.Reader) (*Graph, error) {
 		if k < prev || k >= 1<<(3*termBits) {
 			return nil, fmt.Errorf("rdf: decoding snapshot: triple %d: key out of range", i)
 		}
+		if delta == 0 && i > 0 {
+			r.loose = true // a repeated triple
+		}
 		prev = k
 		s, p, o := k>>(2*termBits), k>>termBits&termMask, k&termMask
 		if s >= uint64(len(table)) || p >= uint64(len(table)) || o >= uint64(len(table)) {
 			return nil, fmt.Errorf("rdf: decoding snapshot: triple %d: term index out of range (%d terms)", i, len(table))
 		}
+		used[s/64] |= 1 << (s % 64)
+		used[p/64] |= 1 << (p % 64)
+		used[o/64] |= 1 << (o % 64)
 		// Positional validation, once per triple here instead of per Add.
 		if k := table[s].Kind; k != IRIKind && k != BlankKind {
 			return nil, fmt.Errorf("rdf: decoding snapshot: triple %d: subject is %s", i, k)
@@ -371,7 +453,26 @@ func DecodeSnapshot(rd io.Reader) (*Graph, error) {
 	if r.pos != len(r.b) {
 		return nil, fmt.Errorf("rdf: decoding snapshot: %d trailing bytes", len(r.b)-r.pos)
 	}
-	return buildGraphBulk(table, keys), nil
+	g := buildGraphBulk(table, keys)
+	if !r.loose && allSet(used, len(table)) {
+		g.enc.Store(&snapshotMemo{ver: g.ver, b: raw})
+	}
+	return g, nil
+}
+
+// allSet reports whether the first n bits of bits are all set; bits has
+// room for n bits and fewer than 64 more.
+func allSet(bits []uint64, n int) bool {
+	for i, w := range bits {
+		want := ^uint64(0)
+		if rest := n - 64*i; rest < 64 {
+			want = 1<<rest - 1
+		}
+		if w != want {
+			return false
+		}
+	}
+	return true
 }
 
 // readTripleIDs reads and range-checks one triple's term indexes.

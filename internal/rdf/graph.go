@@ -3,6 +3,7 @@ package rdf
 import (
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Graph is an in-memory RDF triple store with one index, subject ->
@@ -19,6 +20,12 @@ import (
 // graph keeps mutating. Concurrent readers of a snapshot never race
 // with the live graph's writers, which is what lets slow queries run
 // entirely outside a service's write lock.
+//
+// A graph may also remember its binary snapshot encoding for one
+// version (see AppendSnapshot): a graph DecodeSnapshot returns keeps
+// the bytes it was read from, a frozen snapshot keeps what it was first
+// encoded to, and Snapshot passes the memo on while the graph is
+// unchanged. A mutation makes the memo stale, and Clone copies none.
 type Graph struct {
 	spo cowIndex
 	n   int
@@ -37,6 +44,10 @@ type Graph struct {
 	// without disowning buckets again.
 	snap    *Graph
 	snapVer uint64
+	// enc is the graph's snapshot encoding at the version it records, or
+	// nil. It is atomic because encoding a frozen snapshot stores it, and
+	// any goroutine may encode one.
+	enc atomic.Pointer[snapshotMemo]
 }
 
 // mutToken is an ownership marker compared by pointer identity. It must
@@ -454,6 +465,9 @@ func (g *Graph) Frozen() bool { return g.mut == nil }
 // unchanged graph are cached, so taking one per published query-state is
 // free when nothing mutated in between. The snapshot of a snapshot is
 // the snapshot itself. Mutating a snapshot panics.
+//
+// The snapshot inherits the graph's encoding memo while it is current;
+// the first snapshot after a mutation drops the stale one.
 func (g *Graph) Snapshot() *Graph {
 	if g.mut == nil {
 		return g
@@ -462,6 +476,13 @@ func (g *Graph) Snapshot() *Graph {
 		return g.snap
 	}
 	snap := &Graph{spo: g.spo, n: g.n, ver: g.ver}
+	if m := g.enc.Load(); m != nil {
+		if m.ver == g.ver {
+			snap.enc.Store(m)
+		} else {
+			g.enc.Store(nil)
+		}
+	}
 	// Disown every bucket: the next mutation on the live graph copies
 	// before writing, so snap's view never changes.
 	g.mut = &mutToken{}
@@ -640,8 +661,8 @@ func (g *Graph) Merge(other *Graph) int {
 }
 
 // Clone returns an independent deep copy of the graph. Unlike Snapshot
-// the copy is mutable and shares nothing; prefer Snapshot for read-only
-// point-in-time views.
+// the copy is mutable and shares nothing, the encoding memo included;
+// prefer Snapshot for read-only point-in-time views.
 func (g *Graph) Clone() *Graph {
 	c := NewGraph()
 	c.Merge(g)

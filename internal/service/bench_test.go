@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"math/rand"
 	"net/http"
 	"os"
@@ -112,5 +113,40 @@ func BenchmarkRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+	}
+}
+
+// BenchmarkCheckpoint times a checkpoint after a write to the external
+// graph only, on a service restored from restoreStore's directory: each
+// op upserts one external item, then calls Checkpoint, which rotates
+// the WAL, encodes the snapshot, writes and syncs the file and prunes
+// the files it supersedes.
+func BenchmarkCheckpoint(b *testing.B) {
+	dir := filepath.Join(b.TempDir(), "store")
+	sopts := store.Options{Fsync: store.FsyncNever, SnapshotEvery: -1}
+	restoreStore(b, dir, sopts)
+	st, rec, err := store.Open(dir, sopts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, err := Restore(st, rec, nil, Options{DefaultLinker: datalink.DefaultLinkingConfig()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	h := svc.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body := map[string]any{"side": "external", "items": []map[string]any{{
+			"id":         "http://provider.example/item/checkpoint",
+			"properties": map[string][]string{datalink.PartNumberProperty.Value: {fmt.Sprintf("CKPT-%d", i)}},
+		}}}
+		if rr := call(b, h, http.MethodPost, "/v1/items/upsert", body, nil); rr.Code != http.StatusOK {
+			b.Fatalf("upsert: %d %s", rr.Code, rr.Body)
+		}
+		if _, err := svc.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,17 +1,22 @@
 package service
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	datalink "repro"
+	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
@@ -742,4 +747,65 @@ func TestAutomaticCheckpoint(t *testing.T) {
 	if got := svc.lastCheckpointError(); got != "" {
 		t.Errorf("checkpoint error: %s", got)
 	}
+}
+
+// newestSnapshotSections returns the section bodies of the newest
+// snapshot file in dir, by section type.
+func newestSnapshotSections(t *testing.T, dir string) map[byte][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no snapshot file in %s (%v)", dir, err)
+	}
+	slices.Sort(paths) // fixed-width hex sequence numbers
+	raw, err := os.ReadFile(paths[len(paths)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := map[byte][]byte{}
+	for rest := raw[len("LNKSNAP1")+8 : len(raw)-4]; len(rest) > 0; {
+		n := binary.LittleEndian.Uint32(rest[1:5])
+		secs[rest[0]] = rest[5 : 5+n]
+		rest = rest[5+n:]
+	}
+	return secs
+}
+
+// TestCheckpointAfterExternalWritesKeepsLocalSection: a checkpoint that
+// follows external writes only writes the local section byte for byte
+// as the previous checkpoint did, and the external section as a fresh
+// encode of the written graph. The first round runs in the process that
+// wrote the baseline, the second after a restart.
+func TestCheckpointAfterExternalWritesKeepsLocalSection(t *testing.T) {
+	const external, local = 1, 2 // snapshot section types
+	dir := t.TempDir()
+	sopts := store.Options{Fsync: store.FsyncNever, SnapshotEvery: -1}
+	svc := restoreService(t, dir, corpusSeed(t), sopts)
+	prev := newestSnapshotSections(t, dir)
+	for round := 0; round < 2; round++ {
+		applyMutation(t, svc.Handler(), mutation{path: "/v1/items/upsert", body: map[string]any{
+			"side": "external", "items": []map[string]any{{
+				"id": "http://ex.org/e/r0", "properties": map[string][]string{pnProp: {fmt.Sprintf("RES-0000-W%d", round)}},
+			}},
+		}})
+		if _, err := svc.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		cur := newestSnapshotSections(t, dir)
+		if !bytes.Equal(cur[local], prev[local]) {
+			t.Errorf("round %d: the local section changed from %d to %d bytes", round, len(prev[local]), len(cur[local]))
+		}
+		if bytes.Equal(cur[external], prev[external]) {
+			t.Errorf("round %d: the external section did not change", round)
+		}
+		if want := rdf.AppendSnapshot(nil, svc.state.Load().se.Clone()); !bytes.Equal(cur[external], want) {
+			t.Errorf("round %d: the external section is not the encoding of the external graph", round)
+		}
+		prev = cur
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		svc = restoreService(t, dir, nil, sopts)
+	}
+	svc.Close()
 }

@@ -1,10 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -148,5 +151,74 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 				cut, len(rec2.Tail), rec2.TornTail, records)
 		}
 		st2.Close()
+	}
+}
+
+// TestUndecodableRecordFailsOpen: a record whose frame and CRC are
+// intact but which this build cannot decode (an op it does not know, as
+// a newer build's record would be after a downgrade) is not a torn
+// tail. Open fails and names it, instead of truncating the segment
+// there and dropping it with every record after it, and the segment
+// keeps every byte.
+func TestUndecodableRecordFailsOpen(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		damage     func(payload []byte)
+	}{
+		{"unknown op", "record 2 ", func(payload []byte) {
+			_, sn := binary.Uvarint(payload)
+			payload[sn] = 9
+		}},
+		{"unreadable sequence number", "no readable sequence number", func(payload []byte) {
+			for i := 0; i < binary.MaxVarintLen64; i++ {
+				payload[i] = 0xff
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Fsync: FsyncAlways, SnapshotEvery: -1}
+			st, _, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(1); i <= 3; i++ {
+				if _, err := st.Append(tornRecord(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			seg := filepath.Join(dir, walName(1))
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := walFrameOffsets(t, raw)[1]
+			n := binary.LittleEndian.Uint32(raw[off:])
+			payload := raw[off+8 : off+8+int64(n)]
+			tc.damage(payload)
+			binary.LittleEndian.PutUint32(raw[off+4:], crc32.Checksum(payload, castagnoli))
+			if err := os.WriteFile(seg, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			st, rec, err := Open(dir, opts)
+			if err == nil {
+				st.Close()
+				t.Fatalf("Open accepted the log (%d records, torn tail %v)", len(rec.Tail), rec.TornTail)
+			}
+			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), walName(1)) {
+				t.Errorf("Open failed with %q, want an error naming the segment and %q", err, tc.want)
+			}
+			after, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, raw) {
+				t.Errorf("the segment changed from %d to %d bytes", len(raw), len(after))
+			}
+		})
 	}
 }

@@ -115,7 +115,8 @@ var errCorruptTail = errors.New("store: corrupt wal record")
 // torn record (everything before it was still delivered); good is the
 // byte offset of the end of the last intact frame, so a tolerated torn
 // tail can be truncated away. Any other failure — unreadable file, bad
-// header, fn error — is returned as err.
+// header, an intact record that does not decode, fn error — is returned
+// as err.
 func replayWALSegment(path string, fn func(rec *Record) error) (clean bool, good int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -147,7 +148,7 @@ func replayWALSegment(path string, fn func(rec *Record) error) (clean bool, good
 			return false, good, nil
 		}
 		if err != nil {
-			return false, good, err
+			return false, good, fmt.Errorf("store: %s at byte %d: %w", path, good, err)
 		}
 		if err := fn(rec); err != nil {
 			return false, good, err
@@ -177,7 +178,11 @@ func truncateWALSegment(fs FS, path string, size int64) error {
 
 // readWALRecord reads one frame, returning the record and the frame's
 // on-disk size. io.EOF means a clean end exactly at a frame boundary;
-// errCorruptTail wraps every way a trailing frame can be broken.
+// errCorruptTail wraps every way a trailing frame can be broken. A frame
+// whose length and CRC check out but whose record does not decode is
+// another error: it is what a writer meant to log (a newer build's
+// record, after a downgrade), not a torn write, and cutting it off as a
+// tail would drop it and every acknowledged record after it.
 func readWALRecord(br *bufio.Reader) (*Record, int64, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -201,11 +206,11 @@ func readWALRecord(br *bufio.Reader) (*Record, int64, error) {
 	}
 	seq, sn := binary.Uvarint(payload)
 	if sn <= 0 {
-		return nil, 0, fmt.Errorf("%w: bad sequence varint", errCorruptTail)
+		return nil, 0, errors.New("record with an intact frame has no readable sequence number")
 	}
 	rec := &Record{Seq: seq}
 	if err := rec.decodeBody(payload[sn:]); err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", errCorruptTail, err)
+		return nil, 0, fmt.Errorf("record %d has an intact frame but does not decode: %w", seq, err)
 	}
 	return rec, int64(8 + n), nil
 }
