@@ -2,14 +2,11 @@ package service
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -749,39 +746,18 @@ func TestAutomaticCheckpoint(t *testing.T) {
 	}
 }
 
-// newestSnapshotSections returns the section bodies of the newest
-// snapshot file in dir, by section type.
-func newestSnapshotSections(t *testing.T, dir string) map[byte][]byte {
-	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no snapshot file in %s (%v)", dir, err)
-	}
-	slices.Sort(paths) // fixed-width hex sequence numbers
-	raw, err := os.ReadFile(paths[len(paths)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	secs := map[byte][]byte{}
-	for rest := raw[len("LNKSNAP1")+8 : len(raw)-4]; len(rest) > 0; {
-		n := binary.LittleEndian.Uint32(rest[1:5])
-		secs[rest[0]] = rest[5 : 5+n]
-		rest = rest[5+n:]
-	}
-	return secs
-}
-
-// TestCheckpointAfterExternalWritesKeepsLocalSection: a checkpoint that
-// follows external writes only writes the local section byte for byte
-// as the previous checkpoint did, and the external section as a fresh
-// encode of the written graph. The first round runs in the process that
-// wrote the baseline, the second after a restart.
-func TestCheckpointAfterExternalWritesKeepsLocalSection(t *testing.T) {
-	const external, local = 1, 2 // snapshot section types
+// TestCheckpointKeepsLocalEncoding: a checkpoint after external writes
+// only copies the local graph's remembered encoding instead of encoding
+// it again, so the published local view still carries that encoding
+// afterwards: encoding it once more allocates nothing into a buffer
+// large enough, and writes what a fresh encode of the graph writes. The
+// first round runs in the process that wrote the baseline checkpoint,
+// the second after a restart, where the encoding comes from decoding the
+// snapshot file.
+func TestCheckpointKeepsLocalEncoding(t *testing.T) {
 	dir := t.TempDir()
 	sopts := store.Options{Fsync: store.FsyncNever, SnapshotEvery: -1}
 	svc := restoreService(t, dir, corpusSeed(t), sopts)
-	prev := newestSnapshotSections(t, dir)
 	for round := 0; round < 2; round++ {
 		applyMutation(t, svc.Handler(), mutation{path: "/v1/items/upsert", body: map[string]any{
 			"side": "external", "items": []map[string]any{{
@@ -791,17 +767,15 @@ func TestCheckpointAfterExternalWritesKeepsLocalSection(t *testing.T) {
 		if _, err := svc.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		cur := newestSnapshotSections(t, dir)
-		if !bytes.Equal(cur[local], prev[local]) {
-			t.Errorf("round %d: the local section changed from %d to %d bytes", round, len(prev[local]), len(cur[local]))
+		sl := svc.state.Load().sl
+		want := rdf.AppendSnapshot(nil, sl.Clone())
+		dst := make([]byte, 0, len(want))
+		if allocs := testing.AllocsPerRun(10, func() { dst = rdf.AppendSnapshot(dst[:0], sl) }); allocs != 0 {
+			t.Errorf("round %d: encoding the published local graph allocates %v times, want 0", round, allocs)
 		}
-		if bytes.Equal(cur[external], prev[external]) {
-			t.Errorf("round %d: the external section did not change", round)
+		if !bytes.Equal(dst, want) {
+			t.Errorf("round %d: the local graph encodes to %d bytes, a fresh encode to %d", round, len(dst), len(want))
 		}
-		if want := rdf.AppendSnapshot(nil, svc.state.Load().se.Clone()); !bytes.Equal(cur[external], want) {
-			t.Errorf("round %d: the external section is not the encoding of the external graph", round)
-		}
-		prev = cur
 		if err := svc.Close(); err != nil {
 			t.Fatal(err)
 		}

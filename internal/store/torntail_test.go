@@ -222,3 +222,56 @@ func TestUndecodableRecordFailsOpen(t *testing.T) {
 		})
 	}
 }
+
+// TestZeroedTailIsTorn: a crash under fsync never or interval can leave
+// the segment's new size on disk without its data, so the tail after
+// the last good frame reads as zeros. Eight or more zero bytes parse as
+// a frame header of length 0 and CRC 0, and the CRC of no bytes is 0;
+// that is still a torn tail, not an undecodable record. Open recovers
+// every record, reports the tail torn and truncates the segment at the
+// last good frame.
+func TestZeroedTailIsTorn(t *testing.T) {
+	for _, zeros := range []int{1, 8, 9, 64} {
+		t.Run(fmt.Sprintf("%d zero bytes", zeros), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Fsync: FsyncAlways, SnapshotEvery: -1}
+			st, _, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const records = 3
+			for i := uint64(1); i <= records; i++ {
+				if _, err := st.Append(tornRecord(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			seg := filepath.Join(dir, walName(1))
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(seg, append(raw, make([]byte, zeros)...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			st, rec, err := Open(dir, opts)
+			if err != nil {
+				t.Fatalf("recovery refused: %v", err)
+			}
+			defer st.Close()
+			if len(rec.Tail) != records || !rec.TornTail {
+				t.Fatalf("recovered %d records (torn=%v), want %d with a torn tail", len(rec.Tail), rec.TornTail, records)
+			}
+			after, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, raw) {
+				t.Errorf("segment is %d bytes after recovery, want it truncated to the last good frame at %d", len(after), len(raw))
+			}
+		})
+	}
+}

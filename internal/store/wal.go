@@ -107,7 +107,8 @@ func (w *walWriter) close() error {
 }
 
 // errCorruptTail marks a frame that cannot be trusted: torn write,
-// truncated header, CRC mismatch or an implausible length.
+// truncated header, CRC mismatch or an implausible length (zero or over
+// the cap).
 var errCorruptTail = errors.New("store: corrupt wal record")
 
 // replayWALSegment streams the records of one segment file to fn in
@@ -196,6 +197,13 @@ func readWALRecord(br *bufio.Reader) (*Record, int64, error) {
 	want := binary.LittleEndian.Uint32(hdr[4:8])
 	if n > maxWALRecord {
 		return nil, 0, fmt.Errorf("%w: frame length %d exceeds cap", errCorruptTail, n)
+	}
+	// No writer emits an empty frame: every payload starts with its
+	// sequence number. An all-zero header, which is what a crash leaves
+	// when the file's new size reached disk before its data, would pass
+	// the CRC check (the CRC of no bytes is 0), so it is caught here.
+	if n == 0 {
+		return nil, 0, fmt.Errorf("%w: empty frame", errCorruptTail)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(br, payload); err != nil {
